@@ -168,14 +168,6 @@ class TruncatedSeries:
         return f"{body} + O(x^{self.order + 1})"
 
 
-def series_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()
-
-
 GENUS_KINDS = ("chern", "pontrjagin", "a_hat", "l_genus")
 
 
@@ -341,10 +333,6 @@ class LiftPolynomial:
             else:
                 terms.append(f"l^{k}" if c == 1 else f"{c}*l^{k}")
         return " + ".join(terms)
-
-
-def lift_poly_equal(p: LiftPolynomial, q: LiftPolynomial) -> bool:
-    return p == q
 
 
 # ---------------------------------------------------------------------------
@@ -568,18 +556,3 @@ class CharacterFunction:
             return " + ".join(terms)
 
         return f"({poly(self.num)})/({poly(self.den)})"
-
-
-def character_sum(terms: Iterable[CharacterFunction]) -> CharacterFunction:
-    acc = CharacterFunction.zero()
-    for f in terms:
-        acc = acc + f
-    return acc
-
-
-def character_is_constant(f: CharacterFunction) -> Optional[Fraction]:
-    return f.is_constant()
-
-
-def character_limit_at_infinity(f: CharacterFunction) -> Optional[Fraction]:
-    return f.limit_at_infinity()

@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .classify import s1_verdict, theorem_hypotheses
+from .classify import _ADMISSIBLE, s1_verdict, theorem_hypotheses
 from .configio import (
     SchemaError,
     config_to_obj,
@@ -94,7 +94,6 @@ def build_parser() -> _Parser:
     sea.add_argument("--max-weight", type=int, default=5)
     sea.add_argument("--max-abs-a", type=int, default=5)
     sea.add_argument("--max-abs-eval", type=int, default=10)
-    sea.add_argument("--workers", type=int, default=1)
     sea.add_argument("--budget", type=int, default=10**8)
     sea.add_argument("--no-effectiveness", action="store_true")
     sea.add_argument("--no-convention35", action="store_true")
@@ -219,16 +218,11 @@ def _cmd_classify(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
-_TABLE_ROWS = [
-    (1, (1,)), (1, (2,)), (1, (3,)), (1, (2, 2)),
-    (2, (1,)), (2, (2,)), (2, (3,)), (2, (2, 2)),
-    (3, (1,)), (3, (2,)),
-]
-
-
 def _cmd_table(args) -> int:
+    rows = [(n, degrees) for n in sorted(_ADMISSIBLE)
+            for degrees in sorted(_ADMISSIBLE[n], key=lambda d: (len(d), d))]
     entries = []
-    for n, degrees in _TABLE_ROWS:
+    for n, degrees in rows:
         ci = CompleteIntersection(n, degrees)
         obj = _invariants_obj(ci)
         obj["citation"] = s1_verdict(ci).citation
@@ -239,7 +233,7 @@ def _cmd_table(args) -> int:
     print("Complete intersections of complex dimension <= 3 admitting a"
           " smooth circle action")
     current = None
-    for (n, degrees), obj in zip(_TABLE_ROWS, entries):
+    for (n, degrees), obj in zip(rows, entries):
         if n != current:
             current = n
             print(f"n = {n}:")
@@ -326,7 +320,6 @@ def _cmd_search(parser: _Parser, args) -> int:
             rho_range=(args.rho_min, args.rho_max),
             bounds=bounds,
             flags=flags,
-            workers=args.workers,
             budget=args.budget,
         )
     except BudgetExceededError as exc:

@@ -22,13 +22,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
 
-from .algebra import (
-    CharacterFunction,
-    LiftPolynomial,
-    character_is_constant,
-    character_limit_at_infinity,
-    character_sum,
-)
+from .algebra import CharacterFunction, LiftPolynomial
 
 
 class ConfigurationError(ValueError):
@@ -412,14 +406,6 @@ def p1x_sum(components: Sequence[Component]) -> LiftPolynomial:
     return total
 
 
-def sum_x3(cfg: Configuration) -> LiftPolynomial:
-    return x3_sum(cfg.components)
-
-
-def sum_p1x(cfg: Configuration) -> LiftPolynomial:
-    return p1x_sum(cfg.components)
-
-
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -522,12 +508,12 @@ def check_euler(cfg: Configuration) -> CheckResult:
 
 
 def check_x3(cfg: Configuration) -> CheckResult:
-    residual = sum_x3(cfg) - LiftPolynomial.constant(cfg.ambient.t)
+    residual = x3_sum(cfg.components) - LiftPolynomial.constant(cfg.ambient.t)
     return _result("x3-localization", residual.is_zero(), residual)
 
 
 def check_p1x(cfg: Configuration) -> CheckResult:
-    residual = sum_p1x(cfg) - LiftPolynomial.constant(
+    residual = p1x_sum(cfg.components) - LiftPolynomial.constant(
         cfg.ambient.rho * cfg.ambient.t
     )
     return _result("p1x-localization", residual.is_zero(), residual)
@@ -551,12 +537,14 @@ def signature_checks(
                     sign_m - contributions)
         )
         return results
-    total = character_sum(signature_local_datum(c) for c in components)
-    const = character_is_constant(total)
+    total = CharacterFunction.zero()
+    for c in components:
+        total = total + signature_local_datum(c)
+    const = total.is_constant()
     results.append(_result("signature-rigidity", const is not None, total))
     if const is not None:
         results.append(_result("signature-vanishing", const == sign_m, const - sign_m))
-        limit = character_limit_at_infinity(total)
+        limit = total.limit_at_infinity()
         results.append(
             _result(
                 "signature-limit",

@@ -1,31 +1,58 @@
 """Bounded exhaustive search for consistent fixed-point configurations.
 
-For each template the generator enumerates weight data, lift weights and
-evaluations inside the given bounds, derives as many evaluations as the
-localization identities force (coefficient by coefficient in the lift
-parameter, in exact integer arithmetic), reads off the ambient pair
-(t, rho) at the leaf, and keeps a candidate only when the full verifier
-accepts it.  Pruning steps are exact consequences of the checks, never
-heuristics, so within the bounds the hit list is exhaustive.
+One routine searches every template, and one argument shows that within
+the bounds its hit list is exhaustive.
 
-Search-specific conventions: fixed surfaces are spheres (chi = 2),
-4-dimensional components have b1 = 0 (chi = 2 + b2), the ambient Euler
-characteristic is the sum of the component ones, and the lift is
-normalized so that the last surface (or else the first component) has
-a = 0.  Every enumeration step ticks a node counter; exceeding the budget
-raises BudgetExceededError rather than silently truncating the search.
+1. Discrete data.  For each component of the template, in TEMPLATES order,
+   the routine enumerates the data of its kind: normal weights, the sign
+   eps of a point, the signature of a 4-dimensional component.  A
+   combination is dropped only by a check that verify_case also applies:
+   the signature-limit identity (the eps and the signatures sum to 0) and,
+   under lemma64, weight-matching, weight-divisibility and the shared
+   second weight of surface-structure.
+2. The x^3 identity.  The localized x^3 sum is affine in the unknown
+   evaluations.  Its columns are read from x3_local_datum at zero and at
+   unit evaluations, and a lift a enters by the substitution l -> l + a.
+   For fixed discrete data and lifts, "the sum is the constant t" is a
+   linear system in the evaluations and t, one row per coefficient of
+   l^0..l^3.  The routine reduces it in exact integer arithmetic,
+   enumerates the free unknowns over the box, and keeps a pivot only if it
+   is an integer inside its bound; each pivot is checked as soon as the
+   unknowns it depends on are set.  The l^3 row does not depend on the
+   lifts and is checked before they are enumerated.  So the solver yields
+   exactly the integer points of the box at which check_x3 passes.
+3. The leaf.  Each such point goes to _leaf, which recomputes the x^3 and
+   p1*x sums, derives rho, and keeps the candidate only if Configuration
+   accepts it and verify_case passes.  Every hit is thus checked
+   independently of the solver.
+
+The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
+[max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1 under
+semifree, and for a 4-dimensional component also under effectiveness),
+are coprime per component under effectiveness, and are sorted per
+component, except that under lemma64 the two surfaces have weights
+(n_X, m) and (n_Y, m) and both second evaluations 0.  Search-specific
+conventions: fixed surfaces are spheres (chi = 2), 4-dimensional
+components have b1 = 0 (chi = 2 + b2, with b2 fixed by the template), the
+ambient Euler characteristic is the sum of the component ones, the first
+point has eps = +1 under convention35, and the lift is normalized so that
+the last surface (or else the first component) has a = 0, the other lifts
+lying in [-max_abs_a, max_abs_a].  Every combination of discrete data,
+every lift choice and every free value ticks one node counter per call;
+exceeding the budget raises BudgetExceededError rather than silently
+truncating the search.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import gcd
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement, product
+from math import gcd, lcm
+from typing import Iterator, Optional
 
 from .configio import dump_config
 from .localization import (
+    _TEMPLATE_B2,
     AmbientData,
     Component,
     Configuration,
@@ -37,6 +64,7 @@ from .localization import (
     TEMPLATES,
     p1x_sum,
     verify_case,
+    x3_local_datum,
     x3_sum,
 )
 
@@ -111,38 +139,11 @@ def _weight_values(ctx: _Ctx) -> list[int]:
     return list(range(1, ctx.bounds.max_weight + 1))
 
 
-def _four_weights(ctx: _Ctx) -> list[int]:
-    # Effectiveness makes the single normal weight of a 4-dimensional
-    # component equal to 1.
-    if ctx.flags.semifree or ctx.flags.effectiveness:
-        return [1]
-    return list(range(1, ctx.bounds.max_weight + 1))
-
-
-def _point_triples(ctx: _Ctx) -> list[tuple[int, int, int]]:
-    out = []
-    for t in combinations_with_replacement(_weight_values(ctx), 3):
-        if ctx.flags.effectiveness and gcd(gcd(t[0], t[1]), t[2]) != 1:
-            continue
-        out.append(t)
-    return out
-
-
-def _surface_pairs(ctx: _Ctx) -> list[tuple[int, int]]:
-    out = []
-    for p in combinations_with_replacement(_weight_values(ctx), 2):
-        if ctx.flags.effectiveness and gcd(p[0], p[1]) != 1:
-            continue
-        out.append(p)
-    return out
-
-
-def _zero_four(weight: int, a: int, b2: int = 0, sign: int = 0,
-               chi: Optional[int] = None) -> FourComponent:
-    return FourComponent(
-        weight=weight, a=a, ev_x2=0, ev_xy=0, ev_y2=0, ev_p1=3 * sign,
-        b2=b2, sign=sign, chi=(2 + b2) if chi is None else chi,
-    )
+def _weight_tuples(ctx: _Ctx, size: int) -> list[tuple[int, ...]]:
+    """The sorted normal weights of a component with size of them, coprime
+    under effectiveness (so a single weight is then 1)."""
+    return [w for w in combinations_with_replacement(_weight_values(ctx), size)
+            if not ctx.flags.effectiveness or gcd(*w) == 1]
 
 
 def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
@@ -172,250 +173,6 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
     return cfg if verify_case(cfg).consistent else None
 
 
-# ---------------------------------------------------------------------------
-# Template generators.  Each template provides a task list (the outermost
-# enumeration axis, used to partition work across workers) and a runner
-# that exhausts one task.
-
-
-def _tasks_two_fours(ctx: _Ctx) -> list:
-    ws = _four_weights(ctx)
-    return [(n1, n2) for n1 in ws for n2 in ws if n1 <= n2]
-
-
-def _run_two_fours(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    n1, n2 = task
-    hits = []
-    for a2 in _sym(ctx.bounds.max_abs_a):
-        # With b2 = 0 every evaluation vanishes, so the x^3 sum is
-        # identically zero and the leaf can only reject; the enumeration
-        # confirms this within the bounds.
-        comps = (_zero_four(n1, 0), _zero_four(n2, a2))
-        cfg = _leaf("two_fours", comps, ctx, counter)
-        if cfg is not None:
-            hits.append(cfg)
-    return hits
-
-
-def _tasks_four_plus_surface(ctx: _Ctx) -> list:
-    return _surface_pairs(ctx)
-
-
-def _run_four_plus_surface(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    m1, m2 = task
-    hits = []
-    e_max = ctx.bounds.max_abs_eval
-    for y1 in _sym(e_max):
-        counter.tick()
-        # Constancy of the x^3 sum forces ev_y1/m1 + ev_y2/m2 = 0 and
-        # ev_x = 0 (the 4-dimensional component, having b2 = 0, adds
-        # nothing).
-        num = -y1 * m2
-        if num % m1:
-            continue
-        y2 = num // m1
-        if abs(y2) > e_max:
-            continue
-        for nf in _four_weights(ctx):
-            for af in _sym(ctx.bounds.max_abs_a):
-                surface = SurfaceComponent((m1, m2), 0, 0, y1, y2, 2)
-                comps = (_zero_four(nf, af), surface)
-                cfg = _leaf("four_plus_surface", comps, ctx, counter)
-                if cfg is not None:
-                    hits.append(cfg)
-    return hits
-
-
-def _tasks_four_plus_two_points(ctx: _Ctx) -> list:
-    return _point_triples(ctx)
-
-
-def _run_four_plus_two_points(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    t1 = task
-    p1 = t1[0] * t1[1] * t1[2]
-    hits = []
-    eps_list = (1,) if ctx.flags.convention35 else (1, -1)
-    for t2 in _point_triples(ctx):
-        counter.tick()
-        # The cubic coefficient needs eps1/P1 + eps2/P2 = 0, hence equal
-        # weight products and opposite signs; the quadratic coefficient
-        # then forces equal lift weights.
-        if t2[0] * t2[1] * t2[2] != p1:
-            continue
-        for eps1 in eps_list:
-            for nf in _four_weights(ctx):
-                for a1 in _sym(ctx.bounds.max_abs_a):
-                    comps = (
-                        _zero_four(nf, 0),
-                        PointComponent(eps1, t1, a1),
-                        PointComponent(-eps1, t2, a1),
-                    )
-                    cfg = _leaf("four_plus_two_points", comps, ctx, counter)
-                    if cfg is not None:
-                        hits.append(cfg)
-    return hits
-
-
-def _tasks_cp2like(ctx: _Ctx) -> list:
-    return _point_triples(ctx)
-
-
-def _run_cp2like(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    tw = task
-    prod = tw[0] * tw[1] * tw[2]
-    e_max = ctx.bounds.max_abs_eval
-    hits = []
-    eps_list = (1,) if ctx.flags.convention35 else (1, -1)
-    for eps in eps_list:
-        sign_f = -eps  # the limit identity: sign(F) + eps = 0
-        for nf in _four_weights(ctx):
-            for a in _sym(ctx.bounds.max_abs_a):
-                counter.tick()
-                # Coefficients of l^3, l^2, l in the x^3 sum force the
-                # three evaluations on the 4-dimensional component.
-                nums = (
-                    -eps * nf**3,          # ev_y2 * prod
-                    eps * a * nf**2,       # ev_xy * prod
-                    -eps * a * a * nf,     # ev_x2 * prod
-                )
-                if any(n % prod for n in nums):
-                    continue
-                y2, xy, x2 = (n // prod for n in nums)
-                if max(abs(y2), abs(xy), abs(x2)) > e_max:
-                    continue
-                try:
-                    four = FourComponent(nf, 0, x2, xy, y2, 3 * sign_f,
-                                         1, sign_f, 3)
-                except ConfigurationError:
-                    continue
-                comps = (four, PointComponent(eps, tw, a))
-                cfg = _leaf("cp2like_plus_point", comps, ctx, counter)
-                if cfg is not None:
-                    hits.append(cfg)
-    return hits
-
-
-def _tasks_single_four(ctx: _Ctx) -> list:
-    return _four_weights(ctx)
-
-
-def _run_single_four(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    nf = task
-    hits = []
-    # Constancy of the x^3 sum forces all evaluations to vanish, and the
-    # limit identity forces sign = 0; the leaf then sees t = 0.
-    comps = (_zero_four(nf, 0, b2=2, sign=0),)
-    cfg = _leaf("single_four_b2_2", comps, ctx, counter)
-    if cfg is not None:
-        hits.append(cfg)
-    return hits
-
-
-def _tasks_two_surfaces(ctx: _Ctx) -> list:
-    if ctx.flags.lemma64:
-        ws = _weight_values(ctx)
-        tasks = []
-        for m in ws:
-            for nx1 in ws:
-                if ctx.flags.effectiveness and gcd(nx1, m) != 1:
-                    continue
-                for ny1 in ws:
-                    if ctx.flags.effectiveness and gcd(ny1, m) != 1:
-                        continue
-                    tasks.append((m, nx1, ny1))
-        return tasks
-    pairs = _surface_pairs(ctx)
-    return [(px, py) for px in pairs for py in pairs]
-
-
-def _run_two_surfaces(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    if ctx.flags.lemma64:
-        return _run_two_surfaces_structured(task, ctx, counter)
-    return _run_two_surfaces_free(task, ctx, counter)
-
-
-def _run_two_surfaces_structured(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    """Shared second weight m, vanishing second evaluations."""
-    m, nx1, ny1 = task
-    e_max = ctx.bounds.max_abs_eval
-    hits = []
-    for ax in _sym(ctx.bounds.max_abs_a):
-        if ax == 0:
-            counter.tick()
-            continue  # the constant term of the x^3 sum would be 0 = t
-        for e1 in _sym(e_max):
-            counter.tick()
-            num_f1 = -e1 * ny1 * ny1
-            if num_f1 % (nx1 * nx1):
-                continue
-            f1 = num_f1 // (nx1 * nx1)
-            if abs(f1) > e_max:
-                continue
-            for ex in _sym(e_max):
-                counter.tick()
-                if ax * e1 != 2 * ex * nx1:  # coefficient of l
-                    continue
-                num_ey = ny1 * (ax * e1 - ex * nx1)
-                if num_ey % (nx1 * nx1):
-                    continue
-                ey = num_ey // (nx1 * nx1)
-                if abs(ey) > e_max:
-                    continue
-                sx = SurfaceComponent((nx1, m), ax, ex, e1, 0, 2)
-                sy = SurfaceComponent((ny1, m), 0, ey, f1, 0, 2)
-                cfg = _leaf("two_surfaces", (sx, sy), ctx, counter)
-                if cfg is not None:
-                    hits.append(cfg)
-    return hits
-
-
-def _run_two_surfaces_free(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    """No structural restriction: both second evaluations enumerated."""
-    (nx1, nx2), (ny1, ny2) = task
-    e_max = ctx.bounds.max_abs_eval
-    big_nx = nx1 * nx2
-    big_ny = ny1 * ny2
-    hits = []
-    for ax in _sym(ctx.bounds.max_abs_a):
-        if ax == 0:
-            counter.tick()
-            continue  # forces t = 0
-        for y1x in _sym(e_max):
-            for y2x in _sym(e_max):
-                counter.tick()
-                sx_num = y1x * nx2 + y2x * nx1  # s_X * N_X
-                # coefficient of l: ex = a_X * s_X / 2
-                num_ex = ax * sx_num
-                if num_ex % (2 * big_nx):
-                    continue
-                ex = num_ex // (2 * big_nx)
-                if abs(ex) > e_max:
-                    continue
-                # coefficient of l^2: ey = -N_Y (ex - a_X s_X) / N_X
-                num_ey = -big_ny * (ex * big_nx - ax * sx_num)
-                if num_ey % (big_nx * big_nx):
-                    continue
-                ey = num_ey // (big_nx * big_nx)
-                if abs(ey) > e_max:
-                    continue
-                for y1y in _sym(e_max):
-                    counter.tick()
-                    # coefficient of l^3: s_Y = -s_X N_Y / N_X
-                    num_y2y = -ny2 * (sx_num * big_ny * ny1 + y1y * big_nx * big_nx)
-                    den_y2y = big_nx * big_nx * ny1
-                    if num_y2y % den_y2y:
-                        continue
-                    y2y = num_y2y // den_y2y
-                    if abs(y2y) > e_max:
-                        continue
-                    sx = SurfaceComponent((nx1, nx2), ax, ex, y1x, y2x, 2)
-                    sy = SurfaceComponent((ny1, ny2), 0, ey, y1y, y2y, 2)
-                    cfg = _leaf("two_surfaces", (sx, sy), ctx, counter)
-                    if cfg is not None:
-                        hits.append(cfg)
-    return hits
-
-
 def _divides_exactly_two(pair: tuple[int, int], triple: tuple[int, int, int]) -> bool:
     for w in pair:
         if w > 1 and sum(1 for m in triple if m % w == 0) != 2:
@@ -423,78 +180,212 @@ def _divides_exactly_two(pair: tuple[int, int], triple: tuple[int, int, int]) ->
     return True
 
 
-def _tasks_surface_plus_two_points(ctx: _Ctx) -> list:
-    tasks = []
-    for pair in _surface_pairs(ctx):
-        for t1 in _point_triples(ctx):
-            if ctx.flags.lemma64 and not _divides_exactly_two(pair, t1):
-                continue
-            tasks.append((pair, t1))
-    return tasks
+# ---------------------------------------------------------------------------
+# The template solver
+
+# The x^3 data are cubic in l: one row per coefficient of l^0..l^3.
+_ROWS = 4
 
 
-def _run_surface_plus_two_points(task, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
-    (nx1, nx2), t1 = task
-    big_n = nx1 * nx2
-    p1 = t1[0] * t1[1] * t1[2]
+class _Choice:
+    """The discrete data of one component: the component at lift 0 with
+    zero evaluations, the names of its unknown evaluations, and its x^3
+    datum as columns (one per unknown, then the constant one).  The columns
+    are scaled to integers over the common denominator of the call and
+    shifted to each lift on first use."""
+
+    __slots__ = ("comp", "unknowns", "fractions", "columns", "shifted")
+
+    def __init__(self, comp: Component, unknowns: tuple[str, ...]):
+        self.comp = comp
+        self.unknowns = unknowns
+        base = x3_local_datum(comp)
+        polys = [x3_local_datum(replace(comp, **{name: 1})) - base
+                 for name in unknowns]
+        polys.append(base)
+        self.fractions = [[p.coefficient(k) for k in range(_ROWS)]
+                          for p in polys]
+        self.columns: list[list[int]] = []
+        self.shifted: dict[int, tuple] = {}
+
+    def at(self, a: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The columns after the substitution l -> l + a: for each k, the
+        l^k coefficients of the unknown columns, and of the constant one."""
+        entry = self.shifted.get(a)
+        if entry is None:
+            cols = []
+            for col in self.columns:
+                c = list(col)
+                for i in range(_ROWS - 1):  # Taylor shift, Horner's scheme
+                    for j in range(_ROWS - 2, i - 1, -1):
+                        c[j] += a * c[j + 1]
+                cols.append(c)
+            entry = (tuple(tuple(c[k] for c in cols[:-1]) for k in range(_ROWS)),
+                     tuple(cols[-1]))
+            self.shifted[a] = entry
+        return entry
+
+
+def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
+    """The choices for every component of the template, in TEMPLATES order,
+    and the common denominator of their columns."""
+    flags = ctx.flags
+    kinds = TEMPLATES[template]
+    slots = []
+    for i, kind in enumerate(kinds):
+        if kind == "point":
+            first = "point" not in kinds[:i]
+            eps_values = (1,) if flags.convention35 and first else (1, -1)
+            slots.append([_Choice(PointComponent(eps, w, 0), ())
+                          for w in _weight_tuples(ctx, 3) for eps in eps_values])
+        elif kind == "surface":
+            if template == "two_surfaces" and flags.lemma64:
+                ws = _weight_values(ctx)
+                pairs = [(n, m) for n in ws for m in ws
+                         if not flags.effectiveness or gcd(n, m) == 1]
+                unknowns = ("ev_x", "ev_y1")
+            else:
+                pairs = _weight_tuples(ctx, 2)
+                unknowns = ("ev_x", "ev_y1", "ev_y2")
+            slots.append([_Choice(SurfaceComponent(p, 0, 0, 0, 0, 2), unknowns)
+                          for p in pairs])
+        else:
+            b2 = _TEMPLATE_B2[template]
+            unknowns = ("ev_x2", "ev_xy", "ev_y2") if b2 else ()
+            slots.append([
+                _Choice(FourComponent(w, 0, 0, 0, 0, 3 * s, b2, s, 2 + b2),
+                        unknowns)
+                for (w,) in _weight_tuples(ctx, 1)
+                for s in range(-b2, b2 + 1, 2)
+            ])
+    den = lcm(*(f.denominator for slot in slots for c in slot
+                for col in c.fractions for f in col))
+    for slot in slots:
+        for c in slot:
+            c.columns = [[int(f * den) for f in col] for col in c.fractions]
+    return slots, den
+
+
+def _admissible(template: str, comps: tuple[Component, ...], ctx: _Ctx) -> bool:
+    """The checks of verify_case that depend on the discrete data alone."""
+    if sum(c.signature_contribution for c in comps):
+        return False  # signature-limit
+    if ctx.flags.lemma64 and template == "two_surfaces":
+        return comps[0].weights[1] == comps[1].weights[1]
+    if ctx.flags.lemma64 and template == "surface_plus_two_points":
+        surface, p, q = comps
+        return (p.weights == q.weights
+                and _divides_exactly_two(surface.weights, p.weights))
+    return True
+
+
+def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
+    """row with its entry at col cancelled by the pivot row, made primitive."""
+    p, q = pivot[col], row[col]
+    out = [p * x - q * y for x, y in zip(row, pivot)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _solve(rows, lo: list[int], hi: list[int],
+           counter: _Counter) -> Iterator[list[int]]:
+    """Every integer x with lo <= x <= hi and sum_j row[j] * x[j] + row[-1]
+    == 0 for each row.
+
+    The rows are reduced in exact integer arithmetic, sparsest first, each
+    taking its rightmost remaining unknown as pivot (the last column, t, is
+    then always a pivot).  The free unknowns are enumerated in column order,
+    and each pivot is checked for integrality and bounds as soon as the last
+    free unknown it depends on is set.
+    """
+    n = len(lo)
+    pivots: list[tuple[int, list[int]]] = []
+    for row in sorted(rows, key=lambda r: n - r[:n].count(0)):
+        for col, prow in pivots:
+            if row[col]:
+                row = _eliminate(row, prow, col)
+        col = next((j for j in range(n - 1, -1, -1) if row[j]), None)
+        if col is None:
+            if row[n]:
+                return
+            continue
+        pivots = [(c, _eliminate(p, row, col) if p[col] else p)
+                  for c, p in pivots]
+        pivots.append((col, row))
+    pivot_cols = {c for c, _ in pivots}
+    free = [j for j in range(n) if j not in pivot_cols]
+    checks: list[list] = [[] for _ in range(len(free) + 1)]
+    for col, row in pivots:
+        deps = [(f, row[f]) for f in free if row[f]]
+        depth = max((free.index(f) + 1 for f, _ in deps), default=0)
+        checks[depth].append((col, -row[col], deps, row[n]))
+    x = [0] * n
+
+    def fill(depth: int) -> Iterator[list[int]]:
+        for col, den, deps, const in checks[depth]:
+            num = const + sum(c * x[f] for f, c in deps)
+            if num % den:
+                return
+            v = num // den
+            if v < lo[col] or v > hi[col]:
+                return
+            x[col] = v
+        if depth == len(free):
+            yield list(x)
+            return
+        f = free[depth]
+        for v in range(lo[f], hi[f] + 1):
+            counter.tick()
+            x[f] = v
+            yield from fill(depth + 1)
+
+    yield from fill(0)
+
+
+def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
+    """Every consistent configuration of the template inside the box."""
+    kinds = TEMPLATES[template]
+    fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
+             if "surface" in kinds else 0)
+    lifts = [(0,) if i == fixed else _sym(ctx.bounds.max_abs_a)
+             for i in range(len(kinds))]
     e_max = ctx.bounds.max_abs_eval
+    slots, den = _choices(template, ctx)
+    t_column = (-den,) + (0,) * (_ROWS - 1)  # t enters the l^0 row only
     hits = []
-    eps_list = (1,) if ctx.flags.convention35 else (1, -1)
-    if ctx.flags.lemma64:
-        # Equal weight multisets at the two points; divisibility was
-        # filtered at task level.
-        triples2 = [t1]
-    else:
-        triples2 = _point_triples(ctx)
-    for t2 in triples2:
-        p2 = t2[0] * t2[1] * t2[2]
-        for eps1 in eps_list:
-            eps2 = -eps1  # rigidity limit: eps1 + eps2 = 0
-            for a1 in _sym(ctx.bounds.max_abs_a):
-                for a2 in _sym(ctx.bounds.max_abs_a):
-                    counter.tick()
-                    # coefficient of l in the x^3 sum
-                    if eps1 * a1 * a1 * p2 + eps2 * a2 * a2 * p1 != 0:
-                        continue
-                    # coefficient of l^2 forces ev_x
-                    num_ex = -big_n * (eps1 * a1 * p2 + eps2 * a2 * p1)
-                    if num_ex % (p1 * p2):
-                        continue
-                    ex = num_ex // (p1 * p2)
-                    if abs(ex) > e_max:
-                        continue
-                    # coefficient of l^3 fixes s_X = ev_y1/nx1 + ev_y2/nx2
-                    s_num = big_n * (eps1 * p2 + eps2 * p1)  # s_X * P1 P2
-                    for y1 in _sym(e_max):
-                        counter.tick()
-                        num_y2 = nx2 * (s_num * nx1 - y1 * p1 * p2)
-                        den_y2 = nx1 * p1 * p2
-                        if num_y2 % den_y2:
-                            continue
-                        y2 = num_y2 // den_y2
-                        if abs(y2) > e_max:
-                            continue
-                        comps = (
-                            SurfaceComponent((nx1, nx2), 0, ex, y1, y2, 2),
-                            PointComponent(eps1, t1, a1),
-                            PointComponent(eps2, t2, a2),
-                        )
-                        cfg = _leaf("surface_plus_two_points", comps, ctx, counter)
-                        if cfg is not None:
-                            hits.append(cfg)
+    for combo in product(*slots):
+        comps = tuple(c.comp for c in combo)
+        if not _admissible(template, comps, ctx):
+            continue
+        counter.tick()
+        # The l^3 row is the same at every lift: without unknowns, its
+        # constant must vanish.
+        top = [c.at(0) for c in combo]
+        if not any(any(u[-1]) for u, _ in top) and sum(k[-1] for _, k in top):
+            continue
+        n = sum(len(c.unknowns) for c in combo) + 1
+        lo = [-e_max] * (n - 1) + [max(1, ctx.t_lo)]
+        hi = [e_max] * (n - 1) + [ctx.t_hi]
+        for lift in product(*lifts):
+            counter.tick()
+            parts = [c.at(a) for c, a in zip(combo, lift)]
+            rows = []
+            for k in range(_ROWS):
+                unknown, const = (), 0
+                for u, c in parts:
+                    unknown += u[k]
+                    const += c[k]
+                rows.append(unknown + (t_column[k], const))
+            for x in _solve(rows, lo, hi, counter):
+                values = iter(x)
+                cand = tuple(
+                    replace(c.comp, a=a,
+                            **{name: next(values) for name in c.unknowns})
+                    for c, a in zip(combo, lift))
+                cfg = _leaf(template, cand, ctx, counter)
+                if cfg is not None:
+                    hits.append(cfg)
     return hits
-
-
-_GENERATORS: dict[str, tuple[Callable, Callable]] = {
-    "two_fours": (_tasks_two_fours, _run_two_fours),
-    "four_plus_surface": (_tasks_four_plus_surface, _run_four_plus_surface),
-    "four_plus_two_points": (_tasks_four_plus_two_points, _run_four_plus_two_points),
-    "cp2like_plus_point": (_tasks_cp2like, _run_cp2like),
-    "single_four_b2_2": (_tasks_single_four, _run_single_four),
-    "two_surfaces": (_tasks_two_surfaces, _run_two_surfaces),
-    "surface_plus_two_points": (_tasks_surface_plus_two_points,
-                                _run_surface_plus_two_points),
-}
 
 
 def search_case(
@@ -503,46 +394,19 @@ def search_case(
     rho_range: tuple[int, int] = (-10, 0),
     bounds: SearchBounds = SearchBounds(),
     flags: SearchFlags = SearchFlags(),
-    workers: int = 1,
     budget: int = 10**8,
 ) -> list[Configuration]:
     """Enumerate all consistent configurations of one template within the
-    bounds, sorted by their canonical JSON rendering.
-
-    workers > 1 partitions the outermost enumeration axis across a thread
-    pool; the hit list does not depend on the partition.  The node budget
-    is enforced per worker partition and on the total.
-    """
+    bounds, sorted by their canonical JSON rendering.  The run raises
+    BudgetExceededError as soon as it visits more than budget nodes."""
     if template not in TEMPLATES:
         raise ConfigurationError(f"unknown template {template!r}")
     t_lo, t_hi = (int(t_range[0]), int(t_range[1]))
     rho_lo, rho_hi = (int(rho_range[0]), int(rho_range[1]))
     if t_lo > t_hi or rho_lo > rho_hi:
         raise ValueError("empty range: lower bound exceeds upper bound")
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError("workers must be a positive integer")
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError("budget must be a positive integer")
     ctx = _Ctx(t_lo, t_hi, rho_lo, rho_hi, bounds, flags)
-    make_tasks, run_task = _GENERATORS[template]
-    tasks = make_tasks(ctx)
-    hits: list[Configuration] = []
-    if workers == 1:
-        counter = _Counter(budget)
-        for task in tasks:
-            hits.extend(run_task(task, ctx, counter))
-    else:
-        def _job(task):
-            local = _Counter(budget)
-            return run_task(task, ctx, local), local.nodes
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_job, tasks))
-        total = sum(nodes for _, nodes in results)
-        if total > budget:
-            raise BudgetExceededError(
-                f"node budget of {budget} exhausted across workers"
-            )
-        for chunk, _ in results:
-            hits.extend(chunk)
+    hits = _search(template, ctx, _Counter(budget))
     return sorted(hits, key=dump_config)

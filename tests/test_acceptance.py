@@ -8,7 +8,6 @@ same verdict.  Timing limits are asserted inside the relevant tests.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import oracle
 
@@ -37,14 +36,7 @@ from cisym.localization import (
     x3_sum,
 )
 from cisym.search import SearchBounds, SearchFlags, search_case
-
-
-def multidegrees(max_sum, min_part=1):
-    for r in range(1, max_sum + 1):
-        for degs in combinations_with_replacement(
-                range(min_part, max_sum + 1), r):
-            if sum(degs) <= max_sum:
-                yield degs
+from test_invariants import multidegrees
 
 
 def X(n, *degrees):
@@ -206,7 +198,7 @@ def test_criterion_6_nonpositive_rho_search_is_empty():
                      "single_four_b2_2", "two_surfaces",
                      "surface_plus_two_points"):
         hits = search_case(template, t_range=(1, 10), rho_range=(-10, 0),
-                           bounds=bounds, flags=SearchFlags(), workers=1)
+                           bounds=bounds, flags=SearchFlags())
         assert hits == [], template
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"criterion 6 took {elapsed:.1f}s"

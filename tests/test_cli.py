@@ -183,12 +183,3 @@ def test_search_cli_bad_template_exit_64(capsys):
     code, _, _ = run_usage_error(capsys, "search", "dodecahedron")
     assert code == 64
 
-
-def test_search_cli_workers(capsys):
-    code, single, _ = run(capsys, "search", "two_surfaces", "--semifree",
-                          "--rho-min", "-10", "--rho-max", "10", "--json")
-    code2, multi, _ = run(capsys, "search", "two_surfaces", "--semifree",
-                          "--rho-min", "-10", "--rho-max", "10", "--json",
-                          "--workers", "3")
-    assert code == code2 == 0
-    assert single == multi

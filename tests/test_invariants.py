@@ -29,14 +29,25 @@ def X(n, *degrees):
 
 def multidegrees(max_sum, min_part=1):
     """All sorted multidegrees with entries >= min_part and sum <= max_sum."""
-    out = []
-    for r in range(1, max_sum // min_part + 1):
-        for combo in combinations_with_replacement(
-            range(min_part, max_sum + 1), r
-        ):
-            if sum(combo) <= max_sum:
-                out.append(combo)
-    return out
+    for first in range(min_part, max_sum + 1):
+        yield (first,)
+        for rest in multidegrees(max_sum - first, first):
+            yield (first,) + rest
+
+
+def test_multidegrees_matches_brute_enumeration():
+    for max_sum in range(11):
+        for min_part in (1, 2):
+            brute = {
+                combo
+                for r in range(1, max_sum + 1)
+                for combo in combinations_with_replacement(
+                    range(min_part, max_sum + 1), r)
+                if sum(combo) <= max_sum
+            }
+            got = list(multidegrees(max_sum, min_part))
+            assert len(got) == len(set(got))
+            assert set(got) == brute, (max_sum, min_part)
 
 
 # ---------------------------------------------------------------------------
