@@ -9,7 +9,7 @@ structural and output is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -214,92 +214,127 @@ def genus_line_factor(kind: str, scale: int, order: int) -> TruncatedSeries:
 # Polynomials in the lift parameter l
 
 
+_set = object.__setattr__
+
+
+def _lift(num: tuple[int, ...], den: int) -> LiftPolynomial:
+    """A LiftPolynomial from numerators and denominator already in normal form."""
+    p = object.__new__(LiftPolynomial)
+    _set(p, "num", num)
+    _set(p, "den", den)
+    return p
+
+
+def _lowest(num: Sequence[int], den: int) -> LiftPolynomial:
+    """num/den, for den > 0, with trailing zeros trimmed and reduced to
+    lowest terms."""
+    num = _trim(num)
+    if not num:
+        return _lift((), 1)
+    g = gcd(den, *num)
+    if g == 1:
+        return _lift(num, den)
+    return _lift(tuple(c // g for c in num), den // g)
+
+
+def _combine(p: LiftPolynomial, q: LiftPolynomial, sign: int) -> LiftPolynomial:
+    """p + sign * q over the least common denominator."""
+    a, b = p.num, q.num
+    g = gcd(p.den, q.den)
+    sa, sb = q.den // g, sign * (p.den // g)
+    if len(a) < len(b):
+        a, b, sa, sb = b, a, sb, sa
+    out = [sa * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += sb * c
+    return _lowest(out, p.den // g * q.den)
+
+
 class LiftPolynomial:
     """A polynomial in the lift parameter l with exact rational coefficients.
 
-    Stored low-to-high with trailing zeros trimmed; the zero polynomial has an
-    empty coefficient tuple, so equality is structural.
+    Stored as integer numerators `num`, low to high with trailing zeros
+    trimmed, over one positive common denominator `den`, in lowest terms
+    (the numerators and den have gcd 1).  The zero polynomial is num = (),
+    den = 1, so equality is structural.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        p = _lowest([c.numerator * (den // c.denominator) for c in cs], den)
+        _set(self, "num", p.num)
+        _set(self, "den", p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LiftPolynomial is immutable")
 
     @classmethod
     def constant(cls, c: Scalar) -> "LiftPolynomial":
-        return cls([c])
+        v = as_rational(c)
+        return _lift((v.numerator,), v.denominator) if v else _lift((), 1)
 
     @classmethod
     def shifted_lift(cls, a: Scalar) -> "LiftPolynomial":
         """The linear polynomial a + l."""
-        return cls([a, 1])
+        v = as_rational(a)
+        return _lift((v.numerator, v.denominator), v.denominator)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def coefficient(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError("negative coefficient index")
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if k < len(self.num) else Fraction(0)
 
     def constant_value(self) -> Optional[Fraction]:
         """The value of a constant polynomial, None if degree > 0."""
-        if self.degree > 0:
+        if len(self.num) > 1:
             return None
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __call__(self, value: Scalar) -> Fraction:
         v = as_rational(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        if not self.num:
+            return Fraction(0)
+        p, q = v.numerator, v.denominator
+        # Horner's scheme on num(p/q) * q^degree, all in integers.
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc, self.den * (scale // q))
 
     def __add__(self, other: "LiftPolynomial") -> "LiftPolynomial":
         if not isinstance(other, LiftPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LiftPolynomial(out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "LiftPolynomial") -> "LiftPolynomial":
         if not isinstance(other, LiftPolynomial):
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "LiftPolynomial":
-        return LiftPolynomial([-c for c in self.coeffs])
+        return _lift(tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other: Union["LiftPolynomial", Scalar]) -> "LiftPolynomial":
         if isinstance(other, LiftPolynomial):
-            if self.is_zero() or other.is_zero():
-                return LiftPolynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b != 0:
-                        out[i + j] += a * b
-            return LiftPolynomial(out)
-        scalar = as_rational(other)
-        return LiftPolynomial([scalar * c for c in self.coeffs])
+            return _lowest(_pmul(self.num, other.num), self.den * other.den)
+        if type(other) is int:
+            p, q = other, 1
+        else:
+            scalar = other if type(other) is Fraction else as_rational(other)
+            p, q = scalar.numerator, scalar.denominator
+        return _lowest([p * c for c in self.num], self.den * q)
 
     def __rmul__(self, other: Scalar) -> "LiftPolynomial":
         return self * other
@@ -307,25 +342,34 @@ class LiftPolynomial:
     def __pow__(self, exponent: int) -> "LiftPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = LiftPolynomial([1])
-        for _ in range(exponent):
-            result = result * self
-        return result
+        # A power of a primitive integer polynomial is primitive (Gauss's
+        # lemma), so the result is already in lowest terms.
+        num = self.num
+        if len(num) == 2:  # binomial expansion of (c0 + c1*l)^exponent
+            c0, c1 = num
+            out = tuple(comb(exponent, k) * c0 ** (exponent - k) * c1**k
+                        for k in range(exponent + 1))
+        else:
+            out = (1,)
+            for _ in range(exponent):
+                out = _pmul(out, num)
+        return _lift(out, self.den**exponent)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LiftPolynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, LiftPolynomial)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
         terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
+        for k in range(len(self.num) - 1, -1, -1):
+            if not self.num[k]:
                 continue
+            c = Fraction(self.num[k], self.den)
             if k == 0:
                 terms.append(str(c))
             elif k == 1:
@@ -336,7 +380,8 @@ class LiftPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Integer Laurent-polynomial helpers (internal to CharacterFunction)
+# Integer Laurent-polynomial helpers (shared by LiftPolynomial and
+# CharacterFunction)
 
 
 def _trim(cs: Sequence[int]) -> tuple[int, ...]:

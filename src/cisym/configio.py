@@ -147,7 +147,9 @@ def config_from_obj(obj) -> Configuration:
 def parse_config(text: str) -> Configuration:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Malformed text, an integer literal longer than the interpreter's
+        # digit limit, or nesting deeper than its recursion limit.
         raise SchemaError("", f"invalid JSON: {exc}") from None
     return config_from_obj(obj)
 

@@ -17,6 +17,9 @@ from .algebra import TruncatedSeries, genus_line_factor
 
 MAX_DEGREE = 10**6
 MAX_FACTORS = 64
+# The series arithmetic behind one invariants() call grows faster than n^3,
+# so the library caps n; the CLI answers n <= 6 only.
+MAX_DIMENSION = 32
 
 
 class ParityError(ValueError):
@@ -35,6 +38,9 @@ class CompleteIntersection:
     def __init__(self, n: int, degrees) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("complex dimension n must be a positive integer")
+        if n > MAX_DIMENSION:
+            raise ValueError(
+                f"complex dimensions above {MAX_DIMENSION} are not supported")
         raw = tuple(degrees)
         if not raw:
             raise ValueError("at least one degree is required")

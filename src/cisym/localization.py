@@ -47,6 +47,20 @@ def _positive(value, what: str) -> int:
     return v
 
 
+# Normal weights above this are rejected.  A component's signature character
+# allocates Laurent polynomials whose degree grows with its weights, so a
+# single weight of 10^9 in a verify document would exhaust memory.  The cap
+# lies far above the weights of the search box and of the case analysis.
+MAX_WEIGHT = 1000
+
+
+def _weight(value, what: str) -> int:
+    w = _positive(value, what)
+    if w > MAX_WEIGHT:
+        raise ConfigurationError(f"{what} must be <= {MAX_WEIGHT}")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Components
 
@@ -64,7 +78,7 @@ class PointComponent:
     def __init__(self, eps: int, weights, a: int):
         if isinstance(eps, bool) or eps not in (-1, 1):
             raise ConfigurationError(f"point eps must be +1 or -1, got {eps!r}")
-        ws = tuple(_positive(w, "point weight") for w in weights)
+        ws = tuple(_weight(w, "point weight") for w in weights)
         if len(ws) != 3:
             raise ConfigurationError("a point has exactly three normal weights")
         object.__setattr__(self, "eps", eps)
@@ -94,7 +108,7 @@ class SurfaceComponent:
     chi: int
 
     def __init__(self, weights, a, ev_x, ev_y1, ev_y2, chi):
-        ws = tuple(_positive(w, "surface weight") for w in weights)
+        ws = tuple(_weight(w, "surface weight") for w in weights)
         if len(ws) != 2:
             raise ConfigurationError("a surface has exactly two normal weights")
         c = _int(chi, "surface chi")
@@ -135,7 +149,7 @@ class FourComponent:
     chi: int
 
     def __init__(self, weight, a, ev_x2, ev_xy, ev_y2, ev_p1, b2, sign, chi):
-        n1 = _positive(weight, "4-dimensional component weight")
+        n1 = _weight(weight, "4-dimensional component weight")
         b = _int(b2, "b2")
         if b not in (0, 1, 2):
             raise ConfigurationError("b2 of a 4-dimensional component is 0, 1 or 2")

@@ -59,6 +59,7 @@ from .localization import (
     ConfigurationError,
     Flags,
     FourComponent,
+    MAX_WEIGHT,
     PointComponent,
     SurfaceComponent,
     TEMPLATES,
@@ -84,6 +85,8 @@ class SearchBounds:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.max_weight > MAX_WEIGHT:
+            raise ValueError(f"max_weight must be <= {MAX_WEIGHT}")
 
 
 @dataclass(frozen=True)
@@ -194,17 +197,15 @@ class _Choice:
     are scaled to integers over the common denominator of the call and
     shifted to each lift on first use."""
 
-    __slots__ = ("comp", "unknowns", "fractions", "columns", "shifted")
+    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted")
 
     def __init__(self, comp: Component, unknowns: tuple[str, ...]):
         self.comp = comp
         self.unknowns = unknowns
         base = x3_local_datum(comp)
-        polys = [x3_local_datum(replace(comp, **{name: 1})) - base
-                 for name in unknowns]
-        polys.append(base)
-        self.fractions = [[p.coefficient(k) for k in range(_ROWS)]
-                          for p in polys]
+        self.polys = [x3_local_datum(replace(comp, **{name: 1})) - base
+                      for name in unknowns]
+        self.polys.append(base)
         self.columns: list[list[int]] = []
         self.shifted: dict[int, tuple] = {}
 
@@ -258,11 +259,11 @@ def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
                 for (w,) in _weight_tuples(ctx, 1)
                 for s in range(-b2, b2 + 1, 2)
             ])
-    den = lcm(*(f.denominator for slot in slots for c in slot
-                for col in c.fractions for f in col))
+    den = lcm(*(p.den for slot in slots for c in slot for p in c.polys))
     for slot in slots:
         for c in slot:
-            c.columns = [[int(f * den) for f in col] for col in c.fractions]
+            c.columns = [[x * (den // p.den) for x in p.num]
+                         + [0] * (_ROWS - len(p.num)) for p in c.polys]
     return slots, den
 
 

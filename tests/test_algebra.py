@@ -1,8 +1,10 @@
 """Unit and property tests for the exact arithmetic kernels."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,6 +174,124 @@ def test_lift_polynomial_evaluation_is_a_homomorphism(a, b, v):
 def test_lift_polynomial_scalar_action(a, s):
     pa = LiftPolynomial(a)
     assert s * pa == pa * s == LiftPolynomial([s * c for c in a])
+
+
+# Differential tests: every LiftPolynomial operation against sympy's
+# polynomials over QQ, built from the same coefficient lists.
+
+L = sympy.Symbol("l")
+rationals = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.fractions(min_value=-30, max_value=30, max_denominator=24),
+)
+coeff_lists = st.lists(rationals, max_size=5)
+
+
+def reference(cs) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(F(c).numerator, F(c).denominator)
+                       for c in reversed(cs)] or [0], L, domain=sympy.QQ)
+
+
+def from_sympy(value) -> F:
+    return F(int(value.p), int(value.q))
+
+
+def assert_matches(p: LiftPolynomial, ref: sympy.Poly):
+    """p and ref are the same polynomial, and p is in its normal form."""
+    cs = [from_sympy(c) for c in reversed(ref.all_coeffs())]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    assert p.degree == len(cs) - 1
+    assert [p.coefficient(k) for k in range(len(cs) + 2)] == cs + [0, 0]
+    assert p.constant_value() == (None if len(cs) > 1 else (cs or [0])[0])
+    assert p.is_zero() == (not cs)
+    assert p.den > 0 and gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    q = LiftPolynomial(cs)
+    assert p == q and hash(p) == hash(q)
+
+
+@given(coeff_lists)
+def test_lift_polynomial_construction_matches_sympy(a):
+    assert_matches(LiftPolynomial(a), reference(a))
+    assert_matches(LiftPolynomial(a + [0, 0]), reference(a))
+
+
+@given(coeff_lists, coeff_lists)
+def test_lift_polynomial_ring_operations_match_sympy(a, b):
+    pa, pb = LiftPolynomial(a), LiftPolynomial(b)
+    ra, rb = reference(a), reference(b)
+    assert_matches(pa + pb, ra + rb)
+    assert_matches(pa - pb, ra - rb)
+    assert_matches(-pa, -ra)
+    assert_matches(pa * pb, ra * rb)
+    assert (pa == pb) == (ra == rb)
+
+
+@given(coeff_lists, rationals)
+def test_lift_polynomial_scalar_products_match_sympy(a, s):
+    pa, ra = LiftPolynomial(a), reference(a)
+    rs = sympy.Rational(F(s).numerator, F(s).denominator)
+    assert_matches(pa * s, ra * rs)
+    assert_matches(s * pa, ra * rs)
+    assert_matches(pa * F(s), ra * rs)
+
+
+@given(coeff_lists, st.integers(0, 4))
+def test_lift_polynomial_powers_match_sympy(a, e):
+    assert_matches(LiftPolynomial(a) ** e, reference(a) ** e)
+
+
+@given(rationals, rationals, st.integers(0, 4))
+def test_linear_powers_match_sympy(c0, c1, e):
+    # Linear polynomials take the binomial route through __pow__.
+    assert_matches(LiftPolynomial([c0, c1]) ** e, reference([c0, c1]) ** e)
+    assert_matches(LiftPolynomial.shifted_lift(c0) ** e,
+                   reference([c0, 1]) ** e)
+
+
+@given(coeff_lists, rationals)
+def test_lift_polynomial_evaluation_matches_sympy(a, v):
+    value = LiftPolynomial(a)(v)
+    assert isinstance(value, F)
+    assert value == from_sympy(reference(a).eval(
+        sympy.Rational(F(v).numerator, F(v).denominator)))
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ((), "0"),
+    ((-3,), "-3"),
+    ((F(4, 6), 0, 0), "2/3"),
+    ((5, 1), "l + 5"),
+    ((0, F(-2, 3)), "-2/3*l"),
+    ((0, 1, 0, 1), "l^3 + l"),
+    ((F(1, 2), -1, 0, 1), "l^3 + -1*l + 1/2"),
+    ((0, 0, F(3, 2), F(-7, 4)), "-7/4*l^3 + 3/2*l^2"),
+    ((F(-1, 6), F(-1, 2), F(-1, 2), F(-1, 6)),
+     "-1/6*l^3 + -1/2*l^2 + -1/2*l + -1/6"),
+])
+def test_lift_polynomial_repr_is_pinned(coeffs, text):
+    assert repr(LiftPolynomial(coeffs)) == text
+
+
+def test_lift_polynomial_repr_after_arithmetic():
+    p = LiftPolynomial([F(1, 2), F(1, 3)]) * LiftPolynomial([F(2, 3), F(3, 2)])
+    assert repr(p) == "1/2*l^2 + 35/36*l + 1/3"
+    q = LiftPolynomial.shifted_lift(F(-1, 2)) ** 3 * F(4, 3)
+    assert repr(q - LiftPolynomial([0, F(1, 2)])) == (
+        "4/3*l^3 + -2*l^2 + 1/2*l + -1/6")
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1"])
+def test_lift_polynomial_rejects_non_exact_scalars(bad):
+    p = LiftPolynomial([1, 2])
+    with pytest.raises(TypeError):
+        p * bad
+    with pytest.raises(TypeError):
+        p(bad)
+    with pytest.raises(TypeError):
+        LiftPolynomial.constant(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,16 @@ def test_verify_schema_error_exit_65(tmp_path, capsys):
     assert "ambient.mystery" in err
 
 
+def test_verify_weight_above_cap_exit_65(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    obj = json.loads(dump_config(quadric_config()))
+    obj["components"][1]["weights"][2] = 10**9
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65
+    assert "point weight must be <=" in err
+
+
 def test_verify_missing_file_exit_64(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/nowhere.json")
     assert code == 64

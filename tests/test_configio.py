@@ -3,15 +3,30 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cisym.configio import (
+    _FOUR_KEYS,
+    _POINT_KEYS,
+    _SURFACE_KEYS,
     SchemaError,
     config_from_obj,
     dump_config,
     fraction_str,
     parse_config,
 )
-from cisym.localization import ConfigurationError
+from cisym.localization import (
+    _TEMPLATE_B2,
+    TEMPLATES,
+    AmbientData,
+    Configuration,
+    ConfigurationError,
+    Flags,
+    FourComponent,
+    PointComponent,
+    SurfaceComponent,
+)
 
 from fractions import Fraction
 
@@ -135,6 +150,15 @@ def test_invalid_json_text():
         parse_config("{not json")
 
 
+@pytest.mark.parametrize("text", [
+    '{"ambient": {"t": ' + "1" * 5000 + "}}",
+    "[" * 100_000 + "]" * 100_000,
+], ids=["beyond-int-digit-limit", "beyond-recursion-limit"])
+def test_unparseable_json_is_a_schema_error(text):
+    with pytest.raises(SchemaError):
+        parse_config(text)
+
+
 def test_structural_violations_surface_as_configuration_error():
     obj = quadric_obj()
     obj["ambient"]["t"] = 0
@@ -165,3 +189,115 @@ def test_fraction_str_rendering():
     assert fraction_str(Fraction(-64)) == "-64"
     assert fraction_str(7) == "7"
     assert fraction_str(Fraction(-3, 4)) == "-3/4"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: whatever the document, only SchemaError or ConfigurationError
+# escapes the parser.
+
+SCHEMA_KEYS = sorted({"ambient", "template", "flags", "components", "t",
+                      "rho", "euler", "sign", "effectiveness", "convention35",
+                      "lemma64", *_POINT_KEYS, *_SURFACE_KEYS, *_FOUR_KEYS})
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(),
+    st.sampled_from([10**18, -(10**18), 10**300, -(10**300)]),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(sorted(TEMPLATES) + ["point", "surface", "four"]),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(SCHEMA_KEYS),
+                                  st.text(max_size=4)),
+                        children, max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+def parse_or_reject(text: str) -> None:
+    try:
+        parse_config(text)
+    except (SchemaError, ConfigurationError):
+        pass
+
+
+@given(json_trees)
+def test_fuzz_arbitrary_json_trees(tree):
+    parse_or_reject(json.dumps(tree))
+
+
+@given(st.text(max_size=40))
+def test_fuzz_arbitrary_text(text):
+    parse_or_reject(text)
+
+
+def mutate(data, node):
+    """node with one subtree replaced, one key dropped, or one key added."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(list(keys)))
+        action = data.draw(st.sampled_from(("descend", "drop", "add")))
+        if action == "descend":
+            node[key] = mutate(data, node[key])
+        elif action == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(st.sampled_from(SCHEMA_KEYS))] = data.draw(json_trees)
+        else:
+            node.append(data.draw(json_trees))
+        return node
+    return data.draw(json_trees)
+
+
+@given(st.data())
+def test_fuzz_mutated_documents(data):
+    parse_or_reject(json.dumps(mutate(data, quadric_obj())))
+
+
+small = st.integers(-12, 12)
+exact_ints = st.one_of(small, st.integers(-(10**40), 10**40))
+weights = st.one_of(st.just(1), st.integers(1, 12))
+
+
+@st.composite
+def configurations(draw):
+    template = draw(st.sampled_from(sorted(TEMPLATES)))
+    b2 = _TEMPLATE_B2.get(template)
+
+    def component(kind):
+        a = draw(exact_ints)
+        if kind == "point":
+            return PointComponent(draw(st.sampled_from((-1, 1))),
+                                  draw(st.tuples(weights, weights, weights)), a)
+        if kind == "surface":
+            return SurfaceComponent(draw(st.tuples(weights, weights)), a,
+                                    draw(exact_ints), draw(exact_ints),
+                                    draw(exact_ints), 2 - 2 * draw(st.integers(0, 5)))
+        sign = draw(st.sampled_from(range(-b2, b2 + 1, 2)))
+        evs = (draw(exact_ints), draw(exact_ints), draw(exact_ints)) if b2 else (0, 0, 0)
+        return FourComponent(draw(weights), a, *evs, 3 * sign, b2, sign,
+                             2 + b2 - 2 * draw(st.integers(0, 3)))
+
+    comps = tuple(component(kind) for kind in TEMPLATES[template])
+    ambient = AmbientData(draw(st.integers(1, 10**12)), draw(exact_ints),
+                          draw(exact_ints), 0)
+    flags = Flags(draw(st.booleans()), draw(st.booleans()), draw(st.booleans()))
+    try:
+        return Configuration(ambient, template, comps, flags)
+    except ConfigurationError:  # coprimality or the orientation convention
+        return Configuration(ambient, template, comps,
+                             Flags(False, False, flags.lemma64))
+
+
+@given(configurations())
+def test_dump_parse_dump_is_byte_identical(cfg):
+    text = dump_config(cfg)
+    parsed = parse_config(text)
+    assert parsed == cfg
+    assert dump_config(parsed) == text

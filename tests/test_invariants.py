@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 from cisym.invariants import (
+    MAX_DIMENSION,
     CompleteIntersection,
     ParityError,
     a_hat_genus,
@@ -68,6 +69,9 @@ def test_degrees_sorted_and_validated():
         X(2, 10**6 + 1)
     with pytest.raises(ValueError):
         CompleteIntersection(2, [2] * 65)
+    with pytest.raises(ValueError):
+        X(MAX_DIMENSION + 1, 2)
+    assert X(MAX_DIMENSION, 2).n == MAX_DIMENSION
 
 
 def test_normalize_drops_linear_sections():

@@ -1,6 +1,8 @@
 """Tests for fixed-point components, local data, and the verifier."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from cisym.algebra import LiftPolynomial
 from cisym.localization import (
     CITATIONS,
+    MAX_WEIGHT,
     AmbientData,
     Configuration,
     ConfigurationError,
@@ -28,6 +31,7 @@ from cisym.localization import (
     x3_local_datum,
     x3_sum,
 )
+from test_acceptance import _random_configuration
 
 
 def zero_four(weight=1, a=0, b2=0, sign=0, chi=None):
@@ -146,6 +150,62 @@ def test_x3_sum_is_componentwise():
     assert p1x_sum(comps).is_zero()
 
 
+def _shifted_power(a: int, k: int) -> list[Fraction]:
+    """(a + l)^k as coefficients of l^0..l^3."""
+    return [Fraction(comb(k, j) * a ** (k - j)) if j <= k else Fraction(0)
+            for j in range(4)]
+
+
+def _reference_sums(components) -> tuple[list[Fraction], list[Fraction]]:
+    """The localized x^3 and p1*x sums as plain Fraction coefficient lists
+    (l^0..l^3), accumulated term by term from the local formulas."""
+    x3 = [Fraction(0)] * 4
+    p1x = [Fraction(0)] * 4
+
+    def add(acc, k, a, scale):
+        for j, c in enumerate(_shifted_power(a, k)):
+            acc[j] += scale * c
+
+    for c in components:
+        if c.kind == "point":
+            n1, n2, n3 = c.weights
+            prod = n1 * n2 * n3
+            add(x3, 3, c.a, Fraction(c.eps, prod))
+            add(p1x, 1, c.a, Fraction(c.eps * (n1**2 + n2**2 + n3**2), prod))
+        elif c.kind == "surface":
+            n1, n2 = c.weights
+            s = Fraction(c.ev_y1, n1) + Fraction(c.ev_y2, n2)
+            add(x3, 3, c.a, -s / (n1 * n2))
+            add(x3, 2, c.a, Fraction(3 * c.ev_x, n1 * n2))
+            q = n1**2 + n2**2
+            add(p1x, 1, c.a, -Fraction(q, n1 * n2) * s
+                + Fraction(2 * (n1 * c.ev_y1 + n2 * c.ev_y2), n1 * n2))
+            p1x[0] += Fraction(q * c.ev_x, n1 * n2)
+        else:
+            n = c.weight
+            add(x3, 1, c.a, Fraction(3 * c.ev_x2, n))
+            add(x3, 2, c.a, Fraction(-3 * c.ev_xy, n**2))
+            add(x3, 3, c.a, Fraction(c.ev_y2, n**3))
+            p1x[0] += c.ev_xy
+            add(p1x, 1, c.a, Fraction(c.ev_p1, c.weight))
+    return x3, p1x
+
+
+def test_sums_match_plain_fraction_reference():
+    # The first 200 configurations and lift shifts of criterion 9.
+    rng = random.Random(987654321)
+    for _ in range(200):
+        cfg = _random_configuration(rng)
+        moved = shift_lift(cfg, rng.randint(-6, 6))
+        for comps in (cfg.components, moved.components):
+            x3_ref, p1x_ref = _reference_sums(comps)
+            for total, ref in ((x3_sum(comps), x3_ref),
+                               (p1x_sum(comps), p1x_ref)):
+                assert [total.coefficient(k) for k in range(6)] == ref + [0, 0]
+                assert total.degree == max(
+                    (k for k, c in enumerate(ref) if c), default=-1)
+
+
 # ---------------------------------------------------------------------------
 # Component invariants
 
@@ -162,6 +222,18 @@ def test_point_rejects_bad_weights():
         PointComponent(1, (1, 1), 0)
     with pytest.raises(ConfigurationError):
         PointComponent(1, (1, 0, 1), 0)
+
+
+def test_weights_above_the_cap_rejected():
+    # Construction only: no character is built at these weights.
+    big = MAX_WEIGHT + 1
+    with pytest.raises(ConfigurationError):
+        PointComponent(1, (1, big, 1), 0)
+    with pytest.raises(ConfigurationError):
+        SurfaceComponent((big, 1), 0, 0, 0, 0, 2)
+    with pytest.raises(ConfigurationError):
+        FourComponent(big, 0, 0, 0, 0, 0, 0, 0, 2)
+    assert PointComponent(1, (1, MAX_WEIGHT, 1), 0).weights[1] == MAX_WEIGHT
 
 
 def test_surface_rejects_odd_or_large_chi():

@@ -6,7 +6,12 @@ import pytest
 
 from bruteforce import brute_force
 from cisym.configio import dump_config
-from cisym.localization import TEMPLATES, ConfigurationError, verify_case
+from cisym.localization import (
+    MAX_WEIGHT,
+    TEMPLATES,
+    ConfigurationError,
+    verify_case,
+)
 from cisym.search import (
     BudgetExceededError,
     SearchBounds,
@@ -99,6 +104,9 @@ def test_bad_ranges_rejected():
 def test_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(max_weight=0)
+    with pytest.raises(ValueError):
+        SearchBounds(max_weight=MAX_WEIGHT + 1)
+    assert SearchBounds(max_weight=MAX_WEIGHT).max_weight == MAX_WEIGHT
     with pytest.raises(ValueError):
         SearchBounds(max_abs_a=-1)
 
