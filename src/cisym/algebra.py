@@ -1,8 +1,9 @@
 """Exact arithmetic kernels: truncated power series, polynomials in the lift
 parameter, and Laurent rational functions of the circle parameter.
 
-Everything is carried by integers and `fractions.Fraction`; floats are
-rejected at the boundary.  All normal forms are canonical so that equality is
+Every kernel computes in integers; `fractions.Fraction` appears only at the
+boundary, for exact inputs and for coefficients read back, and floats are
+rejected there.  All normal forms are canonical so that equality is
 structural and output is deterministic.
 """
 
@@ -40,14 +41,38 @@ def as_rational(value: Scalar) -> Fraction:
 # Truncated power series
 
 
+_set = object.__setattr__
+
+
+def _series(order: int, num: tuple[int, ...], den: int) -> TruncatedSeries:
+    """A TruncatedSeries from numerators and denominator already in normal
+    form."""
+    s = object.__new__(TruncatedSeries)
+    _set(s, "order", order)
+    _set(s, "num", num)
+    _set(s, "den", den)
+    return s
+
+
+def _series_lowest(order: int, num: Sequence[int], den: int) -> TruncatedSeries:
+    """num/den, for den > 0 and order + 1 numerators, reduced to lowest
+    terms (the zero series gets den = 1)."""
+    g = gcd(den, *num)
+    if g == 1:
+        return _series(order, tuple(num), den)
+    return _series(order, tuple(c // g for c in num), den // g)
+
+
 class TruncatedSeries:
     """A formal power series sum_k c_k x^k known through x^order.
 
-    Coefficients are exact rationals.  Arithmetic requires matching orders;
-    there is no implicit re-truncation.
+    Coefficients are exact rationals, stored as order + 1 integer numerators
+    `num` over one positive common denominator `den`, in lowest terms (the
+    numerators and den have gcd 1), so equality is structural.  Arithmetic
+    requires matching orders; there is no implicit re-truncation.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs: Iterable[Scalar] = ()):
         if order < 0:
@@ -55,9 +80,13 @@ class TruncatedSeries:
         cs = [as_rational(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        num.extend([0] * (order + 1 - len(cs)))
+        s = _series_lowest(order, num, den)
+        _set(self, "order", order)
+        _set(self, "num", s.num)
+        _set(self, "den", s.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -73,7 +102,7 @@ class TruncatedSeries:
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient x^{k} outside truncation order {self.order}")
-        return self.coeffs[k]
+        return Fraction(self.num[k], self.den)
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -81,83 +110,99 @@ class TruncatedSeries:
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
+    def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other over the least common denominator."""
+        self._check_order(other)
+        g = gcd(self.den, other.den)
+        sa, sb = other.den // g, sign * (self.den // g)
+        return _series_lowest(
+            self.order, [sa * a + sb * b for a, b in zip(self.num, other.num)],
+            self.den // g * other.den)
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [-a for a in self.coeffs])
+        return _series(self.order, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
         n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, out)
+        b = other.num
+        out = [0] * (n + 1)
+        for i, c in enumerate(self.num):
+            if c:
+                for j in range(n + 1 - i):
+                    if b[j]:
+                        out[i + j] += c * b[j]
+        return _series_lowest(n, out, self.den * other.den)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        result = TruncatedSeries.one(self.order)
+        result = None
         base = self
         e = exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return TruncatedSeries.one(self.order) if result is None else result
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse, by triangular solve on the Cauchy product."""
-        c0 = self.coeffs[0]
+        """Multiplicative inverse, by an integer triangular solve.
+
+        For numerators a_k with c0 = a_0, the inverse of sum a_k x^k is
+        sum B_k x^k / c0^(k+1) with B_0 = 1 and
+        B_k = -sum_{j=1..k} a_j * B_(k-j) * c0^(j-1), so the inverse of the
+        series is den * B_k * c0^(order-k) / c0^(order+1).
+        """
+        a = self.num
+        c0 = a[0]
         if c0 == 0:
             raise NonUnitError("series with zero constant term has no inverse")
         n = self.order
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / c0
+        powers = [1]
+        for _ in range(n + 1):
+            powers.append(powers[-1] * c0)
+        big = [1]
         for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * inv[k - j]
-            inv[k] = -acc / c0
-        return TruncatedSeries(n, inv)
+            big.append(-sum(a[j] * big[k - j] * powers[j - 1]
+                            for j in range(1, k + 1) if a[j]))
+        # The sign of c0^(order+1) moves to the numerators, keeping den > 0.
+        scale = self.den if powers[n + 1] > 0 else -self.den
+        return _series_lowest(
+            n, [scale * big[k] * powers[n - k] for k in range(n + 1)],
+            abs(powers[n + 1]))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TruncatedSeries)
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self.num == other.num
+            and self.den == other.den
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self) -> str:
         terms = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if c == 0:
                 continue
+            c = Fraction(c, self.den)
             if k == 0:
                 terms.append(str(c))
             elif k == 1:
@@ -193,28 +238,32 @@ def genus_line_factor(kind: str, scale: int, order: int) -> TruncatedSeries:
         if order < 2:
             return TruncatedSeries.one(order)
         return TruncatedSeries(order, [1, 0, d * d])
+    if kind not in ("a_hat", "l_genus"):
+        raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
+    # The Taylor coefficients through x^(2m), m = order // 2, as integer
+    # numerators over their common denominator: (2m+1)! at u = d*x,
+    # 4^m * (2m+1)! at u = d*x/2.
+    m = order // 2
+    top = factorial(2 * m + 1)
+    sinh_over = [0] * (order + 1)
     if kind == "a_hat":
         # sinh(u)/u at u = d*x/2, then invert.
-        sinh_over = [Fraction(0)] * (order + 1)
-        for k in range(0, order // 2 + 1):
-            sinh_over[2 * k] = Fraction(d ** (2 * k), 4**k * factorial(2 * k + 1))
-        return TruncatedSeries(order, sinh_over).inverse()
-    if kind == "l_genus":
-        # u/tanh(u) = cosh(u) / (sinh(u)/u) at u = d*x.
-        cosh = [Fraction(0)] * (order + 1)
-        sinh_over = [Fraction(0)] * (order + 1)
-        for k in range(0, order // 2 + 1):
-            cosh[2 * k] = Fraction(d ** (2 * k), factorial(2 * k))
-            sinh_over[2 * k] = Fraction(d ** (2 * k), factorial(2 * k + 1))
-        return TruncatedSeries(order, cosh) * TruncatedSeries(order, sinh_over).inverse()
-    raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
+        for k in range(m + 1):
+            sinh_over[2 * k] = (d ** (2 * k) * 4 ** (m - k)
+                                * (top // factorial(2 * k + 1)))
+        return _series_lowest(order, sinh_over, 4**m * top).inverse()
+    # u/tanh(u) = cosh(u) / (sinh(u)/u) at u = d*x; the common denominator
+    # cancels in the quotient.
+    cosh = [0] * (order + 1)
+    for k in range(m + 1):
+        cosh[2 * k] = d ** (2 * k) * (top // factorial(2 * k))
+        sinh_over[2 * k] = d ** (2 * k) * (top // factorial(2 * k + 1))
+    return (_series_lowest(order, cosh, 1)
+            * _series_lowest(order, sinh_over, 1).inverse())
 
 
 # ---------------------------------------------------------------------------
 # Polynomials in the lift parameter l
-
-
-_set = object.__setattr__
 
 
 def _lift(num: tuple[int, ...], den: int) -> LiftPolynomial:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from .classify import _ADMISSIBLE, s1_verdict, theorem_hypotheses
 from .configio import (
@@ -113,7 +114,10 @@ def _ci_from_args(parser: _Parser, args) -> CompleteIntersection:
         parser.error("n must be between 1 and 6")
     if any(d < 1 for d in args.degrees):
         parser.error("degrees must be positive integers")
-    return CompleteIntersection(args.n, tuple(args.degrees))
+    try:
+        return CompleteIntersection(args.n, tuple(args.degrees))
+    except ValueError as exc:  # MAX_DEGREE or MAX_FACTORS exceeded
+        parser.error(str(exc))
 
 
 def _invariants_obj(ci: CompleteIntersection) -> dict:
@@ -340,8 +344,15 @@ def _cmd_search(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
+_parser: Optional[_Parser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # One parser per process: building it costs more than most requests.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     if args.command == "invariants":
         return _cmd_invariants(parser, args)

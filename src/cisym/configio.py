@@ -156,7 +156,11 @@ def parse_config(text: str) -> Configuration:
 
 def load_config(path: str) -> Configuration:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError("", f"not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def component_to_obj(c: Component) -> dict:

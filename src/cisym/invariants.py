@@ -9,6 +9,7 @@ defining degree.  Everything is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -98,11 +99,11 @@ def evaluate_top(ci: CompleteIntersection, f: TruncatedSeries) -> Fraction:
 
 def _virtual_genus_series(ci: CompleteIntersection, kind: str) -> TruncatedSeries:
     """Genus series of the stable tangent bundle: ambient line factors over
-    the factors of the defining degrees."""
+    the factors of the defining degrees, one inverse per distinct degree."""
     order = ci.n
     total = genus_line_factor(kind, 1, order) ** ci.ambient_lines
-    for d in ci.degrees:
-        total = total * genus_line_factor(kind, d, order).inverse()
+    for d, m in Counter(ci.degrees).items():
+        total = total * genus_line_factor(kind, d, order).inverse() ** m
     return total
 
 

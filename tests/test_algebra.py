@@ -61,6 +61,11 @@ def test_pow_matches_repeated_product():
 
 
 small_ints = st.integers(min_value=-9, max_value=9)
+rationals = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.fractions(min_value=-30, max_value=30, max_denominator=24),
+)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=7), st.integers(1, 9))
@@ -81,6 +86,122 @@ def test_series_ring_axioms(a, b, c):
     assert sa * sb == sb * sa
     assert (sa * sb) * sc == sa * (sb * sc)
     assert sa * (sb + sc) == sa * sb + sa * sc
+
+
+# Differential tests: every TruncatedSeries operation against plain lists of
+# Fractions, with the schoolbook algorithms written out here.
+
+
+def ref_coeffs(order, cs):
+    return [F(c) for c in cs] + [F(0)] * (order + 1 - len(cs))
+
+
+def ref_mul(a, b):
+    n = len(a) - 1
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), F(0))
+            for k in range(n + 1)]
+
+
+def ref_pow(a, e):
+    out = ref_coeffs(len(a) - 1, [1])
+    for _ in range(e):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_inverse(a):
+    inv = [1 / a[0]]
+    for k in range(1, len(a)):
+        inv.append(-sum((a[j] * inv[k - j] for j in range(1, k + 1)), F(0))
+                   / a[0])
+    return inv
+
+
+def assert_series(s: TruncatedSeries, ref):
+    """s has the coefficients ref, and s is in its normal form."""
+    assert s.order == len(ref) - 1
+    values = [s.coefficient(k) for k in range(s.order + 1)]
+    assert values == ref and all(type(v) is F for v in values)
+    assert len(s.num) == s.order + 1
+    assert s.den > 0 and gcd(s.den, *s.num) == 1
+    rebuilt = TruncatedSeries(s.order, ref)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+
+
+def series_inputs(count):
+    """An order and `count` coefficient lists that fit it."""
+    return st.integers(0, 7).flatmap(lambda n: st.tuples(
+        st.just(n), *[st.lists(rationals, max_size=n + 1)] * count))
+
+
+@given(series_inputs(1))
+def test_series_construction_matches_reference(args):
+    order, a = args
+    assert_series(TruncatedSeries(order, a), ref_coeffs(order, a))
+    assert_series(TruncatedSeries.one(order), ref_coeffs(order, [1]))
+    assert_series(TruncatedSeries.zero(order), ref_coeffs(order, []))
+    with pytest.raises(IndexError):
+        TruncatedSeries(order, a).coefficient(order + 1)
+
+
+@given(series_inputs(2))
+def test_series_ring_operations_match_reference(args):
+    order, a, b = args
+    sa, sb = TruncatedSeries(order, a), TruncatedSeries(order, b)
+    ra, rb = ref_coeffs(order, a), ref_coeffs(order, b)
+    assert_series(sa + sb, [x + y for x, y in zip(ra, rb)])
+    assert_series(sa - sb, [x - y for x, y in zip(ra, rb)])
+    assert_series(-sa, [-x for x in ra])
+    assert_series(sa * sb, ref_mul(ra, rb))
+    assert (sa == sb) == (ra == rb)
+
+
+@given(series_inputs(1), st.integers(0, 6))
+def test_series_powers_match_reference(args, e):
+    order, a = args
+    assert_series(TruncatedSeries(order, a) ** e,
+                  ref_pow(ref_coeffs(order, a), e))
+
+
+@given(series_inputs(1), rationals.filter(lambda c: c != 0))
+def test_series_inverse_matches_reference(args, c0):
+    order, a = args
+    cs = [c0] + a[1:]
+    assert_series(TruncatedSeries(order, cs).inverse(),
+                  ref_inverse(ref_coeffs(order, cs)))
+    with pytest.raises(NonUnitError):
+        TruncatedSeries(order, [0] + a[1:]).inverse()
+
+
+@pytest.mark.parametrize("order, coeffs, text", [
+    (0, (), "0 + O(x^1)"),
+    (0, (3,), "3 + O(x^1)"),
+    (3, (), "0 + O(x^4)"),
+    (2, (0, 1), "1*x + O(x^3)"),
+    (4, (1, -1, F(1, 2), 0, F(-7, 3)),
+     "1 + -1*x + 1/2*x^2 + -7/3*x^4 + O(x^5)"),
+    (5, (0, 0, 0, 0, 0, F(4, 18)), "2/9*x^5 + O(x^6)"),
+    (3, (-1, 2, -3, 4), "-1 + 2*x + -3*x^2 + 4*x^3 + O(x^4)"),
+])
+def test_series_repr_is_pinned(order, coeffs, text):
+    assert repr(TruncatedSeries(order, coeffs)) == text
+
+
+def test_series_repr_after_arithmetic():
+    assert repr(genus_line_factor("a_hat", 1, 6)) == (
+        "1 + -1/24*x^2 + 7/5760*x^4 + -31/967680*x^6 + O(x^7)")
+    assert repr(genus_line_factor("l_genus", 2, 4)) == (
+        "1 + 4/3*x^2 + -16/45*x^4 + O(x^5)")
+    assert repr(TruncatedSeries(3, [1, 1]) ** 4) == (
+        "1 + 4*x + 6*x^2 + 4*x^3 + O(x^4)")
+    assert repr(TruncatedSeries(2, [2, 1]).inverse()) == (
+        "1/2 + -1/4*x + 1/8*x^2 + O(x^3)")
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1"])
+def test_series_rejects_non_exact_coefficients(bad):
+    with pytest.raises(TypeError):
+        TruncatedSeries(2, [1, bad])
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +301,6 @@ def test_lift_polynomial_scalar_action(a, s):
 # polynomials over QQ, built from the same coefficient lists.
 
 L = sympy.Symbol("l")
-rationals = st.one_of(
-    st.just(0),
-    st.integers(-50, 50),
-    st.fractions(min_value=-30, max_value=30, max_denominator=24),
-)
 coeff_lists = st.lists(rationals, max_size=5)
 
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from cisym.cli import main
+from cisym import cli
+from cisym.cli import build_parser, main
 from cisym.configio import dump_config
 from cisym.localization import (
     AmbientData,
@@ -75,6 +76,52 @@ def test_invariants_usage_errors(capsys):
     assert code == 64
     code, _, _ = run_usage_error(capsys, "invariants", "3")
     assert code == 64
+
+
+def test_invariants_degree_above_cap_exit_64(capsys):
+    code, _, err = run_usage_error(capsys, "invariants", "3", "2000000")
+    assert code == 64
+    assert "degrees above 1000000" in err
+
+
+def test_classify_too_many_degrees_exit_64(capsys):
+    code, _, err = run_usage_error(capsys, "classify", "2", *["2"] * 65)
+    assert code == 64
+    assert "at most 64 degrees" in err
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    builds = []
+
+    def counting_build():
+        builds.append(build_parser())
+        return builds[-1]
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+
+    def call(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    sequence = [
+        ("invariants", "2", "3", "--json"),
+        ("invariants", "7", "2"),
+        ("invariants", "2", "3", "--json"),
+        ("verify", "/nonexistent/nowhere.json"),
+        ("--help",),
+    ]
+    first = [call(*argv) for argv in sequence]
+    assert [code for code, _, _ in first] == [0, 64, 0, 64, 0]
+    assert first[2] == first[0]
+    assert "usage: cisym" in first[4][1]
+    assert [call(*argv) for argv in sequence] == first
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()
 
 
 def test_classify_json_variants(capsys):
@@ -159,6 +206,14 @@ def test_verify_weight_above_cap_exit_65(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 65
     assert "point weight must be <=" in err
+
+
+def test_verify_non_utf8_file_exit_65(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65
+    assert "not UTF-8" in err
 
 
 def test_verify_missing_file_exit_64(capsys):
