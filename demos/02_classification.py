@@ -9,7 +9,7 @@ out.
 
 from itertools import combinations_with_replacement
 
-from cisym import CompleteIntersection, s1_verdict, theorem_hypotheses
+from cisym import CompleteIntersection, s1_verdict
 
 
 def sweep(n, max_sum):
@@ -35,12 +35,11 @@ print()
 print("The threefold checklist, hypothesis by hypothesis:")
 for degs in [(2,), (3,), (4,), (2, 2)]:
     ci = CompleteIntersection(3, degs)
-    checklist = theorem_hypotheses(ci)
+    verdict = s1_verdict(ci)
     flags = ", ".join(
         f"{item.name}={'yes' if item.holds else 'no'}"
-        for item in checklist.items
+        for item in verdict.hypotheses.items
     )
-    verdict = s1_verdict(ci)
     outcome = "admits an action" if verdict.admits else "obstructed"
     print(f"  {ci}: {outcome}; {flags}")
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 

@@ -56,12 +56,15 @@ class SymmetryVerdict:
     reason: str
     citation: str
     evidence: InvariantReport
+    # The 6-manifold checklist, decided on the same evidence; only for n = 3.
+    hypotheses: Optional[HypothesisChecklist] = None
 
 
 def s1_verdict(ci: CompleteIntersection) -> SymmetryVerdict:
     """Classification verdict for dimensions n <= 3; out-of-scope above."""
     norm = normalize(ci)
-    rep = invariants(ci)
+    hypotheses = theorem_hypotheses(ci) if ci.n == 3 else None
+    rep = invariants(ci) if hypotheses is None else hypotheses.evidence
     if ci.n >= 4:
         return SymmetryVerdict(
             ci=ci,
@@ -81,6 +84,7 @@ def s1_verdict(ci: CompleteIntersection) -> SymmetryVerdict:
         reason=REASON_ADMITS if admits else REASON_OBSTRUCTED,
         citation=_CITATIONS[ci.n],
         evidence=rep,
+        hypotheses=hypotheses,
     )
 
 
@@ -96,6 +100,7 @@ class HypothesisChecklist:
     ci: CompleteIntersection
     items: tuple[HypothesisItem, ...]
     satisfied: bool
+    evidence: InvariantReport
 
 
 def theorem_hypotheses(ci: CompleteIntersection) -> HypothesisChecklist:
@@ -132,5 +137,6 @@ def theorem_hypotheses(ci: CompleteIntersection) -> HypothesisChecklist:
         ),
     )
     return HypothesisChecklist(
-        ci=ci, items=items, satisfied=all(i.holds for i in items)
+        ci=ci, items=items, satisfied=all(i.holds for i in items),
+        evidence=rep,
     )

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .classify import _ADMISSIBLE, s1_verdict, theorem_hypotheses
+from .classify import _ADMISSIBLE, SymmetryVerdict, s1_verdict
 from .configio import (
     SchemaError,
     config_to_obj,
@@ -21,7 +21,7 @@ from .configio import (
     fraction_str,
     load_config,
 )
-from .invariants import CompleteIntersection, invariants
+from .invariants import CompleteIntersection, InvariantReport, invariants
 from .localization import TEMPLATES, ConfigurationError, verify_case
 from .search import BudgetExceededError, SearchBounds, SearchFlags, search_case
 
@@ -120,11 +120,23 @@ def _ci_from_args(parser: _Parser, args) -> CompleteIntersection:
         parser.error(str(exc))
 
 
-def _invariants_obj(ci: CompleteIntersection) -> dict:
-    rep = invariants(ci)
+# The text label of each invariant, in print order; None values are omitted.
+_INVARIANT_LABELS = {
+    "t": "t (cube of the hyperplane class)",
+    "c1": "c1 coefficient",
+    "rho": "rho (p1 coefficient)",
+    "euler": "euler characteristic",
+    "spin": "spin",
+    "signature": "signature",
+    "a_hat": "a_hat genus",
+    "b3": "b3",
+}
+
+
+def _invariants_obj(rep: InvariantReport) -> dict:
     return {
-        "n": ci.n,
-        "degrees": list(ci.degrees),
+        "n": rep.ci.n,
+        "degrees": list(rep.ci.degrees),
         "t": rep.t,
         "c1": rep.c1_coeff,
         "rho": rep.rho,
@@ -136,46 +148,27 @@ def _invariants_obj(ci: CompleteIntersection) -> dict:
     }
 
 
-def _print_invariants_text(ci: CompleteIntersection) -> None:
-    rep = invariants(ci)
-    print(ci)
-    print(f"  t (cube of the hyperplane class): {rep.t}")
-    print(f"  c1 coefficient: {rep.c1_coeff}")
-    print(f"  rho (p1 coefficient): {rep.rho}")
-    print(f"  euler characteristic: {rep.euler}")
-    print(f"  spin: {'yes' if rep.spin else 'no'}")
-    if rep.signature is not None:
-        print(f"  signature: {rep.signature}")
-    if rep.a_hat is not None:
-        print(f"  a_hat genus: {fraction_str(rep.a_hat)}")
-    if rep.b3 is not None:
-        print(f"  b3: {rep.b3}")
-
-
 def _cmd_invariants(parser: _Parser, args) -> int:
     ci = _ci_from_args(parser, args)
+    obj = _invariants_obj(invariants(ci))
     if args.as_json:
-        _print_json(_invariants_obj(ci))
-    else:
-        _print_invariants_text(ci)
+        _print_json(obj)
+        return EXIT_OK
+    print(ci)
+    for key, label in _INVARIANT_LABELS.items():
+        value = obj[key]
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        if value is not None:
+            print(f"  {label}: {value}")
     return EXIT_OK
 
 
-def _evidence_obj(verdict) -> dict:
-    rep = verdict.evidence
-    obj = {"t": rep.t, "c1": rep.c1_coeff, "rho": rep.rho,
-           "euler": rep.euler, "spin": rep.spin}
-    if rep.signature is not None:
-        obj["signature"] = rep.signature
-    if rep.a_hat is not None:
-        obj["a_hat"] = fraction_str(rep.a_hat)
-    if rep.b3 is not None:
-        obj["b3"] = rep.b3
-    return obj
-
-
-def _verdict_obj(ci: CompleteIntersection) -> dict:
-    verdict = s1_verdict(ci)
+def _verdict_obj(verdict: SymmetryVerdict) -> dict:
+    ci = verdict.ci
+    evidence = {key: value
+                for key, value in _invariants_obj(verdict.evidence).items()
+                if key not in ("n", "degrees") and value is not None}
     obj = {
         "n": ci.n,
         "degrees": list(ci.degrees),
@@ -183,71 +176,64 @@ def _verdict_obj(ci: CompleteIntersection) -> dict:
         "admits": verdict.admits,
         "reason": verdict.reason,
         "citation": verdict.citation,
-        "evidence": _evidence_obj(verdict),
+        "evidence": evidence,
     }
-    if ci.n == 3:
-        checklist = theorem_hypotheses(ci)
+    if verdict.hypotheses is not None:
         obj["hypotheses"] = [
             {"name": item.name, "holds": item.holds, "citation": item.citation}
-            for item in checklist.items
+            for item in verdict.hypotheses.items
         ]
-        obj["hypotheses_satisfied"] = checklist.satisfied
+        obj["hypotheses_satisfied"] = verdict.hypotheses.satisfied
     return obj
 
 
 def _cmd_classify(parser: _Parser, args) -> int:
     ci = _ci_from_args(parser, args)
+    obj = _verdict_obj(s1_verdict(ci))
     if args.as_json:
-        _print_json(_verdict_obj(ci))
+        _print_json(obj)
         return EXIT_OK
-    verdict = s1_verdict(ci)
-    if verdict.admits is None:
+    if obj["admits"] is None:
         headline = "out of scope"
-    elif verdict.admits:
+    elif obj["admits"]:
         headline = "admits a smooth circle action"
     else:
         headline = "admits no smooth circle action"
     print(f"{ci}: {headline}")
-    print(f"  reason: {verdict.reason}")
-    print(f"  citation: {verdict.citation}")
-    evidence = _evidence_obj(verdict)
-    for key in sorted(evidence):
-        print(f"  {key}: {evidence[key]}")
-    if ci.n == 3:
-        checklist = theorem_hypotheses(ci)
+    print(f"  reason: {obj['reason']}")
+    print(f"  citation: {obj['citation']}")
+    for key, value in sorted(obj["evidence"].items()):
+        print(f"  {key}: {value}")
+    if "hypotheses" in obj:
         print("  obstruction hypotheses:"
-              f" {'all hold' if checklist.satisfied else 'not all hold'}")
-        for item in checklist.items:
-            print(f"    [{'x' if item.holds else ' '}] {item.name}")
+              f" {'all hold' if obj['hypotheses_satisfied'] else 'not all hold'}")
+        for item in obj["hypotheses"]:
+            print(f"    [{'x' if item['holds'] else ' '}] {item['name']}")
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    rows = [(n, degrees) for n in sorted(_ADMISSIBLE)
-            for degrees in sorted(_ADMISSIBLE[n], key=lambda d: (len(d), d))]
-    entries = []
-    for n, degrees in rows:
-        ci = CompleteIntersection(n, degrees)
-        obj = _invariants_obj(ci)
-        obj["citation"] = s1_verdict(ci).citation
-        entries.append(obj)
+    verdicts = [s1_verdict(CompleteIntersection(n, degrees))
+                for n in sorted(_ADMISSIBLE)
+                for degrees in sorted(_ADMISSIBLE[n], key=lambda d: (len(d), d))]
+    entries = [dict(_invariants_obj(v.evidence), citation=v.citation)
+               for v in verdicts]
     if args.as_json:
         _print_json({"dimension_bound": 3, "entries": entries})
         return EXIT_OK
     print("Complete intersections of complex dimension <= 3 admitting a"
           " smooth circle action")
     current = None
-    for (n, degrees), obj in zip(rows, entries):
-        if n != current:
-            current = n
-            print(f"n = {n}:")
-        ci = CompleteIntersection(n, degrees)
+    for verdict, obj in zip(verdicts, entries):
+        if obj["n"] != current:
+            current = obj["n"]
+            print(f"n = {current}:")
         extras = ""
         if obj["signature"] is not None:
             extras = f"  sign={obj['signature']}  a_hat={obj['a_hat']}"
         if obj["b3"] is not None:
             extras = f"  b3={obj['b3']}"
-        print(f"  {str(ci):12s} t={obj['t']}  c1={obj['c1']}"
+        print(f"  {str(verdict.ci):12s} t={obj['t']}  c1={obj['c1']}"
               f"  rho={obj['rho']}  euler={obj['euler']}" + extras)
     print("Every other multidegree is obstructed.")
     return EXIT_OK
@@ -256,8 +242,6 @@ def _cmd_table(args) -> int:
 def _residual_json(value):
     if value is None:
         return None
-    if isinstance(value, bool):
-        return value
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):

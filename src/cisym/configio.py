@@ -34,7 +34,7 @@ class SchemaError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 def _require_dict(value, path: str, keys: tuple[str, ...]) -> dict:

@@ -387,14 +387,11 @@ def signature_local_datum(c: Component) -> CharacterFunction:
     of the circle parameter.  4-dimensional components carry none; only the
     limit identity constrains them."""
     if c.kind == "point":
-        acc = CharacterFunction.constant(c.eps)
+        # (1 + q^-n)/(1 - q^-n) == -(1 + q^n)/(1 - q^n), for each of the
+        # three weights.
+        acc = CharacterFunction.constant(-c.eps)
         for n in c.weights:
-            # (1 + q^-n)/(1 - q^-n) == (q^n + 1)/(q^n - 1)
-            num = [0] * (n + 1)
-            den = [0] * (n + 1)
-            num[0] = num[n] = 1
-            den[0], den[n] = -1, 1
-            acc = acc * CharacterFunction(num, den)
+            acc = acc * _edge(n)
         return acc
     if c.kind == "surface":
         n1, n2 = c.weights
@@ -430,9 +427,6 @@ class CheckResult:
     passed: bool
     citation: str
     residual: object = None
-
-    def residual_str(self) -> Optional[str]:
-        return None if self.residual is None else str(self.residual)
 
 
 CITATIONS = {
@@ -629,29 +623,42 @@ def _four_checks(cfg: Configuration) -> list[CheckResult]:
     return results
 
 
+# The lemma64 rules on normal weights alone, shared with the search.
+def _weights_match(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    """weight-matching: two isolated points have equal weight multisets."""
+    return sorted(p) == sorted(q)
+
+
+def _divides_exactly_two(pair: tuple[int, int],
+                         triple: tuple[int, int, int]) -> bool:
+    """weight-divisibility: each surface weight above 1 divides exactly two
+    of a point's weights."""
+    for w in pair:
+        if w > 1 and sum(1 for m in triple if m % w == 0) != 2:
+            return False
+    return True
+
+
+def _shares_second_weight(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """surface-structure: two surfaces share their second weight."""
+    return x[1] == y[1]
+
+
 def _lemma64_checks(cfg: Configuration) -> list[CheckResult]:
     results = []
     if cfg.template == "surface_plus_two_points":
         pt, q = cfg.points()
         results.append(
-            _result(
-                "weight-matching",
-                sorted(pt.weights) == sorted(q.weights),
-                None,
-            )
+            _result("weight-matching", _weights_match(pt.weights, q.weights),
+                    None)
         )
         (x,) = cfg.surfaces()
-        ok = True
-        for w in x.weights:
-            if w > 1:
-                for p in (pt, q):
-                    if sum(1 for m in p.weights if m % w == 0) != 2:
-                        ok = False
+        ok = all(_divides_exactly_two(x.weights, p.weights) for p in (pt, q))
         results.append(_result("weight-divisibility", ok, None))
     elif cfg.template == "two_surfaces":
         x, y = cfg.surfaces()
         ok = (
-            x.weights[1] == y.weights[1]
+            _shares_second_weight(x.weights, y.weights)
             and x.ev_y2 == 0
             and y.ev_y2 == 0
         )
@@ -668,7 +675,8 @@ def _diagnostic_checks(cfg: Configuration) -> list[CheckResult]:
         x, y = cfg.surfaces()
         delta = x.a - y.a
         structured = (
-            x.weights[1] == y.weights[1] and x.ev_y2 == 0 and y.ev_y2 == 0
+            _shares_second_weight(x.weights, y.weights)
+            and x.ev_y2 == 0 and y.ev_y2 == 0
         )
         if all(w == 1 for w in x.weights + y.weights):
             residual = t - Fraction(rho * t * delta**2, 4)
@@ -684,7 +692,7 @@ def _diagnostic_checks(cfg: Configuration) -> list[CheckResult]:
     elif cfg.template == "surface_plus_two_points":
         (x,) = cfg.surfaces()
         pt, q = cfg.points()
-        if sorted(pt.weights) == sorted(q.weights):
+        if _weights_match(pt.weights, q.weights):
             a_rel = pt.a - x.a
             big_q = sum(w * w for w in pt.weights)
             big_r = sum(w * w for w in x.weights)

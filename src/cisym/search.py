@@ -53,6 +53,9 @@ from typing import Iterator, Optional
 from .configio import dump_config
 from .localization import (
     _TEMPLATE_B2,
+    _divides_exactly_two,
+    _shares_second_weight,
+    _weights_match,
     AmbientData,
     Component,
     Configuration,
@@ -90,16 +93,11 @@ class SearchBounds:
 
 
 @dataclass(frozen=True)
-class SearchFlags:
-    """Restriction flags for the search.
-
-    The first three mirror the configuration flags; semifree additionally
-    restricts every normal weight to 1 (no finite isotropy).
+class SearchFlags(Flags):
+    """Restriction flags for the search: the configuration flags, and
+    semifree, which restricts every normal weight to 1 (no finite isotropy).
     """
 
-    effectiveness: bool = True
-    convention35: bool = True
-    lemma64: bool = True
     semifree: bool = False
 
     def as_config_flags(self) -> Flags:
@@ -174,13 +172,6 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
     except ConfigurationError:
         return None
     return cfg if verify_case(cfg).consistent else None
-
-
-def _divides_exactly_two(pair: tuple[int, int], triple: tuple[int, int, int]) -> bool:
-    for w in pair:
-        if w > 1 and sum(1 for m in triple if m % w == 0) != 2:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +259,15 @@ def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
 
 
 def _admissible(template: str, comps: tuple[Component, ...], ctx: _Ctx) -> bool:
-    """The checks of verify_case that depend on the discrete data alone."""
+    """The checks of verify_case that depend on the discrete data alone,
+    through the predicates verify_case itself uses."""
     if sum(c.signature_contribution for c in comps):
         return False  # signature-limit
     if ctx.flags.lemma64 and template == "two_surfaces":
-        return comps[0].weights[1] == comps[1].weights[1]
+        return _shares_second_weight(comps[0].weights, comps[1].weights)
     if ctx.flags.lemma64 and template == "surface_plus_two_points":
         surface, p, q = comps
-        return (p.weights == q.weights
+        return (_weights_match(p.weights, q.weights)
                 and _divides_exactly_two(surface.weights, p.weights))
     return True
 

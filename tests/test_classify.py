@@ -93,6 +93,15 @@ def test_checklist_items():
     assert [i.holds for i in cl2.items] == [True, False, True, False]
 
 
+def test_verdict_carries_the_threefold_checklist():
+    for degs in multidegrees(8):
+        verdict = s1_verdict(X(3, *degs))
+        assert verdict.hypotheses == theorem_hypotheses(X(3, *degs))
+        assert verdict.evidence == verdict.hypotheses.evidence
+    for n in (1, 2, 4, 5):
+        assert s1_verdict(X(n, 2, 3)).hypotheses is None
+
+
 def test_checklist_requires_n3():
     with pytest.raises(ValueError):
         theorem_hypotheses(X(2, 3))

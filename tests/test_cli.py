@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from cisym import cli
+from cisym import classify, cli
 from cisym.cli import build_parser, main
 from cisym.configio import dump_config
+from cisym.invariants import invariants
 from cisym.localization import (
     AmbientData,
     Configuration,
@@ -159,6 +160,126 @@ def test_table_stable_and_complete(capsys):
     assert [e["degrees"] for e in quintic_like] == [[1], [2]]
 
 
+# The full text output of six commands, pinned so that rendering text from
+# the --json objects cannot drift.
+GOLDEN_TEXT = {
+    ("invariants", "2", "3"): (
+        "X_2(3)\n"
+        "  t (cube of the hyperplane class): 3\n"
+        "  c1 coefficient: 1\n"
+        "  rho (p1 coefficient): -5\n"
+        "  euler characteristic: 9\n"
+        "  spin: no\n"
+        "  signature: -5\n"
+        "  a_hat genus: 5/8\n"
+    ),
+    ("invariants", "3", "5"): (
+        "X_3(5)\n"
+        "  t (cube of the hyperplane class): 5\n"
+        "  c1 coefficient: 0\n"
+        "  rho (p1 coefficient): -20\n"
+        "  euler characteristic: -200\n"
+        "  spin: yes\n"
+        "  b3: 204\n"
+    ),
+    ("classify", "2", "3"): (
+        "X_2(3): admits a smooth circle action\n"
+        "  reason: admits_action\n"
+        "  citation: surfaces: a compact complex surface of this"
+        " type admits a smooth non-trivial circle action exactly"
+        " when its first Chern class is positive, i.e. for the"
+        " multidegrees (1), (2), (3), (2,2)\n"
+        "  a_hat: 5/8\n"
+        "  c1: 1\n"
+        "  euler: 9\n"
+        "  rho: -5\n"
+        "  signature: -5\n"
+        "  spin: False\n"
+        "  t: 3\n"
+    ),
+    ("classify", "3", "4"): (
+        "X_3(4): admits no smooth circle action\n"
+        "  reason: obstructed\n"
+        "  citation: threefolds: among 6-dimensional complete"
+        " intersections only the projective space (1) and the"
+        " quadric (2) admit a smooth non-trivial circle action\n"
+        "  b3: 60\n"
+        "  c1: 1\n"
+        "  euler: -56\n"
+        "  rho: -11\n"
+        "  spin: False\n"
+        "  t: 4\n"
+        "  obstruction hypotheses: all hold\n"
+        "    [x] homology_shape\n"
+        "    [x] rho_nonpositive\n"
+        "    [x] top_power_nonzero\n"
+        "    [x] euler_below_four\n"
+    ),
+    ("classify", "4", "2"): (
+        "X_4(2): out of scope\n"
+        "  reason: out_of_scope\n"
+        "  citation: no classification is implemented for complex"
+        " dimension >= 4\n"
+        "  a_hat: 0\n"
+        "  c1: 4\n"
+        "  euler: 6\n"
+        "  rho: 2\n"
+        "  signature: 2\n"
+        "  spin: True\n"
+        "  t: 2\n"
+    ),
+    ("table",): (
+        "Complete intersections of complex dimension <= 3 admitting"
+        " a smooth circle action\n"
+        "n = 1:\n"
+        "  X_1(1)       t=1  c1=2  rho=2  euler=2\n"
+        "  X_1(2)       t=2  c1=1  rho=-1  euler=2\n"
+        "  X_1(3)       t=3  c1=0  rho=-6  euler=0\n"
+        "  X_1(2, 2)    t=4  c1=0  rho=-4  euler=0\n"
+        "n = 2:\n"
+        "  X_2(1)       t=1  c1=3  rho=3  euler=3  sign=1  a_hat=-1/8\n"
+        "  X_2(2)       t=2  c1=2  rho=0  euler=4  sign=0  a_hat=0\n"
+        "  X_2(3)       t=3  c1=1  rho=-5  euler=9  sign=-5  a_hat=5/8\n"
+        "  X_2(2, 2)    t=4  c1=1  rho=-3  euler=8  sign=-4  a_hat=1/2\n"
+        "n = 3:\n"
+        "  X_3(1)       t=1  c1=4  rho=4  euler=4  b3=0\n"
+        "  X_3(2)       t=2  c1=3  rho=1  euler=4  b3=0\n"
+        "Every other multidegree is obstructed.\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_TEXT))
+def test_text_output_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, GOLDEN_TEXT[argv], "")
+
+
+def count_invariants_calls(monkeypatch) -> list:
+    calls = []
+
+    def counted(ci):
+        calls.append(ci)
+        return invariants(ci)
+
+    for module in (classify, cli):
+        monkeypatch.setattr(module, "invariants", counted)
+    return calls
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_one_invariants_call_per_answer(monkeypatch, capsys, as_json):
+    calls = count_invariants_calls(monkeypatch)
+    flag = ["--json"] if as_json else []
+    for d in ("1", "2", "4", "5"):
+        del calls[:]
+        assert run(capsys, "classify", "3", d, *flag)[0] == 0
+        assert len(calls) == 1
+    del calls[:]
+    assert run(capsys, "table", *flag)[0] == 0
+    assert len(calls) == 10
+
+
 def test_verify_consistent_configuration(tmp_path, capsys):
     path = tmp_path / "good.json"
     path.write_text(dump_config(quadric_config()))
@@ -214,6 +335,20 @@ def test_verify_non_utf8_file_exit_65(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 65
     assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{", "invalid JSON: "),
+    (b"\xff\xfe", "not UTF-8 text: "),
+    (b"[]", "expected an object"),
+])
+def test_verify_document_level_schema_error_has_no_empty_path(
+        tmp_path, capsys, content, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 65
+    assert err.startswith("configuration schema error: " + message)
 
 
 def test_verify_missing_file_exit_64(capsys):
