@@ -326,6 +326,8 @@ class LiftPolynomial:
     @classmethod
     def shifted_lift(cls, a: Scalar) -> "LiftPolynomial":
         """The linear polynomial a + l."""
+        if type(a) is int:
+            return _lift((a, 1), 1)
         v = as_rational(a)
         return _lift((v.numerator, v.denominator), v.denominator)
 
@@ -472,11 +474,38 @@ def _valuation(a: Sequence[int]) -> int:
     return 0
 
 
-def _content(a: Sequence[int]) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, abs(c))
-    return g
+def _character(num: tuple[int, ...], den: tuple[int, ...]) -> CharacterFunction:
+    """A CharacterFunction from parts already in canonical form."""
+    f = object.__new__(CharacterFunction)
+    _set(f, "num", num)
+    _set(f, "den", den)
+    return f
+
+
+def _character_lowest(num: Sequence[int], den: Sequence[int],
+                      num_shift: int = 0,
+                      den_shift: int = 0) -> CharacterFunction:
+    """num/den, for integer coefficient sequences, in canonical form."""
+    n = _trim(num)
+    d = _trim(den)
+    if not d:
+        raise ZeroDivisionError("character function with zero denominator")
+    if not n:
+        return _character((), (1,))
+    # Shift both parts to a common valuation zero.
+    nv = _valuation(n)
+    dv = _valuation(d)
+    lead = min(nv + num_shift, dv + den_shift)
+    n = (0,) * (nv + num_shift - lead) + n[nv:]
+    d = (0,) * (dv + den_shift - lead) + d[dv:]
+    g = gcd(*n, *d)
+    if g > 1:
+        n = tuple(c // g for c in n)
+        d = tuple(c // g for c in d)
+    if d[_valuation(d)] < 0:
+        n = tuple(-c for c in n)
+        d = tuple(-c for c in d)
+    return _character(n, d)
 
 
 class CharacterFunction:
@@ -504,31 +533,9 @@ class CharacterFunction:
         for c in tuple(num) + tuple(den):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError("character coefficients must be integers")
-        n = _trim(num)
-        d = _trim(den)
-        if not d:
-            raise ZeroDivisionError("character function with zero denominator")
-        if not n:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (1,))
-            return
-        # Shift both parts to a common valuation zero.
-        nval = _valuation(n) + num_shift
-        dval = _valuation(d) + den_shift
-        n = n[_valuation(n):]
-        d = d[_valuation(d):]
-        lead = min(nval, dval)
-        n = (0,) * (nval - lead) + n
-        d = (0,) * (dval - lead) + d
-        g = gcd(_content(n), _content(d))
-        if g > 1:
-            n = tuple(c // g for c in n)
-            d = tuple(c // g for c in d)
-        if d[_valuation(d)] < 0:
-            n = tuple(-c for c in n)
-            d = tuple(-c for c in d)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        f = _character_lowest(num, den, num_shift, den_shift)
+        _set(self, "num", f.num)
+        _set(self, "den", f.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CharacterFunction is immutable")
@@ -569,7 +576,7 @@ class CharacterFunction:
         if not isinstance(other, CharacterFunction):
             return NotImplemented
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return CharacterFunction(num, _pmul(self.den, other.den))
+        return _character_lowest(num, _pmul(self.den, other.den))
 
     def __sub__(self, other: "CharacterFunction") -> "CharacterFunction":
         if not isinstance(other, CharacterFunction):
@@ -577,15 +584,16 @@ class CharacterFunction:
         return self + (-other)
 
     def __neg__(self) -> "CharacterFunction":
-        return CharacterFunction(_pscale(self.num, -1), self.den)
+        # The denominator fixes the sign, so -num over it stays canonical.
+        return _character(tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other: Union["CharacterFunction", int]) -> "CharacterFunction":
         if isinstance(other, CharacterFunction):
-            return CharacterFunction(
+            return _character_lowest(
                 _pmul(self.num, other.num), _pmul(self.den, other.den)
             )
         if isinstance(other, int) and not isinstance(other, bool):
-            return CharacterFunction(_pscale(self.num, other), self.den)
+            return _character_lowest(_pscale(self.num, other), self.den)
         return NotImplemented
 
     def __rmul__(self, other: int) -> "CharacterFunction":

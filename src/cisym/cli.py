@@ -148,6 +148,15 @@ def _invariants_obj(rep: InvariantReport) -> dict:
     }
 
 
+def _print_invariants_text(obj: dict) -> None:
+    for key, label in _INVARIANT_LABELS.items():
+        value = obj.get(key)
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        if value is not None:
+            print(f"  {label}: {value}")
+
+
 def _cmd_invariants(parser: _Parser, args) -> int:
     ci = _ci_from_args(parser, args)
     obj = _invariants_obj(invariants(ci))
@@ -155,12 +164,7 @@ def _cmd_invariants(parser: _Parser, args) -> int:
         _print_json(obj)
         return EXIT_OK
     print(ci)
-    for key, label in _INVARIANT_LABELS.items():
-        value = obj[key]
-        if isinstance(value, bool):
-            value = "yes" if value else "no"
-        if value is not None:
-            print(f"  {label}: {value}")
+    _print_invariants_text(obj)
     return EXIT_OK
 
 
@@ -202,8 +206,7 @@ def _cmd_classify(parser: _Parser, args) -> int:
     print(f"{ci}: {headline}")
     print(f"  reason: {obj['reason']}")
     print(f"  citation: {obj['citation']}")
-    for key, value in sorted(obj["evidence"].items()):
-        print(f"  {key}: {value}")
+    _print_invariants_text(obj["evidence"])
     if "hypotheses" in obj:
         print("  obstruction hypotheses:"
               f" {'all hold' if obj['hypotheses_satisfied'] else 'not all hold'}")

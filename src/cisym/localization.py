@@ -10,6 +10,13 @@ Localization turns the global numbers t and rho*t into sums of local data,
 polynomial identities in the lift parameter l; the equivariant signature
 gives a further rigidity constraint in the circle parameter.
 
+Each local datum is formed as integer numerators over one denominator: the
+coefficients of the powers of u = l + a are combined in integers and the
+sum is reduced once (a point's datum is one power of u times one exact
+scalar).  The signature characters are products of per-weight factors;
+_edge(n) and _kernel(n) are built once per weight and reused, a table of at
+most MAX_WEIGHT entries each.
+
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
 each one with a citation naming the violated constraint.
@@ -19,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Optional, Sequence, Union
 
-from .algebra import CharacterFunction, LiftPolynomial
+from .algebra import CharacterFunction, LiftPolynomial, _lowest
 
 
 class ConfigurationError(ValueError):
@@ -328,6 +336,19 @@ def shift_lift(cfg: Configuration, delta: int) -> Configuration:
 # Local data
 
 
+def _in_lift(u: LiftPolynomial, coeffs: Sequence[int],
+             den: int) -> LiftPolynomial:
+    """sum_k coeffs[k] * u^k / den for u = l + a, formed as integer
+    numerators and reduced once."""
+    num = [0] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        if c:
+            power = (1,) if k == 0 else u.num if k == 1 else (u**k).num
+            for i, b in enumerate(power):
+                num[i] += c * b
+    return _lowest(num, den)
+
+
 def x3_local_datum(c: Component) -> LiftPolynomial:
     """Local contribution of a fixed component to the localized x^3 = t, as a
     polynomial in the lift parameter l."""
@@ -336,15 +357,15 @@ def x3_local_datum(c: Component) -> LiftPolynomial:
         n1, n2, n3 = c.weights
         return u**3 * Fraction(c.eps, n1 * n2 * n3)
     if c.kind == "surface":
+        # (3 ev_x m u^2 - (ev_y1 n2 + ev_y2 n1) u^3) / m^2, with m = n1 n2
         n1, n2 = c.weights
-        s = Fraction(c.ev_y1, n1) + Fraction(c.ev_y2, n2)
-        return (u**3 * (-s) + u**2 * (3 * c.ev_x)) * Fraction(1, n1 * n2)
+        m = n1 * n2
+        return _in_lift(u, (0, 0, 3 * c.ev_x * m,
+                            -(c.ev_y1 * n2 + c.ev_y2 * n1)), m * m)
+    # (3 ev_x2 n1^2 u - 3 ev_xy n1 u^2 + ev_y2 u^3) / n1^3
     n1 = c.weight
-    return (
-        u * Fraction(3 * c.ev_x2, n1)
-        - u**2 * Fraction(3 * c.ev_xy, n1**2)
-        + u**3 * Fraction(c.ev_y2, n1**3)
-    )
+    return _in_lift(u, (0, 3 * c.ev_x2 * n1 * n1, -3 * c.ev_xy * n1, c.ev_y2),
+                    n1**3)
 
 
 def p1x_local_datum(c: Component) -> LiftPolynomial:
@@ -354,16 +375,19 @@ def p1x_local_datum(c: Component) -> LiftPolynomial:
         n1, n2, n3 = c.weights
         return u * Fraction(c.eps * (n1**2 + n2**2 + n3**2), n1 * n2 * n3)
     if c.kind == "surface":
+        # (q ev_x m + (2 (n1 ev_y1 + n2 ev_y2) m - q (ev_y1 n2 + ev_y2 n1)) u)
+        # / m^2, with m = n1 n2 and q = n1^2 + n2^2
         n1, n2 = c.weights
+        m = n1 * n2
         q = n1**2 + n2**2
-        return (
-            u * (-Fraction(q, n1 * n2)) * (Fraction(c.ev_y1, n1) + Fraction(c.ev_y2, n2))
-            + LiftPolynomial.constant(Fraction(q * c.ev_x, n1 * n2))
-            + u * Fraction(2 * (n1 * c.ev_y1 + n2 * c.ev_y2), n1 * n2)
-        )
-    return LiftPolynomial.constant(c.ev_xy) + u * Fraction(c.ev_p1, c.weight)
+        slope = (2 * (n1 * c.ev_y1 + n2 * c.ev_y2) * m
+                 - q * (c.ev_y1 * n2 + c.ev_y2 * n1))
+        return _in_lift(u, (q * c.ev_x * m, slope), m * m)
+    # (ev_xy n1 + ev_p1 u) / n1
+    return _in_lift(u, (c.ev_xy * c.weight, c.ev_p1), c.weight)
 
 
+@cache
 def _edge(n: int) -> CharacterFunction:
     """(1 + q^n) / (1 - q^n)."""
     num = [0] * (n + 1)
@@ -373,6 +397,7 @@ def _edge(n: int) -> CharacterFunction:
     return CharacterFunction(num, den)
 
 
+@cache
 def _kernel(n: int) -> CharacterFunction:
     """q^n / (1 - q^n)^2."""
     num = [0] * (n + 1)
@@ -403,15 +428,18 @@ def signature_local_datum(c: Component) -> CharacterFunction:
     )
 
 
+_ZERO = LiftPolynomial()
+
+
 def x3_sum(components: Sequence[Component]) -> LiftPolynomial:
-    total = LiftPolynomial()
+    total = _ZERO
     for c in components:
         total = total + x3_local_datum(c)
     return total
 
 
 def p1x_sum(components: Sequence[Component]) -> LiftPolynomial:
-    total = LiftPolynomial()
+    total = _ZERO
     for c in components:
         total = total + p1x_local_datum(c)
     return total

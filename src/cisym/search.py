@@ -37,10 +37,15 @@ components have b1 = 0 (chi = 2 + b2, with b2 fixed by the template), the
 ambient Euler characteristic is the sum of the component ones, the first
 point has eps = +1 under convention35, and the lift is normalized so that
 the last surface (or else the first component) has a = 0, the other lifts
-lying in [-max_abs_a, max_abs_a].  Every combination of discrete data,
-every lift choice and every free value ticks one node counter per call;
-exceeding the budget raises BudgetExceededError rather than silently
-truncating the search.
+lying in [-max_abs_a, max_abs_a].
+
+The budget counts nodes.  A node is one step of the enumeration, counted
+when it is entered: a combination of discrete data that the checks of step
+1 keep, one choice of lifts for such a combination, one value of a free
+unknown in the solver, and one candidate handed to _leaf.  A call that
+visits N nodes succeeds with a budget of N; with a budget of N - 1 it
+raises BudgetExceededError, naming the template and the nodes reached,
+rather than silently truncating the search.
 """
 
 from __future__ import annotations
@@ -105,17 +110,19 @@ class SearchFlags(Flags):
 
 
 class _Counter:
-    __slots__ = ("nodes", "budget")
+    __slots__ = ("nodes", "budget", "template")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, template: str):
         self.nodes = 0
         self.budget = budget
+        self.template = template
 
-    def tick(self, k: int = 1):
-        self.nodes += k
+    def tick(self):
+        self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
-                f"node budget of {self.budget} exhausted; tighten the bounds"
+                f"node budget of {self.budget} exhausted in template"
+                f" {self.template} at node {self.nodes}; tighten the bounds"
                 " or raise --budget"
             )
 
@@ -401,5 +408,5 @@ def search_case(
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError("budget must be a positive integer")
     ctx = _Ctx(t_lo, t_hi, rho_lo, rho_hi, bounds, flags)
-    hits = _search(template, ctx, _Counter(budget))
+    hits = _search(template, ctx, _Counter(budget, template))
     return sorted(hits, key=dump_config)

@@ -1,6 +1,7 @@
 """Unit and property tests for the exact arithmetic kernels."""
 
 from fractions import Fraction as F
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -476,6 +477,51 @@ def test_character_sum_commutes_and_globalizes_limits(ws1, ws2):
     assert f + g == g + f
     lf, lg = f.limit_at_infinity(), g.limit_at_infinity()
     assert (f + g).limit_at_infinity() == lf + lg
+
+
+laurent = st.lists(st.integers(-6, 6), max_size=5)
+nonzero_laurent = laurent.filter(any)
+
+
+def schoolbook(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def assert_character_normal_form(f: CharacterFunction):
+    """No common power of q, joint content 1, lowest denominator
+    coefficient positive, no trailing zeros; zero is 0/1."""
+    assert f.den and f.den[-1] and (not f.num or f.num[-1])
+    if not f.num:
+        assert f.den == (1,)
+        return
+    assert f.num[0] or f.den[0]
+    assert gcd(*f.num, *f.den) == 1
+    assert next(c for c in f.den if c) > 0
+
+
+@given(laurent, nonzero_laurent, laurent, nonzero_laurent,
+       st.integers(-3, 3))
+def test_character_operators_give_the_constructor_normal_form(
+        n1, d1, n2, d2, k):
+    # The operators build their results without the public constructor;
+    # each must come out exactly as the constructor builds the raw parts.
+    f, g = CharacterFunction(n1, d1), CharacterFunction(n2, d2)
+    cross = [x + y for x, y in zip_longest(schoolbook(f.num, g.den),
+                                           schoolbook(g.num, f.den),
+                                           fillvalue=0)]
+    for got, num, den in (
+        (f * g, schoolbook(f.num, g.num), schoolbook(f.den, g.den)),
+        (f + g, cross, schoolbook(f.den, g.den)),
+        (-f, [-c for c in f.num], f.den),
+        (f * k, [k * c for c in f.num], f.den),
+    ):
+        want = CharacterFunction(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert_character_normal_form(got)
 
 
 @settings(max_examples=200)

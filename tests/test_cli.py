@@ -1,19 +1,24 @@
 """Tests for the command line interface."""
 
+import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 
 from cisym import classify, cli
 from cisym.cli import build_parser, main
-from cisym.configio import dump_config
+from cisym.configio import dump_config, load_config
 from cisym.invariants import invariants
 from cisym.localization import (
     AmbientData,
     Configuration,
     PointComponent,
     SurfaceComponent,
+    shift_lift,
 )
+from test_acceptance import _random_configuration
 
 
 def run(capsys, *argv):
@@ -189,13 +194,13 @@ GOLDEN_TEXT = {
         " type admits a smooth non-trivial circle action exactly"
         " when its first Chern class is positive, i.e. for the"
         " multidegrees (1), (2), (3), (2,2)\n"
-        "  a_hat: 5/8\n"
-        "  c1: 1\n"
-        "  euler: 9\n"
-        "  rho: -5\n"
+        "  t (cube of the hyperplane class): 3\n"
+        "  c1 coefficient: 1\n"
+        "  rho (p1 coefficient): -5\n"
+        "  euler characteristic: 9\n"
+        "  spin: no\n"
         "  signature: -5\n"
-        "  spin: False\n"
-        "  t: 3\n"
+        "  a_hat genus: 5/8\n"
     ),
     ("classify", "3", "4"): (
         "X_3(4): admits no smooth circle action\n"
@@ -203,12 +208,12 @@ GOLDEN_TEXT = {
         "  citation: threefolds: among 6-dimensional complete"
         " intersections only the projective space (1) and the"
         " quadric (2) admit a smooth non-trivial circle action\n"
+        "  t (cube of the hyperplane class): 4\n"
+        "  c1 coefficient: 1\n"
+        "  rho (p1 coefficient): -11\n"
+        "  euler characteristic: -56\n"
+        "  spin: no\n"
         "  b3: 60\n"
-        "  c1: 1\n"
-        "  euler: -56\n"
-        "  rho: -11\n"
-        "  spin: False\n"
-        "  t: 4\n"
         "  obstruction hypotheses: all hold\n"
         "    [x] homology_shape\n"
         "    [x] rho_nonpositive\n"
@@ -220,13 +225,13 @@ GOLDEN_TEXT = {
         "  reason: out_of_scope\n"
         "  citation: no classification is implemented for complex"
         " dimension >= 4\n"
-        "  a_hat: 0\n"
-        "  c1: 4\n"
-        "  euler: 6\n"
-        "  rho: 2\n"
+        "  t (cube of the hyperplane class): 2\n"
+        "  c1 coefficient: 4\n"
+        "  rho (p1 coefficient): 2\n"
+        "  euler characteristic: 6\n"
+        "  spin: yes\n"
         "  signature: 2\n"
-        "  spin: True\n"
-        "  t: 2\n"
+        "  a_hat genus: 0\n"
     ),
     ("table",): (
         "Complete intersections of complex dimension <= 3 admitting"
@@ -383,3 +388,62 @@ def test_search_cli_bad_template_exit_64(capsys):
     code, _, _ = run_usage_error(capsys, "search", "dodecahedron")
     assert code == 64
 
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+# sha256 of the check lists (name, passed, residual, citation) that
+# `verify --json` prints for each demo configuration with every lift shifted
+# by -2..2, and for 40 random configurations.  The residual strings include
+# CharacterFunction reprs, which depend on the order of the operations that
+# formed them.
+VERIFY_CHECK_DIGESTS = {
+    "random":
+        "488c5b0fa9df40342c6ca64e46c64f800af6f910bc55fb4a46207068b95533fd",
+    "cp2like_zero_evaluations.json":
+        "49f5fdb6c68408889750dfa33456d413744e20e32da28359dc6cbbe1e906c012",
+    "four_plus_surface.json":
+        "f0316c22482de9b4f23933459c972cf71e0a38a7a6b3f1dae64b514b3bbeaa0b",
+    "four_plus_two_points.json":
+        "f0316c22482de9b4f23933459c972cf71e0a38a7a6b3f1dae64b514b3bbeaa0b",
+    "projective_space.json":
+        "b4c18ef66e4e910a240bd1602d256ea7cda9a4a2e07863981757dc952c8df16c",
+    "quadric.json":
+        "7e6f357a8e8a8cb33b6300dbfcefe3c9204268b30d52baf768d4f26025f6d3b5",
+    "semifree_negative_rho.json":
+        "b6c9f8127e815f6ad939a1bff31112e14a392cc53ae4897b99097acd014a04f8",
+    "semifree_two_surfaces.json":
+        "7d47c5b27eede5d7b9ebb11a6191f5f0373dcbd04d5a6abdc452103d4f21143e",
+    "surface_two_points_negative_rho.json":
+        "4cdd8d73556396921f8ab7baf175d5e24b77d65626dfd6bcec5cc4e1bd48e590",
+    "two_fours.json":
+        "ad7f75c81a0f0a20276379d35da608a43bfc030a0c638c786bedd324ec81b844",
+    "two_surfaces_negative_rho.json":
+        "5d37ba7ab330acd888e959e48210d2c028c82fdbf2da197242aff92bce8f4797",
+}
+
+
+def verify_check_lists(tmp_path, capsys, cfgs) -> list:
+    path = tmp_path / "config.json"
+    lists = []
+    for cfg in cfgs:
+        path.write_text(dump_config(cfg), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path), "--json")
+        assert code in (0, 2) and err == ""
+        lists.append([[c["name"], c["passed"], c["residual"], c["citation"]]
+                      for c in json.loads(out)["checks"]])
+    return lists
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CHECK_DIGESTS))
+def test_verify_json_check_lists_are_pinned(tmp_path, capsys, name):
+    if name == "random":
+        rng = random.Random(20111108)
+        cfgs = [_random_configuration(rng) for _ in range(40)]
+    else:
+        cfg = load_config(DEMO_CONFIGS / name)
+        cfgs = [shift_lift(cfg, delta) for delta in range(-2, 3)]
+    text = json.dumps(verify_check_lists(tmp_path, capsys, cfgs),
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        VERIFY_CHECK_DIGESTS[name]

@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisym.algebra import LiftPolynomial
+from cisym.algebra import CharacterFunction, LiftPolynomial
 from cisym.localization import (
     CITATIONS,
     MAX_WEIGHT,
@@ -204,6 +205,66 @@ def test_sums_match_plain_fraction_reference():
                 assert [total.coefficient(k) for k in range(6)] == ref + [0, 0]
                 assert total.degree == max(
                     (k for k, c in enumerate(ref) if c), default=-1)
+
+
+big = st.integers(-10**6, 10**6)
+any_weight = st.integers(1, MAX_WEIGHT)
+points = st.builds(PointComponent, st.sampled_from((-1, 1)),
+                   st.tuples(any_weight, any_weight, any_weight), big)
+surfaces = st.builds(SurfaceComponent, st.tuples(any_weight, any_weight),
+                     big, big, big, big, st.just(2))
+
+
+@st.composite
+def fours(draw):
+    b2 = draw(st.sampled_from((0, 1, 2)))
+    sign = draw(st.sampled_from(range(-b2, b2 + 1, 2)))
+    evs = draw(st.tuples(big, big, big)) if b2 else (0, 0, 0)
+    return FourComponent(draw(any_weight), draw(big), *evs, 3 * sign, b2,
+                         sign, 2 + b2)
+
+
+@settings(max_examples=300)
+@given(st.one_of(points, surfaces, fours()))
+def test_local_data_match_plain_fraction_reference(c):
+    # Each local datum, for every component kind with weights up to the cap
+    # and lifts and evaluations up to 10^6, against the Fraction formulas.
+    for datum, ref in zip((x3_local_datum(c), p1x_local_datum(c)),
+                          _reference_sums((c,))):
+        assert [datum.coefficient(k) for k in range(6)] == ref + [0, 0]
+        assert datum.den > 0 and gcd(datum.den, *datum.num) == 1
+        assert not datum.num or datum.num[-1] != 0
+        rebuilt = LiftPolynomial(ref)
+        assert datum == rebuilt and hash(datum) == hash(rebuilt)
+
+
+def _edge_uncached(n):
+    return CharacterFunction((1,) + (0,) * (n - 1) + (1,),
+                             (1,) + (0,) * (n - 1) + (-1,))
+
+
+def _kernel_uncached(n):
+    return CharacterFunction((0,) * n + (1,),
+                             (1,) + (0,) * (n - 1) + (-2,) + (0,) * (n - 1)
+                             + (1,))
+
+
+def test_signature_datum_matches_uncached_product():
+    # num/den, not just the function: the residual that verify prints is
+    # the repr of the canonical parts.
+    for ws in product(range(1, 8), repeat=3):
+        for eps in (-1, 1):
+            want = CharacterFunction.constant(-eps)
+            for n in ws:
+                want = want * _edge_uncached(n)
+            got = signature_local_datum(PointComponent(eps, ws, 0))
+            assert (got.num, got.den) == (want.num, want.den)
+    for n1, n2 in product(range(1, 8), repeat=2):
+        s = SurfaceComponent((n1, n2), 0, 0, 3, -2, 2)
+        want = 4 * (_edge_uncached(n2) * _kernel_uncached(n1) * 3
+                    + _edge_uncached(n1) * _kernel_uncached(n2) * -2)
+        got = signature_local_datum(s)
+        assert (got.num, got.den) == (want.num, want.den)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def test_budget_exhaustion_raises():
         search_case("two_surfaces", rho_range=(-10, 10), budget=50)
 
 
+def test_budget_is_exact_node_count():
+    # This call visits exactly 1500 nodes (see the search module docstring).
+    args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
+    assert len(search_case(*args, budget=1500)) == 34
+    with pytest.raises(BudgetExceededError,
+                       match="budget of 1499 exhausted in template"
+                             " two_surfaces at node 1500;"):
+        search_case(*args, budget=1499)
+
+
 def test_unknown_template_rejected():
     with pytest.raises(ConfigurationError):
         search_case("everything")
@@ -221,12 +231,18 @@ def test_pinned_hit_lists(template, flag_set, bounds):
     assert got == want
 
 
-@pytest.mark.parametrize("flag_set", ["default", "no_lemma64"])
+# Semifree fixes every weight to 1, so its box is wider in lifts and
+# evaluations: at 2/1/1 it would hold a single hit.
+BRUTE_BOUNDS = {"semifree": SearchBounds(1, 2, 3)}
+
+
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_search_matches_pruning_free_enumeration(template, flag_set):
-    # At these bounds cp2like_plus_point has 1 hit, surface_plus_two_points
-    # 3, and two_surfaces 2 with lemma64 off.
-    args = (template, (1, 6), (-6, 6), SearchBounds(2, 1, 1),
+    # Hits per flag set: default 4, no_lemma64 6, no_eff_conv 5, all_off 7
+    # (at 2/1/1), semifree 12.
+    args = (template, (1, 6), (-6, 6),
+            BRUTE_BOUNDS.get(flag_set, SearchBounds(2, 1, 1)),
             FLAG_SETS[flag_set])
     assert [dump_config(c) for c in search_case(*args)] == \
         [dump_config(c) for c in brute_force(*args)]
