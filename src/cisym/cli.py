@@ -22,7 +22,7 @@ from .configio import (
     load_config,
 )
 from .invariants import CompleteIntersection, InvariantReport, invariants
-from .localization import TEMPLATES, ConfigurationError, verify_case
+from .localization import MAX_WEIGHT, TEMPLATES, ConfigurationError, verify_case
 from .search import BudgetExceededError, SearchBounds, SearchFlags, search_case
 
 EXIT_OK = 0
@@ -88,18 +88,24 @@ def build_parser() -> _Parser:
         help="bounded exhaustive search for consistent configurations",
     )
     sea.add_argument("template", choices=sorted(TEMPLATES))
-    sea.add_argument("--t-min", type=int, default=1)
-    sea.add_argument("--t-max", type=int, default=10)
-    sea.add_argument("--rho-min", type=int, default=-10)
-    sea.add_argument("--rho-max", type=int, default=0)
-    sea.add_argument("--max-weight", type=int, default=5)
-    sea.add_argument("--max-abs-a", type=int, default=5)
-    sea.add_argument("--max-abs-eval", type=int, default=10)
-    sea.add_argument("--budget", type=int, default=10**8)
-    sea.add_argument("--no-effectiveness", action="store_true")
-    sea.add_argument("--no-convention35", action="store_true")
-    sea.add_argument("--no-lemma64", action="store_true")
-    sea.add_argument("--semifree", action="store_true")
+    for option, default, text in (
+        ("--t-min", 1, "least t = x^3 (t is clamped at >= 1)"),
+        ("--t-max", 10, "greatest t = x^3"),
+        ("--rho-min", -10, "least rho (p1 coefficient)"),
+        ("--rho-max", 0, "greatest rho (p1 coefficient)"),
+        ("--max-weight", 5, f"greatest normal weight (at most {MAX_WEIGHT})"),
+        ("--max-abs-a", 5, "greatest |a| of a lift constant"),
+        ("--max-abs-eval", 10, "greatest |value| of an equivariant evaluation"),
+        ("--budget", 10**8, "cap on enumeration nodes; past it, exit code 66"),
+    ):
+        sea.add_argument(option, type=int, default=default, help=text)
+    for option, text in (
+        ("--no-effectiveness", "drop the coprime-weights (effectiveness) rule"),
+        ("--no-convention35", "drop the convention that some point has eps = +1"),
+        ("--no-lemma64", "drop the cyclic-subgroup weight restrictions"),
+        ("--semifree", "restrict to weight-1 actions"),
+    ):
+        sea.add_argument(option, action="store_true", help=text)
     sea.add_argument("--json", action="store_true", dest="as_json")
 
     return parser
@@ -293,11 +299,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(parser: _Parser, args) -> int:
-    try:
-        bounds = SearchBounds(args.max_weight, args.max_abs_a,
-                              args.max_abs_eval)
-    except ValueError as exc:
-        parser.error(str(exc))
     flags = SearchFlags(
         effectiveness=not args.no_effectiveness,
         convention35=not args.no_convention35,
@@ -309,7 +310,8 @@ def _cmd_search(parser: _Parser, args) -> int:
             args.template,
             t_range=(args.t_min, args.t_max),
             rho_range=(args.rho_min, args.rho_max),
-            bounds=bounds,
+            bounds=SearchBounds(args.max_weight, args.max_abs_a,
+                                args.max_abs_eval),
             flags=flags,
             budget=args.budget,
         )

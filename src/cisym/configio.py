@@ -2,8 +2,11 @@
 
 The schema is exact: every required key must be present, no unknown keys
 are tolerated, integers must be genuine integers (booleans are rejected),
-and weight arrays have the arity of their component kind.  Schema errors
-carry the path of the first offending key, like "components[0].weights[2]".
+and weight arrays have the arity of their component kind.  A record's keys
+are its dataclass fields, a four's one weight travelling as "weights": [w].
+Schema errors carry the path of the first offending key, like
+"components[0].weights[2]": unknown keys, then missing keys, then values,
+in field order.
 
 Rendering is canonical: parse(dump(cfg)) reproduces dump(cfg) byte for
 byte.  Exact rational values elsewhere in the tool's JSON output are
@@ -13,14 +16,15 @@ rendered as "p/q" strings via fraction_str.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
-from typing import Union
+from functools import partial
+from typing import Callable, NamedTuple, Union, get_args, get_type_hints
 
 from .localization import (
     AmbientData,
     Component,
     Configuration,
-    ConfigurationError,
     Flags,
     FourComponent,
     PointComponent,
@@ -68,10 +72,39 @@ def _weights_at(value, path: str, arity: int) -> list[int]:
     return [_int_at(w, f"{path}[{i}]") for i, w in enumerate(value)]
 
 
-_POINT_KEYS = ("kind", "weights", "a", "eps")
-_SURFACE_KEYS = ("kind", "weights", "a", "ev_x", "ev_y1", "ev_y2", "chi")
-_FOUR_KEYS = ("kind", "weights", "a", "ev_x2", "ev_xy", "ev_y2", "ev_p1",
-              "b2", "sign", "chi")
+class _Record(NamedTuple):
+    """The JSON object of one record class, read off its dataclass fields."""
+
+    cls: type
+    keys: tuple[str, ...]  # every key of the object, in field order
+    readers: tuple[tuple[str, Callable], ...]  # (key, reader) per field
+
+
+def _record(cls, *leading_keys: str) -> _Record:
+    hints = get_type_hints(cls)
+    readers = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name == "weight":  # a four's one normal weight: "weights": [w]
+            readers.append(("weights", lambda v, p: _weights_at(v, p, 1)[0]))
+        elif hint in (int, bool):
+            readers.append((f.name, _int_at if hint is int else _bool_at))
+        else:  # a tuple of normal weights
+            readers.append((f.name, partial(_weights_at, arity=len(get_args(hint)))))
+    keys = leading_keys + tuple(key for key, _ in readers)
+    return _Record(cls, keys, tuple(readers))
+
+
+_AMBIENT = _record(AmbientData)
+_FLAGS = _record(Flags)
+_COMPONENTS = {cls.kind: _record(cls, "kind")
+               for cls in (PointComponent, SurfaceComponent, FourComponent)}
+
+
+def _record_from_obj(obj, path: str, record: _Record):
+    d = _require_dict(obj, path, record.keys)
+    return record.cls(*[read(d[key], f"{path}.{key}")
+                        for key, read in record.readers])
 
 
 def _component_from_obj(obj, path: str) -> Component:
@@ -80,61 +113,21 @@ def _component_from_obj(obj, path: str) -> Component:
     if "kind" not in obj:
         raise SchemaError(f"{path}.kind", "missing key")
     kind = obj["kind"]
-    if kind == "point":
-        d = _require_dict(obj, path, _POINT_KEYS)
-        return PointComponent(
-            eps=_int_at(d["eps"], f"{path}.eps"),
-            weights=_weights_at(d["weights"], f"{path}.weights", 3),
-            a=_int_at(d["a"], f"{path}.a"),
-        )
-    if kind == "surface":
-        d = _require_dict(obj, path, _SURFACE_KEYS)
-        return SurfaceComponent(
-            weights=_weights_at(d["weights"], f"{path}.weights", 2),
-            a=_int_at(d["a"], f"{path}.a"),
-            ev_x=_int_at(d["ev_x"], f"{path}.ev_x"),
-            ev_y1=_int_at(d["ev_y1"], f"{path}.ev_y1"),
-            ev_y2=_int_at(d["ev_y2"], f"{path}.ev_y2"),
-            chi=_int_at(d["chi"], f"{path}.chi"),
-        )
-    if kind == "four":
-        d = _require_dict(obj, path, _FOUR_KEYS)
-        return FourComponent(
-            weight=_weights_at(d["weights"], f"{path}.weights", 1)[0],
-            a=_int_at(d["a"], f"{path}.a"),
-            ev_x2=_int_at(d["ev_x2"], f"{path}.ev_x2"),
-            ev_xy=_int_at(d["ev_xy"], f"{path}.ev_xy"),
-            ev_y2=_int_at(d["ev_y2"], f"{path}.ev_y2"),
-            ev_p1=_int_at(d["ev_p1"], f"{path}.ev_p1"),
-            b2=_int_at(d["b2"], f"{path}.b2"),
-            sign=_int_at(d["sign"], f"{path}.sign"),
-            chi=_int_at(d["chi"], f"{path}.chi"),
-        )
-    raise SchemaError(f"{path}.kind", "expected 'point', 'surface' or 'four'")
+    if not isinstance(kind, str) or kind not in _COMPONENTS:
+        raise SchemaError(f"{path}.kind", "expected 'point', 'surface' or 'four'")
+    return _record_from_obj(obj, path, _COMPONENTS[kind])
 
 
 def config_from_obj(obj) -> Configuration:
     """Build a Configuration from a parsed JSON object, validating strictly."""
     top = _require_dict(obj, "", ("ambient", "template", "flags", "components"))
-    amb = _require_dict(top["ambient"], "ambient", ("t", "rho", "euler", "sign"))
-    ambient = AmbientData(
-        t=_int_at(amb["t"], "ambient.t"),
-        rho=_int_at(amb["rho"], "ambient.rho"),
-        euler=_int_at(amb["euler"], "ambient.euler"),
-        sign=_int_at(amb["sign"], "ambient.sign"),
-    )
+    ambient = _record_from_obj(top["ambient"], "ambient", _AMBIENT)
     template = top["template"]
     if not isinstance(template, str):
         raise SchemaError("template", "expected a string")
     if template not in TEMPLATES:
         raise SchemaError("template", f"unknown template {template!r}")
-    fl = _require_dict(top["flags"], "flags",
-                       ("effectiveness", "convention35", "lemma64"))
-    flags = Flags(
-        effectiveness=_bool_at(fl["effectiveness"], "flags.effectiveness"),
-        convention35=_bool_at(fl["convention35"], "flags.convention35"),
-        lemma64=_bool_at(fl["lemma64"], "flags.lemma64"),
-    )
+    flags = _record_from_obj(top["flags"], "flags", _FLAGS)
     comps = top["components"]
     if not isinstance(comps, list):
         raise SchemaError("components", "expected an array")
@@ -163,34 +156,20 @@ def load_config(path: str) -> Configuration:
     return parse_config(text)
 
 
-def component_to_obj(c: Component) -> dict:
-    if c.kind == "point":
-        return {"kind": "point", "weights": list(c.weights), "a": c.a,
-                "eps": c.eps}
-    if c.kind == "surface":
-        return {"kind": "surface", "weights": list(c.weights), "a": c.a,
-                "ev_x": c.ev_x, "ev_y1": c.ev_y1, "ev_y2": c.ev_y2,
-                "chi": c.chi}
-    return {"kind": "four", "weights": [c.weight], "a": c.a,
-            "ev_x2": c.ev_x2, "ev_xy": c.ev_xy, "ev_y2": c.ev_y2,
-            "ev_p1": c.ev_p1, "b2": c.b2, "sign": c.sign, "chi": c.chi}
+def _record_to_obj(record, keys: tuple[str, ...]) -> dict:
+    obj = {key: getattr(record, key) for key in keys}
+    if "weights" in obj:  # a tuple on the record, an array in JSON
+        obj["weights"] = list(obj["weights"])
+    return obj
 
 
 def config_to_obj(cfg: Configuration) -> dict:
     return {
-        "ambient": {
-            "t": cfg.ambient.t,
-            "rho": cfg.ambient.rho,
-            "euler": cfg.ambient.euler,
-            "sign": cfg.ambient.sign,
-        },
+        "ambient": _record_to_obj(cfg.ambient, _AMBIENT.keys),
         "template": cfg.template,
-        "flags": {
-            "effectiveness": cfg.flags.effectiveness,
-            "convention35": cfg.flags.convention35,
-            "lemma64": cfg.flags.lemma64,
-        },
-        "components": [component_to_obj(c) for c in cfg.components],
+        "flags": _record_to_obj(cfg.flags, _FLAGS.keys),
+        "components": [_record_to_obj(c, _COMPONENTS[c.kind].keys)
+                       for c in cfg.components],
     }
 
 

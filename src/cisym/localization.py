@@ -48,13 +48,6 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _positive(value, what: str) -> int:
-    v = _int(value, what)
-    if v < 1:
-        raise ConfigurationError(f"{what} must be >= 1, got {v}")
-    return v
-
-
 # Normal weights above this are rejected.  A component's signature character
 # allocates Laurent polynomials whose degree grows with its weights, so a
 # single weight of 10^9 in a verify document would exhaust memory.  The cap
@@ -63,7 +56,9 @@ MAX_WEIGHT = 1000
 
 
 def _weight(value, what: str) -> int:
-    w = _positive(value, what)
+    w = _int(value, what)
+    if w < 1:
+        raise ConfigurationError(f"{what} must be >= 1, got {w}")
     if w > MAX_WEIGHT:
         raise ConfigurationError(f"{what} must be <= {MAX_WEIGHT}")
     return w
@@ -83,15 +78,14 @@ class PointComponent:
     weights: tuple[int, int, int]
     a: int
 
-    def __init__(self, eps: int, weights, a: int):
-        if isinstance(eps, bool) or eps not in (-1, 1):
-            raise ConfigurationError(f"point eps must be +1 or -1, got {eps!r}")
-        ws = tuple(_weight(w, "point weight") for w in weights)
+    def __post_init__(self):
+        if isinstance(self.eps, bool) or self.eps not in (-1, 1):
+            raise ConfigurationError(f"point eps must be +1 or -1, got {self.eps!r}")
+        ws = tuple(_weight(w, "point weight") for w in self.weights)
         if len(ws) != 3:
             raise ConfigurationError("a point has exactly three normal weights")
-        object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "a", _int(a, "lift weight"))
+        _int(self.a, "lift weight")
 
     kind = "point"
     chi = 1
@@ -115,19 +109,17 @@ class SurfaceComponent:
     ev_y2: int
     chi: int
 
-    def __init__(self, weights, a, ev_x, ev_y1, ev_y2, chi):
-        ws = tuple(_weight(w, "surface weight") for w in weights)
+    def __post_init__(self):
+        ws = tuple(_weight(w, "surface weight") for w in self.weights)
         if len(ws) != 2:
             raise ConfigurationError("a surface has exactly two normal weights")
-        c = _int(chi, "surface chi")
+        object.__setattr__(self, "weights", ws)
+        c = _int(self.chi, "surface chi")
         if c % 2 or c > 2:
             raise ConfigurationError("surface chi must be even and <= 2")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "a", _int(a, "lift weight"))
-        object.__setattr__(self, "ev_x", _int(ev_x, "ev_x"))
-        object.__setattr__(self, "ev_y1", _int(ev_y1, "ev_y1"))
-        object.__setattr__(self, "ev_y2", _int(ev_y2, "ev_y2"))
-        object.__setattr__(self, "chi", c)
+        _int(self.a, "lift weight")
+        for name in ("ev_x", "ev_y1", "ev_y2"):
+            _int(getattr(self, name), name)
 
     kind = "surface"
     b_ev = 2
@@ -156,44 +148,38 @@ class FourComponent:
     sign: int
     chi: int
 
-    def __init__(self, weight, a, ev_x2, ev_xy, ev_y2, ev_p1, b2, sign, chi):
-        n1 = _weight(weight, "4-dimensional component weight")
-        b = _int(b2, "b2")
+    def __post_init__(self):
+        _weight(self.weight, "4-dimensional component weight")
+        b = _int(self.b2, "b2")
         if b not in (0, 1, 2):
             raise ConfigurationError("b2 of a 4-dimensional component is 0, 1 or 2")
-        s = _int(sign, "sign")
+        s = _int(self.sign, "sign")
         if abs(s) > b or (s - b) % 2:
             raise ConfigurationError(
                 "signature must satisfy |sign| <= b2 and sign == b2 (mod 2)"
             )
-        p1 = _int(ev_p1, "ev_p1")
-        if p1 != 3 * s:
+        if _int(self.ev_p1, "ev_p1") != 3 * s:
             raise ConfigurationError(
                 "ev_p1 must equal 3*sign (signature theorem for closed"
                 " oriented 4-manifolds)"
             )
-        x2, xy, y2 = (_int(v, k) for v, k in
-                      ((ev_x2, "ev_x2"), (ev_xy, "ev_xy"), (ev_y2, "ev_y2")))
-        if b == 0 and any((x2, xy, y2)):
+        evs = [_int(getattr(self, k), k) for k in ("ev_x2", "ev_xy", "ev_y2")]
+        if b == 0 and any(evs):
             raise ConfigurationError(
                 "b2 = 0 leaves no degree-2 classes: all evaluations must vanish"
             )
-        c = _int(chi, "chi")
+        c = _int(self.chi, "chi")
         if c > 2 + b or (c - b) % 2:
             raise ConfigurationError(
                 "chi must be <= 2 + b2 and of the same parity as b2"
             )
-        object.__setattr__(self, "weight", n1)
-        object.__setattr__(self, "a", _int(a, "lift weight"))
-        object.__setattr__(self, "ev_x2", x2)
-        object.__setattr__(self, "ev_xy", xy)
-        object.__setattr__(self, "ev_y2", y2)
-        object.__setattr__(self, "ev_p1", p1)
-        object.__setattr__(self, "b2", b)
-        object.__setattr__(self, "sign", s)
-        object.__setattr__(self, "chi", c)
+        _int(self.a, "lift weight")
 
     kind = "four"
+
+    @property
+    def weights(self) -> tuple[int]:
+        return (self.weight,)
 
     @property
     def b_ev(self) -> int:
@@ -304,10 +290,7 @@ class Configuration:
                 )
         if self.flags.effectiveness:
             for c in comps:
-                ws = c.weights if c.kind != "four" else (c.weight,)
-                g = 0
-                for w in ws:
-                    g = gcd(g, w)
+                g = gcd(*c.weights)
                 if g != 1:
                     raise ConfigurationError(
                         "effectiveness: the normal weights of every fixed"

@@ -59,6 +59,7 @@ from .configio import dump_config
 from .localization import (
     _TEMPLATE_B2,
     _divides_exactly_two,
+    _int,
     _shares_second_weight,
     _weights_match,
     AmbientData,
@@ -401,8 +402,10 @@ def search_case(
     BudgetExceededError as soon as it visits more than budget nodes."""
     if template not in TEMPLATES:
         raise ConfigurationError(f"unknown template {template!r}")
-    t_lo, t_hi = (int(t_range[0]), int(t_range[1]))
-    rho_lo, rho_hi = (int(rho_range[0]), int(rho_range[1]))
+    if not isinstance(bounds, SearchBounds) or not isinstance(flags, SearchFlags):
+        raise TypeError("bounds must be a SearchBounds and flags a SearchFlags")
+    t_lo, t_hi = (_int(v, "t_range bound") for v in t_range)
+    rho_lo, rho_hi = (_int(v, "rho_range bound") for v in rho_range)
     if t_lo > t_hi or rho_lo > rho_hi:
         raise ValueError("empty range: lower bound exceeds upper bound")
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:

@@ -7,9 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cisym.configio import (
-    _FOUR_KEYS,
-    _POINT_KEYS,
-    _SURFACE_KEYS,
+    _COMPONENTS,
     SchemaError,
     config_from_obj,
     dump_config,
@@ -127,6 +125,14 @@ def test_component_unknown_key_path():
     assert path_of_error(obj) == "components[2].sign"
 
 
+def test_missing_keys_are_reported_in_field_order():
+    # A point's fields are eps, weights, a; the JSON keys follow them.
+    obj = quadric_obj()
+    del obj["components"][1]["weights"]
+    del obj["components"][1]["eps"]
+    assert path_of_error(obj) == "components[1].eps"
+
+
 def test_component_kind_required():
     obj = quadric_obj()
     del obj["components"][0]["kind"]
@@ -166,8 +172,8 @@ def test_structural_violations_surface_as_configuration_error():
         config_from_obj(obj)
 
 
-def test_four_component_round_trip():
-    obj = {
+def cp2like_obj():
+    return {
         "ambient": {"t": 1, "rho": 4, "euler": 4, "sign": 0},
         "template": "cp2like_plus_point",
         "flags": {"effectiveness": True, "convention35": True,
@@ -179,6 +185,10 @@ def test_four_component_round_trip():
             {"kind": "point", "weights": [1, 1, 1], "a": 1, "eps": 1},
         ],
     }
+
+
+def test_four_component_round_trip():
+    obj = cp2like_obj()
     cfg = config_from_obj(obj)
     assert json.loads(dump_config(cfg)) == obj
     assert dump_config(parse_config(dump_config(cfg))) == dump_config(cfg)
@@ -192,12 +202,340 @@ def test_fraction_str_rendering():
 
 
 # ---------------------------------------------------------------------------
+# Single-defect documents: a valid document with one defect in one record.
+# The outcome of each (path and message of the SchemaError, or the message
+# of the ConfigurationError when the path is None) is pinned.
+
+# The record each case edits: the document it starts from, and where it sits.
+DEFECT_RECORDS = {
+    "ambient": (quadric_obj, ("ambient",)),
+    "flags": (quadric_obj, ("flags",)),
+    "surface": (quadric_obj, ("components", 0)),
+    "point": (quadric_obj, ("components", 1)),
+    "four": (cp2like_obj, ("components", 0)),
+}
+
+# Values of the right type that the record's own checks reject.
+BAD_VALUES = {
+    "ambient": (("t", 0), ("sign", 1)),
+    "point": (("eps", 0), ("eps", 2)),
+    "surface": (("chi", 3), ("chi", 4)),
+    "four": (("b2", 3), ("sign", 3), ("sign", 0), ("ev_p1", 0), ("chi", 9),
+             ("chi", 2)),
+}
+
+
+def record_at(obj, where):
+    for step in where:
+        obj = obj[step]
+    return obj
+
+
+def single_defects():
+    """(case id, document) for each record and each kind of defect."""
+    for record, (base, where) in DEFECT_RECORDS.items():
+        def doc(change):
+            obj = base()
+            change(record_at(obj, where))
+            return obj
+
+        keys = list(record_at(base(), where))
+        for key in keys:
+            yield f"{record}/missing/{key}", doc(lambda n, k=key: n.pop(k))
+        yield f"{record}/unknown", doc(lambda n: n.update(extra=0))
+        yield f"{record}/unknown-and-missing", doc(
+            lambda n, k=keys[-1]: (n.pop(k), n.update(zzz=0)))
+        for key in keys:
+            if key in ("kind", "weights"):
+                continue
+            # "swap" puts a bool in an int slot and an int in a bool slot.
+            for label, bad in (("string", "1"), ("float", 1.0), ("null", None),
+                               ("list", [1]), ("swap", "swap")):
+                def put(n, k=key, v=bad):
+                    if v == "swap":
+                        v = 1 if isinstance(n[k], bool) else True
+                    n[k] = v
+                yield f"{record}/{key}={label}", doc(put)
+        for key, value in BAD_VALUES.get(record, ()):
+            yield f"{record}/{key}={value}", doc(
+                lambda n, k=key, v=value: n.__setitem__(k, v))
+        if "weights" in keys:
+            for label, bad in (("string", "1"), ("null", None), ("int", 1),
+                               ("object", {})):
+                yield f"{record}/weights={label}", doc(
+                    lambda n, v=bad: n.__setitem__("weights", v))
+            yield f"{record}/weights-short", doc(
+                lambda n: n.__setitem__("weights", n["weights"][:-1]))
+            yield f"{record}/weights-long", doc(
+                lambda n: n.__setitem__("weights", n["weights"] + [1]))
+            for label, bad in (("bool", True), ("float", 1.5), ("zero", 0),
+                               ("huge", 1001)):
+                yield f"{record}/weights-entry-{label}", doc(
+                    lambda n, v=bad: n["weights"].__setitem__(0, v))
+        if "kind" in keys:
+            other = "surface" if record == "point" else "point"
+            for label, bad in (("int", 7), ("null", None), ("list", ["point"]),
+                               ("unknown", "solid"), ("other", other)):
+                yield f"{record}/kind={label}", doc(
+                    lambda n, v=bad: n.__setitem__("kind", v))
+    for label, bad in (("null", None), ("list", []), ("string", "point")):
+        obj = quadric_obj()
+        obj["components"][1] = bad
+        yield f"component={label}", obj
+
+
+SINGLE_DEFECTS = dict(single_defects())
+
+# Taken from the parser before its record tables were derived from the
+# dataclass fields.
+SINGLE_DEFECT_OUTCOMES = {
+    "ambient/missing/t": ("ambient.t", "missing key"),
+    "ambient/missing/rho": ("ambient.rho", "missing key"),
+    "ambient/missing/euler": ("ambient.euler", "missing key"),
+    "ambient/missing/sign": ("ambient.sign", "missing key"),
+    "ambient/unknown": ("ambient.extra", "unknown key"),
+    "ambient/unknown-and-missing": ("ambient.zzz", "unknown key"),
+    "ambient/t=string": ("ambient.t", "expected an integer"),
+    "ambient/t=float": ("ambient.t", "expected an integer"),
+    "ambient/t=null": ("ambient.t", "expected an integer"),
+    "ambient/t=list": ("ambient.t", "expected an integer"),
+    "ambient/t=swap": ("ambient.t", "expected an integer"),
+    "ambient/rho=string": ("ambient.rho", "expected an integer"),
+    "ambient/rho=float": ("ambient.rho", "expected an integer"),
+    "ambient/rho=null": ("ambient.rho", "expected an integer"),
+    "ambient/rho=list": ("ambient.rho", "expected an integer"),
+    "ambient/rho=swap": ("ambient.rho", "expected an integer"),
+    "ambient/euler=string": ("ambient.euler", "expected an integer"),
+    "ambient/euler=float": ("ambient.euler", "expected an integer"),
+    "ambient/euler=null": ("ambient.euler", "expected an integer"),
+    "ambient/euler=list": ("ambient.euler", "expected an integer"),
+    "ambient/euler=swap": ("ambient.euler", "expected an integer"),
+    "ambient/sign=string": ("ambient.sign", "expected an integer"),
+    "ambient/sign=float": ("ambient.sign", "expected an integer"),
+    "ambient/sign=null": ("ambient.sign", "expected an integer"),
+    "ambient/sign=list": ("ambient.sign", "expected an integer"),
+    "ambient/sign=swap": ("ambient.sign", "expected an integer"),
+    "ambient/t=0": (None, "t = x^3 must be a positive integer"),
+    "ambient/sign=1":
+        (None, "6-manifolds have vanishing signature; ambient sign must be 0"),
+    "flags/missing/effectiveness": ("flags.effectiveness", "missing key"),
+    "flags/missing/convention35": ("flags.convention35", "missing key"),
+    "flags/missing/lemma64": ("flags.lemma64", "missing key"),
+    "flags/unknown": ("flags.extra", "unknown key"),
+    "flags/unknown-and-missing": ("flags.zzz", "unknown key"),
+    "flags/effectiveness=string": ("flags.effectiveness", "expected a boolean"),
+    "flags/effectiveness=float": ("flags.effectiveness", "expected a boolean"),
+    "flags/effectiveness=null": ("flags.effectiveness", "expected a boolean"),
+    "flags/effectiveness=list": ("flags.effectiveness", "expected a boolean"),
+    "flags/effectiveness=swap": ("flags.effectiveness", "expected a boolean"),
+    "flags/convention35=string": ("flags.convention35", "expected a boolean"),
+    "flags/convention35=float": ("flags.convention35", "expected a boolean"),
+    "flags/convention35=null": ("flags.convention35", "expected a boolean"),
+    "flags/convention35=list": ("flags.convention35", "expected a boolean"),
+    "flags/convention35=swap": ("flags.convention35", "expected a boolean"),
+    "flags/lemma64=string": ("flags.lemma64", "expected a boolean"),
+    "flags/lemma64=float": ("flags.lemma64", "expected a boolean"),
+    "flags/lemma64=null": ("flags.lemma64", "expected a boolean"),
+    "flags/lemma64=list": ("flags.lemma64", "expected a boolean"),
+    "flags/lemma64=swap": ("flags.lemma64", "expected a boolean"),
+    "surface/missing/kind": ("components[0].kind", "missing key"),
+    "surface/missing/weights": ("components[0].weights", "missing key"),
+    "surface/missing/a": ("components[0].a", "missing key"),
+    "surface/missing/ev_x": ("components[0].ev_x", "missing key"),
+    "surface/missing/ev_y1": ("components[0].ev_y1", "missing key"),
+    "surface/missing/ev_y2": ("components[0].ev_y2", "missing key"),
+    "surface/missing/chi": ("components[0].chi", "missing key"),
+    "surface/unknown": ("components[0].extra", "unknown key"),
+    "surface/unknown-and-missing": ("components[0].zzz", "unknown key"),
+    "surface/a=string": ("components[0].a", "expected an integer"),
+    "surface/a=float": ("components[0].a", "expected an integer"),
+    "surface/a=null": ("components[0].a", "expected an integer"),
+    "surface/a=list": ("components[0].a", "expected an integer"),
+    "surface/a=swap": ("components[0].a", "expected an integer"),
+    "surface/ev_x=string": ("components[0].ev_x", "expected an integer"),
+    "surface/ev_x=float": ("components[0].ev_x", "expected an integer"),
+    "surface/ev_x=null": ("components[0].ev_x", "expected an integer"),
+    "surface/ev_x=list": ("components[0].ev_x", "expected an integer"),
+    "surface/ev_x=swap": ("components[0].ev_x", "expected an integer"),
+    "surface/ev_y1=string": ("components[0].ev_y1", "expected an integer"),
+    "surface/ev_y1=float": ("components[0].ev_y1", "expected an integer"),
+    "surface/ev_y1=null": ("components[0].ev_y1", "expected an integer"),
+    "surface/ev_y1=list": ("components[0].ev_y1", "expected an integer"),
+    "surface/ev_y1=swap": ("components[0].ev_y1", "expected an integer"),
+    "surface/ev_y2=string": ("components[0].ev_y2", "expected an integer"),
+    "surface/ev_y2=float": ("components[0].ev_y2", "expected an integer"),
+    "surface/ev_y2=null": ("components[0].ev_y2", "expected an integer"),
+    "surface/ev_y2=list": ("components[0].ev_y2", "expected an integer"),
+    "surface/ev_y2=swap": ("components[0].ev_y2", "expected an integer"),
+    "surface/chi=string": ("components[0].chi", "expected an integer"),
+    "surface/chi=float": ("components[0].chi", "expected an integer"),
+    "surface/chi=null": ("components[0].chi", "expected an integer"),
+    "surface/chi=list": ("components[0].chi", "expected an integer"),
+    "surface/chi=swap": ("components[0].chi", "expected an integer"),
+    "surface/chi=3": (None, "surface chi must be even and <= 2"),
+    "surface/chi=4": (None, "surface chi must be even and <= 2"),
+    "surface/weights=string": ("components[0].weights", "expected an array"),
+    "surface/weights=null": ("components[0].weights", "expected an array"),
+    "surface/weights=int": ("components[0].weights", "expected an array"),
+    "surface/weights=object": ("components[0].weights", "expected an array"),
+    "surface/weights-short": ("components[0].weights", "expected exactly 2 weights"),
+    "surface/weights-long": ("components[0].weights", "expected exactly 2 weights"),
+    "surface/weights-entry-bool": ("components[0].weights[0]", "expected an integer"),
+    "surface/weights-entry-float": ("components[0].weights[0]", "expected an integer"),
+    "surface/weights-entry-zero": (None, "surface weight must be >= 1, got 0"),
+    "surface/weights-entry-huge": (None, "surface weight must be <= 1000"),
+    "surface/kind=int": ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "surface/kind=null":
+        ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "surface/kind=list":
+        ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "surface/kind=unknown":
+        ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "surface/kind=other": ("components[0].chi", "unknown key"),
+    "point/missing/kind": ("components[1].kind", "missing key"),
+    "point/missing/weights": ("components[1].weights", "missing key"),
+    "point/missing/a": ("components[1].a", "missing key"),
+    "point/missing/eps": ("components[1].eps", "missing key"),
+    "point/unknown": ("components[1].extra", "unknown key"),
+    "point/unknown-and-missing": ("components[1].zzz", "unknown key"),
+    "point/a=string": ("components[1].a", "expected an integer"),
+    "point/a=float": ("components[1].a", "expected an integer"),
+    "point/a=null": ("components[1].a", "expected an integer"),
+    "point/a=list": ("components[1].a", "expected an integer"),
+    "point/a=swap": ("components[1].a", "expected an integer"),
+    "point/eps=string": ("components[1].eps", "expected an integer"),
+    "point/eps=float": ("components[1].eps", "expected an integer"),
+    "point/eps=null": ("components[1].eps", "expected an integer"),
+    "point/eps=list": ("components[1].eps", "expected an integer"),
+    "point/eps=swap": ("components[1].eps", "expected an integer"),
+    "point/eps=0": (None, "point eps must be +1 or -1, got 0"),
+    "point/eps=2": (None, "point eps must be +1 or -1, got 2"),
+    "point/weights=string": ("components[1].weights", "expected an array"),
+    "point/weights=null": ("components[1].weights", "expected an array"),
+    "point/weights=int": ("components[1].weights", "expected an array"),
+    "point/weights=object": ("components[1].weights", "expected an array"),
+    "point/weights-short": ("components[1].weights", "expected exactly 3 weights"),
+    "point/weights-long": ("components[1].weights", "expected exactly 3 weights"),
+    "point/weights-entry-bool": ("components[1].weights[0]", "expected an integer"),
+    "point/weights-entry-float": ("components[1].weights[0]", "expected an integer"),
+    "point/weights-entry-zero": (None, "point weight must be >= 1, got 0"),
+    "point/weights-entry-huge": (None, "point weight must be <= 1000"),
+    "point/kind=int": ("components[1].kind", "expected 'point', 'surface' or 'four'"),
+    "point/kind=null": ("components[1].kind", "expected 'point', 'surface' or 'four'"),
+    "point/kind=list": ("components[1].kind", "expected 'point', 'surface' or 'four'"),
+    "point/kind=unknown":
+        ("components[1].kind", "expected 'point', 'surface' or 'four'"),
+    "point/kind=other": ("components[1].eps", "unknown key"),
+    "four/missing/kind": ("components[0].kind", "missing key"),
+    "four/missing/weights": ("components[0].weights", "missing key"),
+    "four/missing/a": ("components[0].a", "missing key"),
+    "four/missing/ev_x2": ("components[0].ev_x2", "missing key"),
+    "four/missing/ev_xy": ("components[0].ev_xy", "missing key"),
+    "four/missing/ev_y2": ("components[0].ev_y2", "missing key"),
+    "four/missing/ev_p1": ("components[0].ev_p1", "missing key"),
+    "four/missing/b2": ("components[0].b2", "missing key"),
+    "four/missing/sign": ("components[0].sign", "missing key"),
+    "four/missing/chi": ("components[0].chi", "missing key"),
+    "four/unknown": ("components[0].extra", "unknown key"),
+    "four/unknown-and-missing": ("components[0].zzz", "unknown key"),
+    "four/a=string": ("components[0].a", "expected an integer"),
+    "four/a=float": ("components[0].a", "expected an integer"),
+    "four/a=null": ("components[0].a", "expected an integer"),
+    "four/a=list": ("components[0].a", "expected an integer"),
+    "four/a=swap": ("components[0].a", "expected an integer"),
+    "four/ev_x2=string": ("components[0].ev_x2", "expected an integer"),
+    "four/ev_x2=float": ("components[0].ev_x2", "expected an integer"),
+    "four/ev_x2=null": ("components[0].ev_x2", "expected an integer"),
+    "four/ev_x2=list": ("components[0].ev_x2", "expected an integer"),
+    "four/ev_x2=swap": ("components[0].ev_x2", "expected an integer"),
+    "four/ev_xy=string": ("components[0].ev_xy", "expected an integer"),
+    "four/ev_xy=float": ("components[0].ev_xy", "expected an integer"),
+    "four/ev_xy=null": ("components[0].ev_xy", "expected an integer"),
+    "four/ev_xy=list": ("components[0].ev_xy", "expected an integer"),
+    "four/ev_xy=swap": ("components[0].ev_xy", "expected an integer"),
+    "four/ev_y2=string": ("components[0].ev_y2", "expected an integer"),
+    "four/ev_y2=float": ("components[0].ev_y2", "expected an integer"),
+    "four/ev_y2=null": ("components[0].ev_y2", "expected an integer"),
+    "four/ev_y2=list": ("components[0].ev_y2", "expected an integer"),
+    "four/ev_y2=swap": ("components[0].ev_y2", "expected an integer"),
+    "four/ev_p1=string": ("components[0].ev_p1", "expected an integer"),
+    "four/ev_p1=float": ("components[0].ev_p1", "expected an integer"),
+    "four/ev_p1=null": ("components[0].ev_p1", "expected an integer"),
+    "four/ev_p1=list": ("components[0].ev_p1", "expected an integer"),
+    "four/ev_p1=swap": ("components[0].ev_p1", "expected an integer"),
+    "four/b2=string": ("components[0].b2", "expected an integer"),
+    "four/b2=float": ("components[0].b2", "expected an integer"),
+    "four/b2=null": ("components[0].b2", "expected an integer"),
+    "four/b2=list": ("components[0].b2", "expected an integer"),
+    "four/b2=swap": ("components[0].b2", "expected an integer"),
+    "four/sign=string": ("components[0].sign", "expected an integer"),
+    "four/sign=float": ("components[0].sign", "expected an integer"),
+    "four/sign=null": ("components[0].sign", "expected an integer"),
+    "four/sign=list": ("components[0].sign", "expected an integer"),
+    "four/sign=swap": ("components[0].sign", "expected an integer"),
+    "four/chi=string": ("components[0].chi", "expected an integer"),
+    "four/chi=float": ("components[0].chi", "expected an integer"),
+    "four/chi=null": ("components[0].chi", "expected an integer"),
+    "four/chi=list": ("components[0].chi", "expected an integer"),
+    "four/chi=swap": ("components[0].chi", "expected an integer"),
+    "four/b2=3": (None, "b2 of a 4-dimensional component is 0, 1 or 2"),
+    "four/sign=3": (None, "signature must satisfy |sign| <= b2 and sign == b2 (mod 2)"),
+    "four/sign=0": (None, "signature must satisfy |sign| <= b2 and sign == b2 (mod 2)"),
+    "four/ev_p1=0":
+        (None,
+         "ev_p1 must equal 3*sign (signature theorem for closed"
+         " oriented 4-manifolds)"),
+    "four/chi=9": (None, "chi must be <= 2 + b2 and of the same parity as b2"),
+    "four/chi=2": (None, "chi must be <= 2 + b2 and of the same parity as b2"),
+    "four/weights=string": ("components[0].weights", "expected an array"),
+    "four/weights=null": ("components[0].weights", "expected an array"),
+    "four/weights=int": ("components[0].weights", "expected an array"),
+    "four/weights=object": ("components[0].weights", "expected an array"),
+    "four/weights-short": ("components[0].weights", "expected exactly 1 weights"),
+    "four/weights-long": ("components[0].weights", "expected exactly 1 weights"),
+    "four/weights-entry-bool": ("components[0].weights[0]", "expected an integer"),
+    "four/weights-entry-float": ("components[0].weights[0]", "expected an integer"),
+    "four/weights-entry-zero":
+        (None, "4-dimensional component weight must be >= 1, got 0"),
+    "four/weights-entry-huge": (None, "4-dimensional component weight must be <= 1000"),
+    "four/kind=int": ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "four/kind=null": ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "four/kind=list": ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "four/kind=unknown":
+        ("components[0].kind", "expected 'point', 'surface' or 'four'"),
+    "four/kind=other": ("components[0].b2", "unknown key"),
+    "component=null": ("components[1]", "expected an object"),
+    "component=list": ("components[1]", "expected an object"),
+    "component=string": ("components[1]", "expected an object"),
+}
+
+
+def test_single_defect_cases_are_the_pinned_ones():
+    assert list(SINGLE_DEFECTS) == list(SINGLE_DEFECT_OUTCOMES)
+
+
+@pytest.mark.parametrize("case", list(SINGLE_DEFECT_OUTCOMES))
+def test_single_defect_outcome_is_pinned(case):
+    path, message = SINGLE_DEFECT_OUTCOMES[case]
+    expected = SchemaError if path is not None else ConfigurationError
+    with pytest.raises((SchemaError, ConfigurationError)) as excinfo:
+        config_from_obj(SINGLE_DEFECTS[case])
+    assert type(excinfo.value) is expected
+    if path is None:
+        assert str(excinfo.value) == message
+    else:
+        assert excinfo.value.path == path
+        assert str(excinfo.value) == f"{path}: {message}"
+
+
+# ---------------------------------------------------------------------------
 # Fuzzing: whatever the document, only SchemaError or ConfigurationError
 # escapes the parser.
 
 SCHEMA_KEYS = sorted({"ambient", "template", "flags", "components", "t",
                       "rho", "euler", "sign", "effectiveness", "convention35",
-                      "lemma64", *_POINT_KEYS, *_SURFACE_KEYS, *_FOUR_KEYS})
+                      "lemma64",
+                      *(key for c in _COMPONENTS.values() for key in c.keys)})
 json_scalars = st.one_of(
     st.none(),
     st.booleans(),

@@ -10,6 +10,7 @@ from cisym.localization import (
     MAX_WEIGHT,
     TEMPLATES,
     ConfigurationError,
+    Flags,
     verify_case,
 )
 from cisym.search import (
@@ -109,6 +110,17 @@ def test_bad_ranges_rejected():
         search_case("two_surfaces", t_range=(5, 1))
     with pytest.raises(ValueError):
         search_case("two_surfaces", budget=0)
+    # Range bounds are integers: no truncation of floats, no strings, no bools.
+    for bad in ((1.9, 10.7), (1, 10.0), ("1", "10"), (True, 10)):
+        with pytest.raises(ValueError):
+            search_case("two_surfaces", t_range=bad)
+        with pytest.raises(ValueError):
+            search_case("two_surfaces", rho_range=bad)
+    # A plain Flags lacks semifree, and bounds must be a SearchBounds.
+    with pytest.raises(TypeError):
+        search_case("two_surfaces", flags=Flags())
+    with pytest.raises(TypeError):
+        search_case("two_surfaces", bounds=(5, 5, 10))
 
 
 def test_bounds_validation():

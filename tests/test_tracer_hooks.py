@@ -1,0 +1,57 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps cisym functions and
+methods by name.  These tests load it without changing it and check that
+every name it wraps resolves the way Tracer.installed() resolves it, so a
+moved or renamed boundary fails here instead of in a traced benchmark run.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+import cisym  # noqa: F401  (imports every module the tracer looks in)
+from cisym import cli
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer() -> types.ModuleType:
+    # Executed from its source, so that nothing is written next to it.
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"),
+         module.__dict__)
+    return module
+
+
+tracer = load_tracer()
+
+
+def resolve(modname: str, path: str):
+    """The object installed() wraps: a module attribute for a function, an
+    entry of the class's own __dict__ (not an inherited one) for a method."""
+    owner = importlib.import_module(modname)
+    if "." in path:
+        cls_name, attr = path.split(".")
+        return vars(getattr(owner, cls_name))[attr]
+    return getattr(owner, path)
+
+
+@pytest.mark.parametrize("name", sorted(tracer.BOUNDARIES))
+def test_boundary_resolves_as_the_tracer_resolves_it(name):
+    modname, path, _ = tracer.BOUNDARIES[name]
+    assert callable(resolve(modname, path))
+
+
+def test_installed_tracer_enters_and_exits_cleanly(capsys):
+    before = {name: resolve(mod, path)
+              for name, (mod, path, _) in tracer.BOUNDARIES.items()}
+    tr = tracer.Tracer()
+    with tr.installed():
+        assert cli.main(["invariants", "2", "3", "--json"]) == 0
+    assert {"cli.main", "invariants.invariants"} <= tr.fired()
+    assert capsys.readouterr().out.startswith("{")
+    after = {name: resolve(mod, path)
+             for name, (mod, path, _) in tracer.BOUNDARIES.items()}
+    assert all(after[name] is before[name] for name in before)
