@@ -3,8 +3,15 @@ parameter, and Laurent rational functions of the circle parameter.
 
 Every kernel computes in integers; `fractions.Fraction` appears only at the
 boundary, for exact inputs and for coefficients read back, and floats are
-rejected there.  All normal forms are canonical so that equality is
-structural and output is deterministic.
+rejected there.  All normal forms are canonical so that equality is exact
+and output is deterministic.
+
+The three kernels share one canonical-form core, `_Exact`: immutable
+integer parts `num` over `den`, made by one constructor, with one negation
+and one structural equality and hash (which CharacterFunction overrides).
+Series and lift polynomials share one common-denominator sum, lift
+polynomials and characters one term printer.  A series' truncation order
+is not stored; it is its numerator count minus one.
 """
 
 from __future__ import annotations
@@ -36,58 +43,126 @@ def as_rational(value: Scalar) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series
+# The canonical-form core shared by the three kernels
 
 
 _set = object.__setattr__
 
 
-def _series(order: int, num: tuple[int, ...], den: int) -> TruncatedSeries:
-    """A TruncatedSeries from numerators and denominator already in normal
-    form."""
-    s = object.__new__(TruncatedSeries)
-    _set(s, "order", order)
-    _set(s, "num", num)
-    _set(s, "den", den)
-    return s
+class _Exact:
+    """Integer parts `num` and `den` in a kernel's canonical form.
+
+    Instances are immutable.  The normal forms of a series and of a lift
+    polynomial are unique, so equality and the hash are structural;
+    CharacterFunction, whose parts keep common polynomial factors, decides
+    equality by cross-multiplication and is unhashable.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __neg__(self):
+        # Every normal form fixes its sign by den, so -num over den stays
+        # canonical.
+        return _new(type(self), tuple(-c for c in self.num), self.den)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self)
+                and self.num == other.num and self.den == other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
 
-def _series_lowest(order: int, num: Sequence[int], den: int) -> TruncatedSeries:
-    """num/den, for den > 0 and order + 1 numerators, reduced to lowest
-    terms (the zero series gets den = 1)."""
+def _new(cls: type, num: tuple, den):
+    """A `cls` from parts already in its normal form.  Every kernel
+    instance is made here: the public constructors are `__new__`s."""
+    x = object.__new__(cls)
+    _set(x, "num", num)
+    _set(x, "den", den)
+    return x
+
+
+def _reduced(cls: type, num: Sequence[int], den: int):
+    """num/den, for den > 0, as a `cls` in lowest terms (numerators that are
+    all zero get den = 1)."""
     g = gcd(den, *num)
     if g == 1:
-        return _series(order, tuple(num), den)
-    return _series(order, tuple(c // g for c in num), den // g)
+        return _new(cls, tuple(num), den)
+    return _new(cls, tuple(c // g for c in num), den // g)
 
 
-class TruncatedSeries:
+def _parts(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Exact scalars as integer numerators over their least common
+    denominator."""
+    cs = [as_rational(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _sum(p: _Exact, q: _Exact, sign: int) -> tuple[list[int], int]:
+    """p + sign * q over the least common denominator, not yet reduced; the
+    shorter numerator list counts as padded with zeros."""
+    a, b = p.num, q.num
+    g = gcd(p.den, q.den)
+    sa, sb = q.den // g, sign * (p.den // g)
+    if len(a) < len(b):
+        a, b, sa, sb = b, a, sb, sa
+    out = [sa * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += sb * c
+    return out, p.den // g * q.den
+
+
+def _terms(num: Sequence[int], den: int, var: str) -> str:
+    """The nonzero terms of sum num[k]/den * var^k, highest power first
+    ("0" if there are none)."""
+    terms = []
+    for k in range(len(num) - 1, -1, -1):
+        if not num[k]:
+            continue
+        c = num[k] if den == 1 else Fraction(num[k], den)
+        if k == 0:
+            terms.append(str(c))
+        elif k == 1:
+            terms.append(var if c == 1 else f"{c}*{var}")
+        else:
+            terms.append(f"{var}^{k}" if c == 1 else f"{c}*{var}^{k}")
+    return " + ".join(terms) or "0"
+
+
+# ---------------------------------------------------------------------------
+# Truncated power series
+
+
+class TruncatedSeries(_Exact):
     """A formal power series sum_k c_k x^k known through x^order.
 
     Coefficients are exact rationals, stored as order + 1 integer numerators
     `num` over one positive common denominator `den`, in lowest terms (the
-    numerators and den have gcd 1), so equality is structural.  Arithmetic
-    requires matching orders; there is no implicit re-truncation.
+    numerators and den have gcd 1), so equality is structural.  The order is
+    not stored: it is len(num) - 1.  Arithmetic requires matching orders;
+    there is no implicit re-truncation.
     """
 
-    __slots__ = ("order", "num", "den")
+    __slots__ = ()
 
-    def __init__(self, order: int, coeffs: Iterable[Scalar] = ()):
+    def __new__(cls, order: int, coeffs: Iterable[Scalar] = ()):
+        if not isinstance(order, int) or isinstance(order, bool):
+            raise TypeError("truncation order must be an integer")
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [as_rational(c) for c in coeffs]
-        if len(cs) > order + 1:
+        num, den = _parts(coeffs)
+        if len(num) > order + 1:
             raise ValueError("more coefficients than the truncation order allows")
-        den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs]
-        num.extend([0] * (order + 1 - len(cs)))
-        s = _series_lowest(order, num, den)
-        _set(self, "order", order)
-        _set(self, "num", s.num)
-        _set(self, "den", s.den)
+        num.extend([0] * (order + 1 - len(num)))
+        return _reduced(TruncatedSeries, num, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+    @property
+    def order(self) -> int:
+        return len(self.num) - 1
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -103,46 +178,36 @@ class TruncatedSeries:
         return Fraction(self.num[k], self.den)
 
     def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
+        if len(self.num) != len(other.num):
             raise OrderMismatchError(
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
-    def _combine(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
-        """self + sign * other over the least common denominator."""
-        self._check_order(other)
-        g = gcd(self.den, other.den)
-        sa, sb = other.den // g, sign * (self.den // g)
-        return _series_lowest(
-            self.order, [sa * a + sb * b for a, b in zip(self.num, other.num)],
-            self.den // g * other.den)
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._combine(other, 1)
+        self._check_order(other)
+        return _reduced(TruncatedSeries, *_sum(self, other, 1))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return _series(self.order, tuple(-c for c in self.num), self.den)
+        self._check_order(other)
+        return _reduced(TruncatedSeries, *_sum(self, other, -1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        n = self.order
         b = other.num
-        out = [0] * (n + 1)
+        n = len(b)
+        out = [0] * n
         for i, c in enumerate(self.num):
             if c:
-                for j in range(n + 1 - i):
+                for j in range(n - i):
                     if b[j]:
                         out[i + j] += c * b[j]
-        return _series_lowest(n, out, self.den * other.den)
+        return _reduced(TruncatedSeries, out, self.den * other.den)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -170,7 +235,7 @@ class TruncatedSeries:
         c0 = a[0]
         if c0 == 0:
             raise NonUnitError("series with zero constant term has no inverse")
-        n = self.order
+        n = len(a) - 1
         powers = [1]
         for _ in range(n + 1):
             powers.append(powers[-1] * c0)
@@ -180,20 +245,10 @@ class TruncatedSeries:
                             for j in range(1, k + 1) if a[j]))
         # The sign of c0^(order+1) moves to the numerators, keeping den > 0.
         scale = self.den if powers[n + 1] > 0 else -self.den
-        return _series_lowest(
-            n, [scale * big[k] * powers[n - k] for k in range(n + 1)],
+        return _reduced(
+            TruncatedSeries,
+            [scale * big[k] * powers[n - k] for k in range(n + 1)],
             abs(powers[n + 1]))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.num, self.den))
 
     def __repr__(self) -> str:
         terms = []
@@ -249,55 +304,28 @@ def genus_line_factor(kind: str, scale: int, order: int) -> TruncatedSeries:
         for k in range(m + 1):
             sinh_over[2 * k] = (d ** (2 * k) * 4 ** (m - k)
                                 * (top // factorial(2 * k + 1)))
-        return _series_lowest(order, sinh_over, 4**m * top).inverse()
+        return _reduced(TruncatedSeries, sinh_over, 4**m * top).inverse()
     # u/tanh(u) = cosh(u) / (sinh(u)/u) at u = d*x; the common denominator
     # cancels in the quotient.
     cosh = [0] * (order + 1)
     for k in range(m + 1):
         cosh[2 * k] = d ** (2 * k) * (top // factorial(2 * k))
         sinh_over[2 * k] = d ** (2 * k) * (top // factorial(2 * k + 1))
-    return (_series_lowest(order, cosh, 1)
-            * _series_lowest(order, sinh_over, 1).inverse())
+    return (_reduced(TruncatedSeries, cosh, 1)
+            * _reduced(TruncatedSeries, sinh_over, 1).inverse())
 
 
 # ---------------------------------------------------------------------------
 # Polynomials in the lift parameter l
 
 
-def _lift(num: tuple[int, ...], den: int) -> LiftPolynomial:
-    """A LiftPolynomial from numerators and denominator already in normal form."""
-    p = object.__new__(LiftPolynomial)
-    _set(p, "num", num)
-    _set(p, "den", den)
-    return p
-
-
 def _lowest(num: Sequence[int], den: int) -> LiftPolynomial:
-    """num/den, for den > 0, with trailing zeros trimmed and reduced to
-    lowest terms."""
-    num = _trim(num)
-    if not num:
-        return _lift((), 1)
-    g = gcd(den, *num)
-    if g == 1:
-        return _lift(num, den)
-    return _lift(tuple(c // g for c in num), den // g)
+    """num/den, for den > 0, as a LiftPolynomial with trailing zeros trimmed
+    and in lowest terms."""
+    return _reduced(LiftPolynomial, _trim(num), den)
 
 
-def _combine(p: LiftPolynomial, q: LiftPolynomial, sign: int) -> LiftPolynomial:
-    """p + sign * q over the least common denominator."""
-    a, b = p.num, q.num
-    g = gcd(p.den, q.den)
-    sa, sb = q.den // g, sign * (p.den // g)
-    if len(a) < len(b):
-        a, b, sa, sb = b, a, sb, sa
-    out = [sa * c for c in a]
-    for i, c in enumerate(b):
-        out[i] += sb * c
-    return _lowest(out, p.den // g * q.den)
-
-
-class LiftPolynomial:
+class LiftPolynomial(_Exact):
     """A polynomial in the lift parameter l with exact rational coefficients.
 
     Stored as integer numerators `num`, low to high with trailing zeros
@@ -306,30 +334,23 @@ class LiftPolynomial:
     den = 1, so equality is structural.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [as_rational(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        p = _lowest([c.numerator * (den // c.denominator) for c in cs], den)
-        _set(self, "num", p.num)
-        _set(self, "den", p.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LiftPolynomial is immutable")
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        return _lowest(*_parts(coeffs))
 
     @classmethod
     def constant(cls, c: Scalar) -> "LiftPolynomial":
         v = as_rational(c)
-        return _lift((v.numerator,), v.denominator) if v else _lift((), 1)
+        return _new(LiftPolynomial, (v.numerator,) if v else (), v.denominator)
 
     @classmethod
     def shifted_lift(cls, a: Scalar) -> "LiftPolynomial":
         """The linear polynomial a + l."""
         if type(a) is int:
-            return _lift((a, 1), 1)
+            return _new(LiftPolynomial, (a, 1), 1)
         v = as_rational(a)
-        return _lift((v.numerator, v.denominator), v.denominator)
+        return _new(LiftPolynomial, (v.numerator, v.denominator), v.denominator)
 
     @property
     def degree(self) -> int:
@@ -365,15 +386,12 @@ class LiftPolynomial:
     def __add__(self, other: "LiftPolynomial") -> "LiftPolynomial":
         if not isinstance(other, LiftPolynomial):
             return NotImplemented
-        return _combine(self, other, 1)
+        return _lowest(*_sum(self, other, 1))
 
     def __sub__(self, other: "LiftPolynomial") -> "LiftPolynomial":
         if not isinstance(other, LiftPolynomial):
             return NotImplemented
-        return _combine(self, other, -1)
-
-    def __neg__(self) -> "LiftPolynomial":
-        return _lift(tuple(-c for c in self.num), self.den)
+        return _lowest(*_sum(self, other, -1))
 
     def __mul__(self, other: Union["LiftPolynomial", Scalar]) -> "LiftPolynomial":
         if isinstance(other, LiftPolynomial):
@@ -402,30 +420,10 @@ class LiftPolynomial:
             out = (1,)
             for _ in range(exponent):
                 out = _pmul(out, num)
-        return _lift(out, self.den**exponent)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LiftPolynomial)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return _new(LiftPolynomial, out, self.den**exponent)
 
     def __repr__(self) -> str:
-        if not self.num:
-            return "0"
-        terms = []
-        for k in range(len(self.num) - 1, -1, -1):
-            if not self.num[k]:
-                continue
-            c = Fraction(self.num[k], self.den)
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append("l" if c == 1 else f"{c}*l")
-            else:
-                terms.append(f"l^{k}" if c == 1 else f"{c}*l^{k}")
-        return " + ".join(terms)
+        return _terms(self.num, self.den, "l")
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +472,6 @@ def _valuation(a: Sequence[int]) -> int:
     return 0
 
 
-def _character(num: tuple[int, ...], den: tuple[int, ...]) -> CharacterFunction:
-    """A CharacterFunction from parts already in canonical form."""
-    f = object.__new__(CharacterFunction)
-    _set(f, "num", num)
-    _set(f, "den", den)
-    return f
-
-
 def _character_lowest(num: Sequence[int], den: Sequence[int],
                       num_shift: int = 0,
                       den_shift: int = 0) -> CharacterFunction:
@@ -491,7 +481,7 @@ def _character_lowest(num: Sequence[int], den: Sequence[int],
     if not d:
         raise ZeroDivisionError("character function with zero denominator")
     if not n:
-        return _character((), (1,))
+        return _new(CharacterFunction, (), (1,))
     # Shift both parts to a common valuation zero.
     nv = _valuation(n)
     dv = _valuation(d)
@@ -505,10 +495,10 @@ def _character_lowest(num: Sequence[int], den: Sequence[int],
     if d[_valuation(d)] < 0:
         n = tuple(-c for c in n)
         d = tuple(-c for c in d)
-    return _character(n, d)
+    return _new(CharacterFunction, n, d)
 
 
-class CharacterFunction:
+class CharacterFunction(_Exact):
     """A rational function of the circle parameter, num/den with integer
     Laurent-polynomial numerator and denominator.
 
@@ -520,10 +510,10 @@ class CharacterFunction:
     sampling.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         num: Sequence[int],
         den: Sequence[int],
         *,
@@ -533,12 +523,7 @@ class CharacterFunction:
         for c in tuple(num) + tuple(den):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError("character coefficients must be integers")
-        f = _character_lowest(num, den, num_shift, den_shift)
-        _set(self, "num", f.num)
-        _set(self, "den", f.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacterFunction is immutable")
+        return _character_lowest(num, den, num_shift, den_shift)
 
     @classmethod
     def zero(cls) -> "CharacterFunction":
@@ -582,10 +567,6 @@ class CharacterFunction:
         if not isinstance(other, CharacterFunction):
             return NotImplemented
         return self + (-other)
-
-    def __neg__(self) -> "CharacterFunction":
-        # The denominator fixes the sign, so -num over it stays canonical.
-        return _character(tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other: Union["CharacterFunction", int]) -> "CharacterFunction":
         if isinstance(other, CharacterFunction):
@@ -639,20 +620,4 @@ class CharacterFunction:
         return None
 
     def __repr__(self) -> str:
-        def poly(cs: Sequence[int]) -> str:
-            if not cs:
-                return "0"
-            terms = []
-            for k in range(len(cs) - 1, -1, -1):
-                c = cs[k]
-                if c == 0:
-                    continue
-                if k == 0:
-                    terms.append(str(c))
-                elif k == 1:
-                    terms.append("q" if c == 1 else f"{c}*q")
-                else:
-                    terms.append(f"q^{k}" if c == 1 else f"{c}*q^{k}")
-            return " + ".join(terms)
-
-        return f"({poly(self.num)})/({poly(self.den)})"
+        return f"({_terms(self.num, 1, 'q')})/({_terms(self.den, 1, 'q')})"

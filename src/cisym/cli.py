@@ -59,35 +59,33 @@ def build_parser() -> _Parser:
     inv.add_argument("n", type=int, help="complex dimension (1 to 6)")
     inv.add_argument("degrees", type=int, nargs="+", metavar="d",
                      help="multidegree entries, each >= 1")
-    inv.add_argument("--json", action="store_true", dest="as_json")
 
     cls = sub.add_parser(
         "classify",
         help="decide whether X_n(d) admits a smooth circle action",
     )
     cls.add_argument("n", type=int, help="complex dimension (1 to 6)")
-    cls.add_argument("degrees", type=int, nargs="+", metavar="d")
-    cls.add_argument("--json", action="store_true", dest="as_json")
+    cls.add_argument("degrees", type=int, nargs="+", metavar="d",
+                     help="multidegree entries, each >= 1")
 
-    tab = sub.add_parser(
+    sub.add_parser(
         "table",
         help="the circle-symmetric complete intersections of complex"
              " dimension at most 3",
     )
-    tab.add_argument("--json", action="store_true", dest="as_json")
 
     ver = sub.add_parser(
         "verify",
         help="run all consistency checks on a fixed-point configuration",
     )
     ver.add_argument("config", help="path to a configuration JSON document")
-    ver.add_argument("--json", action="store_true", dest="as_json")
 
     sea = sub.add_parser(
         "search",
         help="bounded exhaustive search for consistent configurations",
     )
-    sea.add_argument("template", choices=sorted(TEMPLATES))
+    sea.add_argument("template", choices=sorted(TEMPLATES),
+                     help="the fixed-point template to search")
     for option, default, text in (
         ("--t-min", 1, "least t = x^3 (t is clamped at >= 1)"),
         ("--t-max", 10, "greatest t = x^3"),
@@ -106,7 +104,10 @@ def build_parser() -> _Parser:
         ("--semifree", "restrict to weight-1 actions"),
     ):
         sea.add_argument(option, action="store_true", help=text)
-    sea.add_argument("--json", action="store_true", dest="as_json")
+
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true", dest="as_json",
+                             help="print the answer as JSON instead of text")
 
     return parser
 

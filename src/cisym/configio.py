@@ -6,7 +6,8 @@ and weight arrays have the arity of their component kind.  A record's keys
 are its dataclass fields, a four's one weight travelling as "weights": [w].
 Schema errors carry the path of the first offending key, like
 "components[0].weights[2]": unknown keys, then missing keys, then values,
-in field order.
+in field order.  A key repeated within one object is an error too, found
+while the text is parsed, before any of these.
 
 Rendering is canonical: parse(dump(cfg)) reproduces dump(cfg) byte for
 byte.  Exact rational values elsewhere in the tool's JSON output are
@@ -137,9 +138,24 @@ def config_from_obj(obj) -> Configuration:
     return Configuration(ambient, template, components, flags)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object_pairs_hook of parse_config: a key repeated in one object
+    is a SchemaError, where plain json.loads keeps its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError("", f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_config(text: str) -> Configuration:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except SchemaError:
+        raise
     except (ValueError, RecursionError) as exc:
         # Malformed text, an integer literal longer than the interpreter's
         # digit limit, or nesting deeper than its recursion limit.

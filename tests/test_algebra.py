@@ -52,6 +52,17 @@ def test_floats_rejected():
         LiftPolynomial([0.5])
 
 
+@pytest.mark.parametrize("order", [2.5, "3", True, False, None, F(2)])
+def test_non_integer_order_rejected(order):
+    with pytest.raises(TypeError, match="truncation order must be an integer"):
+        TruncatedSeries(order, [1])
+
+
+def test_negative_order_rejected():
+    with pytest.raises(ValueError, match="truncation order must be >= 0"):
+        TruncatedSeries(-1)
+
+
 def test_pow_matches_repeated_product():
     s = TruncatedSeries(6, [1, 2, 3])
     p = TruncatedSeries.one(6)
@@ -531,3 +542,77 @@ def test_point_product_limit_is_one(ws):
     for n in ws:
         f = f * point_factor(n)
     assert f.limit_at_infinity() == 1
+
+
+# ---------------------------------------------------------------------------
+# Behaviour the three kernels share
+
+
+def kernel_samples():
+    return [
+        TruncatedSeries(0, [1]), TruncatedSeries(3, [F(1, 2), 0, -2]),
+        TruncatedSeries.zero(2), genus_line_factor("a_hat", 3, 4),
+        LiftPolynomial([1]), LiftPolynomial([F(-1, 3), 0, 2]), LiftPolynomial(),
+        LiftPolynomial.shifted_lift(F(3, 2)) ** 3,
+        CharacterFunction.constant(1), CharacterFunction.zero(),
+        point_factor(2) * point_factor(3), CharacterFunction([2, -4], [6, 0, 2]),
+    ]
+
+
+@pytest.mark.parametrize("x", kernel_samples(), ids=repr)
+@pytest.mark.parametrize("name", ["num", "den", "order", "other"])
+def test_kernels_are_immutable(x, name):
+    before = (x.num, x.den)
+    with pytest.raises(AttributeError,
+                       match=f"^{type(x).__name__} is immutable$"):
+        setattr(x, name, (1,))
+    assert (x.num, x.den) == before
+
+
+def test_equality_never_crosses_kernels():
+    # The same parts, num = (1,), in each kernel.
+    trio = [LiftPolynomial([1]), TruncatedSeries(0, [1]),
+            CharacterFunction.constant(1)]
+    for a in trio:
+        for b in trio:
+            assert (a == b) is (a is b)
+            assert (a != b) is (a is not b)
+
+
+def test_structural_hash_agrees_with_equality():
+    pairs = [
+        (TruncatedSeries(2, [F(2, 4)]), TruncatedSeries(2, [F(1, 2), 0, 0])),
+        (LiftPolynomial([F(6, 4), 0, 0]), LiftPolynomial.constant(F(3, 2))),
+        (LiftPolynomial.shifted_lift(F(1, 2)), LiftPolynomial([F(1, 2), 1])),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    with pytest.raises(TypeError):
+        hash(CharacterFunction.constant(1))
+
+
+@pytest.mark.parametrize("x", kernel_samples(), ids=repr)
+def test_negation_keeps_the_normal_form(x):
+    neg = -x
+    assert type(neg) is type(x)
+    if isinstance(x, CharacterFunction):
+        rebuilt = CharacterFunction([-c for c in x.num], x.den)
+        assert_character_normal_form(neg)
+    elif isinstance(x, TruncatedSeries):
+        rebuilt = TruncatedSeries(x.order, [-x.coefficient(k)
+                                            for k in range(x.order + 1)])
+    else:
+        rebuilt = LiftPolynomial([-x.coefficient(k)
+                                  for k in range(x.degree + 1)])
+    assert (neg.num, neg.den) == (rebuilt.num, rebuilt.den)
+    assert -neg == x
+    assert (-neg).num == x.num and (-neg).den == x.den
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_series_order_is_the_numerator_count_minus_one(order):
+    s = TruncatedSeries(order, [1, F(-1, 3), 2][:order + 1])
+    for x in (s, TruncatedSeries.zero(order), -s, s + s, s * s, s**3,
+              s.inverse(), genus_line_factor("l_genus", 2, order)):
+        assert x.order == order and type(x.order) is int
+        assert len(x.num) == order + 1

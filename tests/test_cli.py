@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import argparse
 import hashlib
 import json
 import random
@@ -128,6 +129,19 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     assert [call(*argv) for argv in sequence] == first
     assert len(builds) == 1
     assert build_parser() is not build_parser()
+
+
+def test_every_argument_has_help():
+    parser = build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == ["classify", "invariants", "search",
+                                   "table", "verify"]
+    for command in sub._choices_actions:
+        assert command.help, command.dest
+    for name, command in sub.choices.items():
+        for action in command._actions:
+            assert action.help, (name, action.dest)
 
 
 def test_classify_json_variants(capsys):
@@ -322,6 +336,16 @@ def test_verify_schema_error_exit_65(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 65
     assert "ambient.mystery" in err
+
+
+def test_verify_repeated_key_exit_65(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    text = Path(DEMO_CONFIGS, "quadric.json").read_text(encoding="utf-8")
+    path.write_text(text.replace('"t": 2', '"t": 99,\n    "t": 2'))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 65
+    assert out == ""
+    assert err == "configuration schema error: repeated key 't'\n"
 
 
 def test_verify_weight_above_cap_exit_65(tmp_path, capsys):

@@ -165,6 +165,25 @@ def test_unparseable_json_is_a_schema_error(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("top level", "template", '"two_surfaces"'),
+    ("ambient", "t", "99"),
+    ("component", "a", "7"),
+])
+def test_repeated_key_is_a_schema_error(where, key, value):
+    text = json.dumps(quadric_obj())
+    first = {"template": '"template": "surface_plus_two_points"',
+             "t": '"t": 2', "a": '"a": 1,'}[key]
+    assert text.count(first) == 1
+    parse_config(text)
+    # The repeat comes first, so the kept last value is the valid one.
+    repeated = text.replace(first, f'"{key}": {value}, {first}')
+    with pytest.raises(SchemaError) as excinfo:
+        parse_config(repeated)
+    assert str(excinfo.value) == f"repeated key {key!r}"
+    assert excinfo.value.path == ""
+
+
 def test_structural_violations_surface_as_configuration_error():
     obj = quadric_obj()
     obj["ambient"]["t"] = 0
