@@ -63,6 +63,9 @@ class _Exact:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __neg__(self):
         # Every normal form fixes its sign by den, so -num over den stays
         # canonical.

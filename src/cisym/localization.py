@@ -17,6 +17,15 @@ scalar).  The signature characters are products of per-weight factors;
 _edge(n) and _kernel(n) are built once per weight and reused, a table of at
 most MAX_WEIGHT entries each.
 
+Within one search_case call, each local datum is computed once per distinct
+input: the x^3 and p1*x data per component, the signature character per
+(eps, weights) of a point and (weights, ev_y1, ev_y2) of a surface.  The
+call enters a fresh memo (_LOCAL_DATA) and resets it when it returns or
+raises, so verify_case in a leaf reuses the leaf's data, while verify_case
+outside a search computes everything fresh.  No cache outlives the call:
+a signature character grows with its weights, so a cache for the whole
+process would have no safe size.
+
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
 each one with a citation naming the violated constraint.
@@ -24,6 +33,7 @@ each one with a citation naming the violated constraint.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -332,9 +342,48 @@ def _in_lift(u: LiftPolynomial, coeffs: Sequence[int],
     return _lowest(num, den)
 
 
+class _LocalData:
+    """The local data computed within one search_case call: the x^3 and
+    p1*x data keyed by the component, the signature characters by the
+    fields they read."""
+
+    __slots__ = ("x3", "p1x", "signature")
+
+    def __init__(self):
+        self.x3: dict[Component, LiftPolynomial] = {}
+        self.p1x: dict[Component, LiftPolynomial] = {}
+        self.signature: dict[tuple, CharacterFunction] = {}
+
+
+# The memo of the search_case call in progress; None outside a search.
+_LOCAL_DATA: ContextVar[Optional[_LocalData]] = ContextVar(
+    "cisym_local_data", default=None)
+
+
 def x3_local_datum(c: Component) -> LiftPolynomial:
     """Local contribution of a fixed component to the localized x^3 = t, as a
     polynomial in the lift parameter l."""
+    memo = _LOCAL_DATA.get()
+    if memo is None:
+        return _x3_local_datum(c)
+    datum = memo.x3.get(c)
+    if datum is None:
+        datum = memo.x3[c] = _x3_local_datum(c)
+    return datum
+
+
+def p1x_local_datum(c: Component) -> LiftPolynomial:
+    """Local contribution to the localized p1 * x = rho * t."""
+    memo = _LOCAL_DATA.get()
+    if memo is None:
+        return _p1x_local_datum(c)
+    datum = memo.p1x.get(c)
+    if datum is None:
+        datum = memo.p1x[c] = _p1x_local_datum(c)
+    return datum
+
+
+def _x3_local_datum(c: Component) -> LiftPolynomial:
     u = LiftPolynomial.shifted_lift(c.a)
     if c.kind == "point":
         n1, n2, n3 = c.weights
@@ -351,8 +400,7 @@ def x3_local_datum(c: Component) -> LiftPolynomial:
                     n1**3)
 
 
-def p1x_local_datum(c: Component) -> LiftPolynomial:
-    """Local contribution to the localized p1 * x = rho * t."""
+def _p1x_local_datum(c: Component) -> LiftPolynomial:
     u = LiftPolynomial.shifted_lift(c.a)
     if c.kind == "point":
         n1, n2, n3 = c.weights
@@ -395,20 +443,35 @@ def signature_local_datum(c: Component) -> CharacterFunction:
     of the circle parameter.  4-dimensional components carry none; only the
     limit identity constrains them."""
     if c.kind == "point":
+        key = (c.eps, c.weights)
+    elif c.kind == "surface":
+        key = (c.weights, c.ev_y1, c.ev_y2)
+    else:
+        raise UnsupportedComponentError(
+            "4-dimensional components have no signature character datum"
+        )
+    memo = _LOCAL_DATA.get()
+    if memo is None:
+        return _signature_local_datum(c.kind, key)
+    datum = memo.signature.get(key)
+    if datum is None:
+        datum = memo.signature[key] = _signature_local_datum(c.kind, key)
+    return datum
+
+
+def _signature_local_datum(kind: str, key: tuple) -> CharacterFunction:
+    if kind == "point":
         # (1 + q^-n)/(1 - q^-n) == -(1 + q^n)/(1 - q^n), for each of the
         # three weights.
-        acc = CharacterFunction.constant(-c.eps)
-        for n in c.weights:
+        eps, weights = key
+        acc = CharacterFunction.constant(-eps)
+        for n in weights:
             acc = acc * _edge(n)
         return acc
-    if c.kind == "surface":
-        n1, n2 = c.weights
-        term1 = _edge(n2) * _kernel(n1) * c.ev_y1
-        term2 = _edge(n1) * _kernel(n2) * c.ev_y2
-        return 4 * (term1 + term2)
-    raise UnsupportedComponentError(
-        "4-dimensional components have no signature character datum"
-    )
+    (n1, n2), ev_y1, ev_y2 = key
+    term1 = _edge(n2) * _kernel(n1) * ev_y1
+    term2 = _edge(n1) * _kernel(n2) * ev_y2
+    return 4 * (term1 + term2)
 
 
 _ZERO = LiftPolynomial()

@@ -21,10 +21,15 @@ the bounds its hit list is exhaustive.
    unknowns it depends on are set.  The l^3 row does not depend on the
    lifts and is checked before they are enumerated.  So the solver yields
    exactly the integer points of the box at which check_x3 passes.
-3. The leaf.  Each such point goes to _leaf, which recomputes the x^3 and
-   p1*x sums, derives rho, and keeps the candidate only if Configuration
-   accepts it and verify_case passes.  Every hit is thus checked
-   independently of the solver.
+3. The leaf.  Each such point is built into a candidate from the validated
+   components of its choices: the copy takes the lifts and the solver's
+   evaluations, Python ints, without running the components' validation
+   again.  The candidate goes to _leaf, which recomputes the x^3 and p1*x
+   sums, derives rho, and keeps the candidate only if Configuration accepts
+   it and verify_case passes.  Every hit is thus checked independently of
+   the solver.  Within one search_case call each local datum is computed
+   once per distinct input (see localization), so verify_case reuses the
+   data of the leaf that calls it.
 
 The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
 [max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1 under
@@ -45,15 +50,16 @@ when it is entered: a combination of discrete data that the checks of step
 unknown in the solver, and one candidate handed to _leaf.  A call that
 visits N nodes succeeds with a budget of N; with a budget of N - 1 it
 raises BudgetExceededError, naming the template and the nodes reached,
-rather than silently truncating the search.
+rather than silently truncating the search; the message also gives the
+kinds and weights of the combination being solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .configio import dump_config
 from .localization import (
@@ -61,6 +67,8 @@ from .localization import (
     _divides_exactly_two,
     _int,
     _shares_second_weight,
+    _LOCAL_DATA,
+    _LocalData,
     _weights_match,
     AmbientData,
     Component,
@@ -111,20 +119,26 @@ class SearchFlags(Flags):
 
 
 class _Counter:
-    __slots__ = ("nodes", "budget", "template")
+    """The node count of one call, and the combination of discrete data that
+    the nodes since its last entry belong to."""
+
+    __slots__ = ("nodes", "budget", "template", "combo")
 
     def __init__(self, budget: int, template: str):
         self.nodes = 0
         self.budget = budget
         self.template = template
+        self.combo: tuple[Component, ...] = ()
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.budget:
+            data = ", ".join(f"{c.kind} weights {c.weights}"
+                             for c in self.combo)
             raise BudgetExceededError(
                 f"node budget of {self.budget} exhausted in template"
-                f" {self.template} at node {self.nodes}; tighten the bounds"
-                " or raise --budget"
+                f" {self.template} at node {self.nodes}; solving {data};"
+                " tighten the bounds or raise --budget"
             )
 
 
@@ -189,6 +203,19 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
 _ROWS = 4
 
 
+def _copy(comp: Component, a: int,
+          evaluations: Iterable[tuple[str, int]]) -> Component:
+    """comp at lift a with the given (name, value) evaluations, made without
+    running the components' validation again: comp passed it, and a and the
+    values are Python ints, all that the validation asks of those fields."""
+    new = object.__new__(type(comp))
+    fields = new.__dict__
+    fields.update(comp.__dict__)
+    fields["a"] = a
+    fields.update(evaluations)
+    return new
+
+
 class _Choice:
     """The discrete data of one component: the component at lift 0 with
     zero evaluations, the names of its unknown evaluations, and its x^3
@@ -202,7 +229,7 @@ class _Choice:
         self.comp = comp
         self.unknowns = unknowns
         base = x3_local_datum(comp)
-        self.polys = [x3_local_datum(replace(comp, **{name: 1})) - base
+        self.polys = [x3_local_datum(_copy(comp, 0, ((name, 1),))) - base
                       for name in unknowns]
         self.polys.append(base)
         self.columns: list[list[int]] = []
@@ -358,6 +385,7 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
         comps = tuple(c.comp for c in combo)
         if not _admissible(template, comps, ctx):
             continue
+        counter.combo = comps
         counter.tick()
         # The l^3 row is the same at every lift: without unknowns, its
         # constant must vanish.
@@ -378,11 +406,11 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
                     const += c[k]
                 rows.append(unknown + (t_column[k], const))
             for x in _solve(rows, lo, hi, counter):
+                # Each zip stops at the choice's last unknown, so the next
+                # choice takes the values that follow.
                 values = iter(x)
-                cand = tuple(
-                    replace(c.comp, a=a,
-                            **{name: next(values) for name in c.unknowns})
-                    for c, a in zip(combo, lift))
+                cand = tuple(_copy(c.comp, a, zip(c.unknowns, values))
+                             for c, a in zip(combo, lift))
                 cfg = _leaf(template, cand, ctx, counter)
                 if cfg is not None:
                     hits.append(cfg)
@@ -411,5 +439,9 @@ def search_case(
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError("budget must be a positive integer")
     ctx = _Ctx(t_lo, t_hi, rho_lo, rho_hi, bounds, flags)
-    hits = _search(template, ctx, _Counter(budget, template))
+    token = _LOCAL_DATA.set(_LocalData())
+    try:
+        hits = _search(template, ctx, _Counter(budget, template))
+    finally:
+        _LOCAL_DATA.reset(token)
     return sorted(hits, key=dump_config)

@@ -562,11 +562,15 @@ def kernel_samples():
 @pytest.mark.parametrize("x", kernel_samples(), ids=repr)
 @pytest.mark.parametrize("name", ["num", "den", "order", "other"])
 def test_kernels_are_immutable(x, name):
+    # Local data are shared between the leaves of a search call, so neither
+    # assignment nor deletion may change one.
     before = (x.num, x.den)
-    with pytest.raises(AttributeError,
-                       match=f"^{type(x).__name__} is immutable$"):
-        setattr(x, name, (1,))
-    assert (x.num, x.den) == before
+    for change in (lambda: setattr(x, name, (1,)), lambda: delattr(x, name)):
+        with pytest.raises(AttributeError,
+                           match=f"^{type(x).__name__} is immutable$"):
+            change()
+        assert (x.num, x.den) == before
+    assert repr(x)
 
 
 def test_equality_never_crosses_kernels():

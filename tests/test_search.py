@@ -1,11 +1,12 @@
 """Tests for the bounded configuration search."""
 
 import hashlib
+from dataclasses import fields
 
 import pytest
 
 from bruteforce import brute_force
-from cisym.configio import dump_config
+from cisym.configio import dump_config, parse_config
 from cisym.localization import (
     MAX_WEIGHT,
     TEMPLATES,
@@ -96,8 +97,11 @@ def test_budget_is_exact_node_count():
     assert len(search_case(*args, budget=1500)) == 34
     with pytest.raises(BudgetExceededError,
                        match="budget of 1499 exhausted in template"
-                             " two_surfaces at node 1500;"):
+                             " two_surfaces at node 1500;") as info:
         search_case(*args, budget=1499)
+    # The message also names the discrete data being solved at that node.
+    assert "; solving surface weights (3, 2), surface weights (3, 2);" \
+        in str(info.value)
 
 
 def test_unknown_template_rejected():
@@ -241,6 +245,14 @@ def test_pinned_hit_lists(template, flag_set, bounds):
     want = PINNED.get((flag_set, bounds, template),
                       (0, hashlib.sha256(b"").hexdigest()))
     assert got == want
+    # The search builds its candidates without re-running the components'
+    # validation: each hit must equal the validated construction of its
+    # fields and survive a round trip through the canonical JSON.
+    for cfg in hits:
+        for c in cfg.components:
+            assert c == type(c)(**{f.name: getattr(c, f.name)
+                                   for f in fields(c)})
+        assert parse_config(dump_config(cfg)) == cfg
 
 
 # Semifree fixes every weight to 1, so its box is wider in lifts and

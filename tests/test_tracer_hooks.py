@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import cisym  # noqa: F401  (imports every module the tracer looks in)
-from cisym import cli
+from cisym import cli, localization, search
+from cisym.search import SearchBounds, SearchFlags
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -71,3 +72,44 @@ def test_every_boundary_fires_on_three_cli_calls(capsys):
                          "--max-abs-a", "2", "--max-abs-eval", "2"]) == 0
     capsys.readouterr()
     assert tr.fired() == set(tracer.BOUNDARIES)
+
+
+# The local data of a search are memoized for one search_case call only, so
+# the kernels behind them run again in every call (the benchmark's traced
+# passes need them to fire on every pass).
+SEARCH = ("surface_plus_two_points", (1, 2), (-4, 4), SearchBounds(1, 1, 2),
+          SearchFlags(semifree=True))
+
+
+def test_a_second_search_call_computes_its_local_data_again():
+    assert search.search_case(*SEARCH)
+    tr = tracer.Tracer()
+    with tr.installed():
+        assert search.search_case(*SEARCH)
+    assert {"localization.x3_sum", "localization.p1x_sum",
+            "localization.verify_case", "algebra.LiftPolynomial.mul",
+            "algebra.LiftPolynomial.pow",
+            "algebra.CharacterFunction.mul"} <= tr.fired()
+    assert localization._LOCAL_DATA.get() is None
+
+
+def test_the_memo_is_unset_after_a_budget_error():
+    with pytest.raises(search.BudgetExceededError):
+        search.search_case(*SEARCH, budget=5)
+    assert localization._LOCAL_DATA.get() is None
+
+
+def test_verify_case_outside_a_search_builds_its_data_fresh():
+    (hit, *_) = search.search_case(*SEARCH)
+    counts = []
+    for _ in range(2):
+        tr = tracer.Tracer()
+        with tr.installed():
+            assert localization.verify_case(hit).consistent
+        counts.append({name: tr.calls(name) for name in (
+            "algebra.LiftPolynomial.pow", "algebra.CharacterFunction.mul")})
+    assert counts[0] == counts[1]
+    assert all(counts[0].values())
+    surface = hit.surfaces()[0]
+    assert (localization.x3_local_datum(surface)
+            is not localization.x3_local_datum(surface))
