@@ -698,9 +698,14 @@ def _four_checks(cfg: Configuration) -> list[CheckResult]:
 
 
 # The lemma64 rules on normal weights alone, shared with the search.
+def _weight_multiset(weights: tuple[int, ...]) -> tuple[int, ...]:
+    """The key that weight-matching compares: the sorted weights."""
+    return tuple(sorted(weights))
+
+
 def _weights_match(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     """weight-matching: two isolated points have equal weight multisets."""
-    return sorted(p) == sorted(q)
+    return _weight_multiset(p) == _weight_multiset(q)
 
 
 def _divides_exactly_two(pair: tuple[int, int],
@@ -713,9 +718,14 @@ def _divides_exactly_two(pair: tuple[int, int],
     return True
 
 
+def _second_weight(weights: tuple[int, int]) -> int:
+    """The key that surface-structure compares: a surface's second weight."""
+    return weights[1]
+
+
 def _shares_second_weight(x: tuple[int, int], y: tuple[int, int]) -> bool:
     """surface-structure: two surfaces share their second weight."""
-    return x[1] == y[1]
+    return _second_weight(x) == _second_weight(y)
 
 
 def _lemma64_checks(cfg: Configuration) -> list[CheckResult]:

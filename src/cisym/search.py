@@ -6,21 +6,34 @@ the bounds its hit list is exhaustive.
 1. Discrete data.  For each component of the template, in TEMPLATES order,
    the routine enumerates the data of its kind: normal weights, the sign
    eps of a point, the signature of a 4-dimensional component.  A
-   combination is dropped only by a check that verify_case also applies:
-   the signature-limit identity (the eps and the signatures sum to 0) and,
-   under lemma64, weight-matching, weight-divisibility and the shared
-   second weight of surface-structure.
+   combination is built only when it is joined on the checks that
+   verify_case also applies: the signature-limit identity (the eps and
+   the signatures sum to 0) and, under lemma64, weight-matching and
+   weight-divisibility, or the shared second weight of surface-structure.
+   The last component's data are indexed by signature contribution and by
+   the key that the lemma64 predicate compares (a point's weight multiset,
+   a surface's second weight); the other components look up the data that
+   complete them, after weight-divisibility has dropped the (surface,
+   point) pairs that fail it.
 2. The x^3 identity.  The localized x^3 sum is affine in the unknown
    evaluations.  Its columns are read from x3_local_datum at zero and at
    unit evaluations, and a lift a enters by the substitution l -> l + a.
    For fixed discrete data and lifts, "the sum is the constant t" is a
    linear system in the evaluations and t, one row per coefficient of
-   l^0..l^3.  The routine reduces it in exact integer arithmetic,
-   enumerates the free unknowns over the box, and keeps a pivot only if it
-   is an integer inside its bound; each pivot is checked as soon as the
-   unknowns it depends on are set.  The l^3 row does not depend on the
-   lifts and is checked before they are enumerated.  So the solver yields
-   exactly the integer points of the box at which check_x3 passes.
+   l^0..l^3.  A row k >= 1 is lift-only when no unknown enters it at any
+   lift: each lifted component's unknown columns have degree below k, and
+   the fixed component's are 0 in row k.  Such a row says that the
+   components' constants at their lifts sum to 0, so the last component's
+   lifts are tabulated by their constants on those rows and each choice of
+   the other lifts looks up the ones that cancel its own; the l^3 row,
+   when lift-only, is the same at every lift and is checked first.  The
+   routine reduces the other rows in exact integer arithmetic and
+   enumerates the free unknowns over the box.  Each pivot is affine in the
+   last free unknown it depends on, so that unknown runs only over the
+   range, found by exact floor and ceiling division, in which the pivot
+   lies inside its bound; a pivot is then kept only if it is an integer.
+   So the solver yields exactly the integer points of the box at which
+   check_x3 passes.
 3. The leaf.  Each such point is built into a candidate from the validated
    components of its choices: the copy takes the lifts and the solver's
    evaluations, Python ints, without running the components' validation
@@ -45,13 +58,14 @@ the last surface (or else the first component) has a = 0, the other lifts
 lying in [-max_abs_a, max_abs_a].
 
 The budget counts nodes.  A node is one step of the enumeration, counted
-when it is entered: a combination of discrete data that the checks of step
-1 keep, one choice of lifts for such a combination, one value of a free
-unknown in the solver, and one candidate handed to _leaf.  A call that
-visits N nodes succeeds with a budget of N; with a budget of N - 1 it
-raises BudgetExceededError, naming the template and the nodes reached,
-rather than silently truncating the search; the message also gives the
-kinds and weights of the combination being solved.
+when it is entered: a combination of discrete data that the joins of step
+1 build, one choice of lifts for such a combination that its lift-only
+rows keep, one value of a free unknown in the solver inside the range that
+the bounds of the pivots it completes allow, and one candidate handed to
+_leaf.  A call that visits N nodes succeeds with a budget of N; with a
+budget of N - 1 it raises BudgetExceededError, naming the template and the
+nodes reached, rather than silently truncating the search; the message
+also gives the kinds and weights of the combination being solved.
 """
 
 from __future__ import annotations
@@ -66,10 +80,10 @@ from .localization import (
     _TEMPLATE_B2,
     _divides_exactly_two,
     _int,
-    _shares_second_weight,
     _LOCAL_DATA,
     _LocalData,
-    _weights_match,
+    _second_weight,
+    _weight_multiset,
     AmbientData,
     Component,
     Configuration,
@@ -201,6 +215,12 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
 
 # The x^3 data are cubic in l: one row per coefficient of l^0..l^3.
 _ROWS = 4
+_ALL_ROWS = (1 << _ROWS) - 1
+# For a mask of lift-only rows (bit k set for row k): those rows, and the
+# rows left to the solver.
+_ROW_SPLIT = [(tuple(k for k in range(_ROWS) if mask >> k & 1),
+               tuple(k for k in range(_ROWS) if not mask >> k & 1))
+              for mask in range(_ALL_ROWS + 1)]
 
 
 def _copy(comp: Component, a: int,
@@ -218,12 +238,14 @@ def _copy(comp: Component, a: int,
 
 class _Choice:
     """The discrete data of one component: the component at lift 0 with
-    zero evaluations, the names of its unknown evaluations, and its x^3
-    datum as columns (one per unknown, then the constant one).  The columns
-    are scaled to integers over the common denominator of the call and
-    shifted to each lift on first use."""
+    zero evaluations, the names of its unknown evaluations, its lifts, and
+    its x^3 datum as columns (one per unknown, then the constant one).  The
+    columns are scaled to integers over the common denominator of the call
+    and shifted to each lift on first use.  Bit k of lift_only is set when
+    row k >= 1 takes none of the unknowns at any of the lifts."""
 
-    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted")
+    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted", "lifts",
+                 "lift_only", "tables")
 
     def __init__(self, comp: Component, unknowns: tuple[str, ...]):
         self.comp = comp
@@ -234,6 +256,9 @@ class _Choice:
         self.polys.append(base)
         self.columns: list[list[int]] = []
         self.shifted: dict[int, tuple] = {}
+        self.lifts: Iterable[int] = (0,)
+        self.lift_only = 0
+        self.tables: dict[tuple[int, ...], dict] = {}
 
     def at(self, a: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The columns after the substitution l -> l + a: for each k, the
@@ -252,10 +277,21 @@ class _Choice:
             self.shifted[a] = entry
         return entry
 
+    def lifts_by(self, rows: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+        """The lifts of this choice, keyed by its constants on the rows."""
+        table = self.tables.get(rows)
+        if table is None:
+            table = self.tables[rows] = {}
+            for a in self.lifts:
+                const = self.at(a)[1]
+                table.setdefault(tuple(const[k] for k in rows), []).append(a)
+        return table
+
 
 def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
     """The choices for every component of the template, in TEMPLATES order,
-    and the common denominator of their columns."""
+    and the common denominator of their columns.  The lift is fixed at 0 on
+    the last surface, or else on the first component."""
     flags = ctx.flags
     kinds = TEMPLATES[template]
     slots = []
@@ -285,26 +321,75 @@ def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
                 for (w,) in _weight_tuples(ctx, 1)
                 for s in range(-b2, b2 + 1, 2)
             ])
+    fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
+             if "surface" in kinds else 0)
     den = lcm(*(p.den for slot in slots for c in slot for p in c.polys))
-    for slot in slots:
+    for i, slot in enumerate(slots):
+        lifts = (0,) if i == fixed else _sym(ctx.bounds.max_abs_a)
         for c in slot:
             c.columns = [[x * (den // p.den) for x in p.num]
                          + [0] * (_ROWS - len(p.num)) for p in c.polys]
+            c.lifts = lifts
+            # A shift by a spreads each coefficient over its row and the
+            # rows below, so at three or more lifts row k is free of
+            # unknowns exactly when all rows from k up are; at the fixed
+            # lift only row k counts.
+            for k in range(1, _ROWS):
+                reach = (k,) if i == fixed else range(k, _ROWS)
+                if not any(col[j] for col in c.columns[:-1] for j in reach):
+                    c.lift_only |= 1 << k
     return slots, den
 
 
-def _admissible(template: str, comps: tuple[Component, ...], ctx: _Ctx) -> bool:
-    """The checks of verify_case that depend on the discrete data alone,
-    through the predicates verify_case itself uses."""
-    if sum(c.signature_contribution for c in comps):
-        return False  # signature-limit
+def _combinations(template: str, slots: list[list[_Choice]],
+                  ctx: _Ctx) -> Iterator[tuple[_Choice, ...]]:
+    """The combinations of choices that pass the checks of verify_case that
+    depend on the discrete data alone, built by joins on the predicates
+    verify_case itself uses.  The last component's choices are indexed by
+    signature contribution and, under lemma64, by the key of the predicate
+    relating them to the component before; each combination of the other
+    components looks up the choices that complete it."""
+    key = None
     if ctx.flags.lemma64 and template == "two_surfaces":
-        return _shares_second_weight(comps[0].weights, comps[1].weights)
-    if ctx.flags.lemma64 and template == "surface_plus_two_points":
-        surface, p, q = comps
-        return (_weights_match(p.weights, q.weights)
-                and _divides_exactly_two(surface.weights, p.weights))
-    return True
+        key = _second_weight  # surface-structure
+    elif ctx.flags.lemma64 and template == "surface_plus_two_points":
+        key = _weight_multiset  # weight-matching
+    *heads, tail = slots
+    index: dict[tuple, list[_Choice]] = {}
+    for c in tail:
+        index.setdefault((c.comp.signature_contribution,
+                          key and key(c.comp.weights)), []).append(c)
+    for head in product(*heads):
+        if key is _weight_multiset and not _divides_exactly_two(
+                head[0].comp.weights, head[1].comp.weights):
+            continue  # weight-divisibility, on the (surface, point) pair
+        # signature-limit: the contributions sum to 0.
+        sig = -sum(c.comp.signature_contribution for c in head)
+        for c in index.get((sig, key and key(head[-1].comp.weights)), ()):
+            yield head + (c,)
+
+
+def _row_split(combo: tuple[_Choice, ...]) -> tuple[tuple[int, ...], ...]:
+    """The lift-only rows of the combination, and the rows left to solve."""
+    mask = _ALL_ROWS
+    for c in combo:
+        mask &= c.lift_only
+    return _ROW_SPLIT[mask]
+
+
+def _joined_lifts(combo: tuple[_Choice, ...],
+                  rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The lifts of the combination at which the constants on the given
+    lift-only rows sum to 0: for each choice of the other lifts, the last
+    choice's lifts are looked up by the constants that cancel theirs."""
+    if rows and rows[-1] == _ROWS - 1 and sum(c.columns[-1][-1] for c in combo):
+        return  # the l^3 constants are the same at every lift
+    *head, last = combo
+    table = last.lifts_by(rows)
+    for prefix in product(*(c.lifts for c in head)):
+        consts = [c.at(a)[1] for c, a in zip(head, prefix)]
+        for a in table.get(tuple(-sum(c[k] for c in consts) for k in rows), ()):
+            yield prefix + (a,)
 
 
 def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
@@ -322,9 +407,12 @@ def _solve(rows, lo: list[int], hi: list[int],
 
     The rows are reduced in exact integer arithmetic, sparsest first, each
     taking its rightmost remaining unknown as pivot (the last column, t, is
-    then always a pivot).  The free unknowns are enumerated in column order,
-    and each pivot is checked for integrality and bounds as soon as the last
-    free unknown it depends on is set.
+    then always a pivot).  A pivot that depends on no free unknown is
+    checked at once.  The free unknowns are enumerated in column order.
+    Every other pivot is affine in the last free unknown it depends on, so
+    that unknown runs only over the range, found by exact floor and ceiling
+    division, that keeps each such pivot inside its bounds; a value keeps
+    the pivots only if they are integers.
     """
     n = len(lo)
     pivots: list[tuple[int, list[int]]] = []
@@ -342,64 +430,78 @@ def _solve(rows, lo: list[int], hi: list[int],
         pivots.append((col, row))
     pivot_cols = {c for c, _ in pivots}
     free = [j for j in range(n) if j not in pivot_cols]
-    checks: list[list] = [[] for _ in range(len(free) + 1)]
+    x = [0] * n
+    # checks[d]: the pivots whose last free unknown is free[d], as (column,
+    # denominator, the earlier free unknowns' coefficients, free[d]'s
+    # coefficient, constant).
+    checks: list[list] = [[] for _ in free]
     for col, row in pivots:
         deps = [(f, row[f]) for f in free if row[f]]
-        depth = max((free.index(f) + 1 for f, _ in deps), default=0)
-        checks[depth].append((col, -row[col], deps, row[n]))
-    x = [0] * n
+        den = -row[col]
+        if deps:
+            f, c = deps.pop()
+            checks[free.index(f)].append((col, den, deps, c, row[n]))
+            continue
+        if row[n] % den:
+            return
+        v = row[n] // den
+        if v < lo[col] or v > hi[col]:
+            return
+        x[col] = v
 
     def fill(depth: int) -> Iterator[list[int]]:
-        for col, den, deps, const in checks[depth]:
-            num = const + sum(c * x[f] for f, c in deps)
-            if num % den:
-                return
-            v = num // den
-            if v < lo[col] or v > hi[col]:
-                return
-            x[col] = v
         if depth == len(free):
             yield list(x)
             return
         f = free[depth]
-        for v in range(lo[f], hi[f] + 1):
+        v_lo, v_hi = lo[f], hi[f]
+        pending = []
+        for col, den, deps, c, const in checks[depth]:
+            base = const + sum(k * x[g] for g, k in deps)
+            pending.append((col, den, c, base))
+            # lo <= (base + c * v) / den <= hi puts v between two quotients
+            low, high = lo[col] * den - base, hi[col] * den - base
+            if (den < 0) != (c < 0):
+                low, high = high, low
+            low = -(-low // c)  # ceiling
+            high //= c  # floor
+            if low > v_lo:
+                v_lo = low
+            if high < v_hi:
+                v_hi = high
+        for v in range(v_lo, v_hi + 1):
             counter.tick()
             x[f] = v
-            yield from fill(depth + 1)
+            for col, den, c, base in pending:
+                num = base + c * v
+                if num % den:
+                    break
+                x[col] = num // den
+            else:
+                yield from fill(depth + 1)
 
     yield from fill(0)
 
 
 def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
     """Every consistent configuration of the template inside the box."""
-    kinds = TEMPLATES[template]
-    fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
-             if "surface" in kinds else 0)
-    lifts = [(0,) if i == fixed else _sym(ctx.bounds.max_abs_a)
-             for i in range(len(kinds))]
     e_max = ctx.bounds.max_abs_eval
     slots, den = _choices(template, ctx)
     t_column = (-den,) + (0,) * (_ROWS - 1)  # t enters the l^0 row only
     hits = []
-    for combo in product(*slots):
+    for combo in _combinations(template, slots, ctx):
         comps = tuple(c.comp for c in combo)
-        if not _admissible(template, comps, ctx):
-            continue
         counter.combo = comps
         counter.tick()
-        # The l^3 row is the same at every lift: without unknowns, its
-        # constant must vanish.
-        top = [c.at(0) for c in combo]
-        if not any(any(u[-1]) for u, _ in top) and sum(k[-1] for _, k in top):
-            continue
+        joined, solved = _row_split(combo)
         n = sum(len(c.unknowns) for c in combo) + 1
         lo = [-e_max] * (n - 1) + [max(1, ctx.t_lo)]
         hi = [e_max] * (n - 1) + [ctx.t_hi]
-        for lift in product(*lifts):
+        for lift in _joined_lifts(combo, joined):
             counter.tick()
             parts = [c.at(a) for c, a in zip(combo, lift)]
             rows = []
-            for k in range(_ROWS):
+            for k in solved:
                 unknown, const = (), 0
                 for u, c in parts:
                     unknown += u[k]

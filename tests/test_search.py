@@ -2,8 +2,11 @@
 
 import hashlib
 from dataclasses import fields
+from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bruteforce import brute_force
 from cisym.configio import dump_config, parse_config
@@ -12,12 +15,22 @@ from cisym.localization import (
     TEMPLATES,
     ConfigurationError,
     Flags,
+    _divides_exactly_two,
+    _shares_second_weight,
+    _weights_match,
     verify_case,
 )
 from cisym.search import (
     BudgetExceededError,
     SearchBounds,
     SearchFlags,
+    _combinations,
+    _choices,
+    _Counter,
+    _Ctx,
+    _joined_lifts,
+    _row_split,
+    _solve,
     search_case,
 )
 
@@ -92,16 +105,24 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_is_exact_node_count():
-    # This call visits exactly 1500 nodes (see the search module docstring).
+    # This call visits exactly 302 nodes (see the search module docstring).
     args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
-    assert len(search_case(*args, budget=1500)) == 34
+    assert len(search_case(*args, budget=302)) == 34
     with pytest.raises(BudgetExceededError,
-                       match="budget of 1499 exhausted in template"
-                             " two_surfaces at node 1500;") as info:
-        search_case(*args, budget=1499)
+                       match="budget of 301 exhausted in template"
+                             " two_surfaces at node 302;") as info:
+        search_case(*args, budget=301)
     # The message also names the discrete data being solved at that node.
     assert "; solving surface weights (3, 2), surface weights (3, 2);" \
         in str(info.value)
+
+
+def test_every_template_is_empty_on_the_wider_box():
+    # The certified box at bounds 8/8/16, where the joins and the bounded
+    # free unknowns of the search pay off.
+    bounds = SearchBounds(8, 8, 16)
+    for template in sorted(TEMPLATES):
+        assert search_case(template, (1, 10), (-10, 0), bounds) == [], template
 
 
 def test_unknown_template_rejected():
@@ -255,6 +276,54 @@ def test_pinned_hit_lists(template, flag_set, bounds):
         assert parse_config(dump_config(cfg)) == cfg
 
 
+# Hit lists at bounds 3/3/6, t in [1, 10], rho in [-10, 10], where the
+# lift-only rows join several lifts and the pivot bounds cut the free
+# unknowns short; pinned as above.
+PINNED_WIDE = {
+    ("all_off", "cp2like_plus_point"):
+        (6, "3c88d1959cf76d835f05c13a5006afd5a3658198f34e2fe7bb92fe6623467388"),
+    ("all_off", "surface_plus_two_points"):
+        (117, "594dea6af4b9722258a2949af4c9554bb292b2f5b1f1cff6f6efdac7d3027d74"),
+    ("all_off", "two_surfaces"):
+        (2360, "8378c7d4b5e69f2f09de1febbe079d0f09a3ef3cd83c5d6e47899908da05b589"),
+    ("default", "cp2like_plus_point"):
+        (1, "7fe5725144aa45466615d03d9be694f5ceec432e1fcaa4f5bfa936739b50d813"),
+    ("default", "surface_plus_two_points"):
+        (41, "711bae6f68a9d60640d66fd84b356cee3ddaece3d87b1a3b480652f7d93d2df9"),
+    ("default", "two_surfaces"):
+        (44, "82dbe5e6b28c855c06f674a330a90e818fd8716a6037ac60a15d23cd1992ddb7"),
+    ("no_eff_conv", "cp2like_plus_point"):
+        (6, "5203e05ef325b32ecd70459cacafb649b7dc8e36d13d3c554ee6e870661244d1"),
+    ("no_eff_conv", "surface_plus_two_points"):
+        (41, "ea24d0c9a5859ebe470dbddfcb5e0a243d89dede2e60120b719f183c35381df5"),
+    ("no_eff_conv", "two_surfaces"):
+        (56, "6e86598d87b2396d238cf98d97f3a907bf243b2f0b697cc0e461e36cac04a88e"),
+    ("no_lemma64", "cp2like_plus_point"):
+        (1, "6fda437852e37c4017b253ed46c66f009f3ba71eb1e6be829cb32b7414f82d40"),
+    ("no_lemma64", "surface_plus_two_points"):
+        (64, "b72959dc0bdbb6d149c9ff1c2499f777d174301542e56769454d391ecdc5b8ee"),
+    ("no_lemma64", "two_surfaces"):
+        (1216, "ad98e6b2a3b85145dcd87d205c1b632e6e6e1448fb3419bec122ce5c9b6dd2d2"),
+    ("semifree", "cp2like_plus_point"):
+        (1, "7fe5725144aa45466615d03d9be694f5ceec432e1fcaa4f5bfa936739b50d813"),
+    ("semifree", "surface_plus_two_points"):
+        (13, "bc8e2e9c0f9230e67df4eb2f4434cc2682486124f357588f2dd43b4f537f0a65"),
+    ("semifree", "two_surfaces"):
+        (10, "c9a416ad03ed88acfa6c1636a0602a6dfd109baaa7e791edee4833fdb48dd728"),
+}
+
+
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+def test_pinned_hit_lists_wide(template, flag_set):
+    hits = search_case(template, t_range=(1, 10), rho_range=(-10, 10),
+                       bounds=SMALL, flags=FLAG_SETS[flag_set])
+    text = "".join(dump_config(cfg) for cfg in hits)
+    got = (len(hits), hashlib.sha256(text.encode("utf-8")).hexdigest())
+    assert got == PINNED_WIDE.get((flag_set, template),
+                                  (0, hashlib.sha256(b"").hexdigest()))
+
+
 # Semifree fixes every weight to 1, so its box is wider in lifts and
 # evaluations: at 2/1/1 it would hold a single hit.
 BRUTE_BOUNDS = {"semifree": SearchBounds(1, 2, 3)}
@@ -270,3 +339,88 @@ def test_search_matches_pruning_free_enumeration(template, flag_set):
             FLAG_SETS[flag_set])
     assert [dump_config(c) for c in search_case(*args)] == \
         [dump_config(c) for c in brute_force(*args)]
+
+
+@st.composite
+def linear_systems(draw):
+    """Up to three integer rows in up to four bounded unknowns.  The
+    constants put a drawn point, inside the box or near it, on every row,
+    give or take one, so that systems with solutions are common."""
+    n = draw(st.integers(1, 4))
+    lo = draw(st.lists(st.integers(-4, 2), min_size=n, max_size=n))
+    hi = [v + draw(st.integers(0, 5)) for v in lo]
+    point = [draw(st.integers(v - 2, w + 2)) for v, w in zip(lo, hi)]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        const = -sum(c * v for c, v in zip(coeffs, point))
+        rows.append(tuple(coeffs) + (const + draw(st.integers(-1, 1)),))
+    return rows, lo, hi
+
+
+# Pivot coefficients of both signs: 2x - 3y + 1 = 0 and -2x + 3y - 1 = 0.
+@example(([(2, -3, 1)], [-4, -4], [4, 4]))
+@example(([(-2, 3, -1)], [-4, -4], [4, 4]))
+@example(([(1, 2, -3, 0), (0, -4, 5, 1)], [-3, -3, -3], [3, 3, 3]))
+@given(linear_systems())
+def test_solver_yields_exactly_the_integer_points_of_the_box(system):
+    rows, lo, hi = system
+    n = len(lo)
+    want = [list(x) for x in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+            if all(sum(r[j] * x[j] for j in range(n)) + r[n] == 0
+                   for r in rows)]
+    got = sorted(_solve(rows, lo, hi, _Counter(10**9, "test")))
+    assert got == want
+
+
+def _ctx(flag_set, max_weight):
+    return _Ctx(1, 6, -6, 6, SearchBounds(max_weight, 2, 2),
+                FLAG_SETS[flag_set])
+
+
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+def test_combination_join_matches_the_filtered_product(template, flag_set):
+    # The combinations that the checks on discrete data alone keep, found
+    # by filtering every combination through the predicates of verify_case.
+    ctx = _ctx(flag_set, 4)
+    lemma64 = ctx.flags.lemma64
+    slots, _ = _choices(template, ctx)
+
+    def kept(combo):
+        comps = [c.comp for c in combo]
+        if sum(c.signature_contribution for c in comps):
+            return False
+        if lemma64 and template == "two_surfaces":
+            return _shares_second_weight(comps[0].weights, comps[1].weights)
+        if lemma64 and template == "surface_plus_two_points":
+            surface, p, q = comps
+            return (_weights_match(p.weights, q.weights)
+                    and _divides_exactly_two(surface.weights, p.weights)
+                    and _divides_exactly_two(surface.weights, q.weights))
+        return True
+
+    want = [combo for combo in product(*slots) if kept(combo)]
+    assert want
+    assert list(_combinations(template, slots, ctx)) == want
+
+
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+def test_lift_join_keeps_exactly_the_lifts_the_lift_only_rows_allow(
+        template, flag_set):
+    ctx = _ctx(flag_set, 3)
+    slots, _ = _choices(template, ctx)
+    for combo in _combinations(template, slots, ctx):
+        lifts = list(product(*(c.lifts for c in combo)))
+        # The rows k >= 1 that take no unknown at any lift of the box.
+        rows = tuple(k for k in range(1, 4)
+                     if not any(any(c.at(a)[0][k])
+                                for lift in lifts
+                                for c, a in zip(combo, lift)))
+        assert _row_split(combo) == (
+            rows, tuple(k for k in range(4) if k not in rows))
+        want = [lift for lift in lifts
+                if all(sum(c.at(a)[1][k] for c, a in zip(combo, lift)) == 0
+                       for k in rows)]
+        assert list(_joined_lifts(combo, rows)) == want
