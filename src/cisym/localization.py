@@ -676,24 +676,17 @@ def _intersection_form_check(f: FourComponent, label: str) -> CheckResult:
 def _four_checks(cfg: Configuration) -> list[CheckResult]:
     results = []
     fours = cfg.fours()
+    t = cfg.ambient.t
     for i, f in enumerate(fours):
         suffix = f"[{i}]" if len(fours) > 1 else ""
         results.append(_intersection_form_check(f, f"intersection-form{suffix}"))
-        if f.ev_x2 % cfg.ambient.t == 0:
-            gamma = f.ev_x2 // cfg.ambient.t
-            res = check_lemma41(f, gamma, cfg.ambient)
-            if suffix:
-                res = CheckResult(res.name + suffix, res.passed, res.citation, res.residual)
-            results.append(res)
+        if f.ev_x2 % t == 0:
+            res = check_lemma41(f, f.ev_x2 // t, cfg.ambient)
+            passed, residual = res.passed, res.residual
         else:
-            results.append(
-                CheckResult(
-                    "pontrjagin-restriction" + suffix,
-                    False,
-                    CITATIONS["pontrjagin-restriction"],
-                    Fraction(f.ev_x2, cfg.ambient.t),
-                )
-            )
+            passed, residual = False, Fraction(f.ev_x2, t)
+        results.append(_result("pontrjagin-restriction" + suffix, passed,
+                               residual, key="pontrjagin-restriction"))
     return results
 
 
@@ -724,8 +717,16 @@ def _second_weight(weights: tuple[int, int]) -> int:
 
 
 def _shares_second_weight(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """surface-structure: two surfaces share their second weight."""
+    """The weight half of surface-structure: two surfaces share their
+    second weight."""
     return _second_weight(x) == _second_weight(y)
+
+
+def _surface_structured(x: SurfaceComponent, y: SurfaceComponent) -> bool:
+    """surface-structure: the surfaces share their second weight and both
+    second evaluations vanish."""
+    return (_shares_second_weight(x.weights, y.weights)
+            and x.ev_y2 == 0 and y.ev_y2 == 0)
 
 
 def _lemma64_checks(cfg: Configuration) -> list[CheckResult]:
@@ -740,13 +741,8 @@ def _lemma64_checks(cfg: Configuration) -> list[CheckResult]:
         ok = all(_divides_exactly_two(x.weights, p.weights) for p in (pt, q))
         results.append(_result("weight-divisibility", ok, None))
     elif cfg.template == "two_surfaces":
-        x, y = cfg.surfaces()
-        ok = (
-            _shares_second_weight(x.weights, y.weights)
-            and x.ev_y2 == 0
-            and y.ev_y2 == 0
-        )
-        results.append(_result("surface-structure", ok, None))
+        results.append(_result("surface-structure",
+                               _surface_structured(*cfg.surfaces()), None))
     return results
 
 
@@ -758,14 +754,10 @@ def _diagnostic_checks(cfg: Configuration) -> list[CheckResult]:
     if cfg.template == "two_surfaces":
         x, y = cfg.surfaces()
         delta = x.a - y.a
-        structured = (
-            _shares_second_weight(x.weights, y.weights)
-            and x.ev_y2 == 0 and y.ev_y2 == 0
-        )
         if all(w == 1 for w in x.weights + y.weights):
             residual = t - Fraction(rho * t * delta**2, 4)
             results.append(_result("semifree-closure", residual == 0, residual))
-        if structured:
+        if _surface_structured(x, y):
             n1, n2 = x.weights
             res_t = t - Fraction(delta**2 * x.ev_x, n1 * n2)
             results.append(

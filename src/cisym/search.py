@@ -3,37 +3,37 @@
 One routine searches every template, and one argument shows that within
 the bounds its hit list is exhaustive.
 
-1. Discrete data.  For each component of the template, in TEMPLATES order,
-   the routine enumerates the data of its kind: normal weights, the sign
-   eps of a point, the signature of a 4-dimensional component.  A
-   combination is built only when it is joined on the checks that
-   verify_case also applies: the signature-limit identity (the eps and
-   the signatures sum to 0) and, under lemma64, weight-matching and
-   weight-divisibility, or the shared second weight of surface-structure.
-   The last component's data are indexed by signature contribution and by
-   the key that the lemma64 predicate compares (a point's weight multiset,
-   a surface's second weight); the other components look up the data that
-   complete them, after weight-divisibility has dropped the (surface,
-   point) pairs that fail it.
-2. The x^3 identity.  The localized x^3 sum is affine in the unknown
+1. The x^3 identity.  The localized x^3 sum is affine in the unknown
    evaluations.  Its columns are read from x3_local_datum at zero and at
    unit evaluations, and a lift a enters by the substitution l -> l + a.
    For fixed discrete data and lifts, "the sum is the constant t" is a
    linear system in the evaluations and t, one row per coefficient of
-   l^0..l^3.  A row k >= 1 is lift-only when no unknown enters it at any
-   lift: each lifted component's unknown columns have degree below k, and
-   the fixed component's are 0 in row k.  Such a row says that the
-   components' constants at their lifts sum to 0, so the last component's
-   lifts are tabulated by their constants on those rows and each choice of
-   the other lifts looks up the ones that cancel its own; the l^3 row,
-   when lift-only, is the same at every lift and is checked first.  The
-   routine reduces the other rows in exact integer arithmetic and
-   enumerates the free unknowns over the box.  Each pivot is affine in the
-   last free unknown it depends on, so that unknown runs only over the
-   range, found by exact floor and ceiling division, in which the pivot
-   lies inside its bound; a pivot is then kept only if it is an integer.
-   So the solver yields exactly the integer points of the box at which
-   check_x3 passes.
+   l^0..l^3.  A row k >= 1 is lift-only when no unknown of any choice of
+   the template enters it at any of its lifts: the unknown columns of a
+   lifted component have degree below k, and those of the fixed one are 0
+   in row k.  Such a row says that the components' constants at their
+   lifts sum to 0.
+2. One join.  For each component of the template, in TEMPLATES order, the
+   routine enumerates the data of its kind (normal weights, the sign eps
+   of a point, the signature of a 4-dimensional component) and its lifts.
+   A combination of data and lifts is built only when it is joined on the
+   checks that verify_case also applies to the discrete data, and on the
+   lift-only rows.  The checks are the signature-limit identity (the eps
+   and the signatures sum to 0) and, under lemma64, weight-matching and
+   weight-divisibility, or the shared second weight of surface-structure.
+   The last component's (data, lift) entries are indexed by signature
+   contribution, by the key that the lemma64 predicate compares (a point's
+   weight multiset, a surface's second weight) and by their constants on
+   the lift-only rows.  The other components, at each choice of their
+   lifts, look up the entries that complete them, after
+   weight-divisibility has dropped the (surface, point) pairs that fail it.
+   For each combination the routine reduces the rows that are not
+   lift-only in exact integer arithmetic and enumerates the free unknowns
+   over the box.  Each pivot is affine in the last free unknown it depends
+   on, so that unknown runs only over the range, found by exact floor and
+   ceiling division, in which the pivot lies inside its bound; a pivot is
+   then kept only if it is an integer.  So the solver yields exactly the
+   integer points of the box at which check_x3 passes.
 3. The leaf.  Each such point is built into a candidate from the validated
    components of its choices: the copy takes the lifts and the solver's
    evaluations, Python ints, without running the components' validation
@@ -58,14 +58,15 @@ the last surface (or else the first component) has a = 0, the other lifts
 lying in [-max_abs_a, max_abs_a].
 
 The budget counts nodes.  A node is one step of the enumeration, counted
-when it is entered: a combination of discrete data that the joins of step
-1 build, one choice of lifts for such a combination that its lift-only
-rows keep, one value of a free unknown in the solver inside the range that
-the bounds of the pivots it completes allow, and one candidate handed to
-_leaf.  A call that visits N nodes succeeds with a budget of N; with a
-budget of N - 1 it raises BudgetExceededError, naming the template and the
+when it is entered: one (data, lift) entry of the last component as the
+join tabulates it, one choice of the other components' lifts as it looks
+its entries up, one combination of data and lifts that the join builds,
+one value of a free unknown in the solver inside the range that the bounds
+of the pivots it completes allow, and one candidate handed to _leaf.  A
+call that visits N nodes succeeds with a budget of N; with a budget of
+N - 1 it raises BudgetExceededError, naming the template and the
 nodes reached, rather than silently truncating the search; the message
-also gives the kinds and weights of the combination being solved.
+also gives the kinds and weights of the combination being built or solved.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class SearchFlags(Flags):
 
 
 class _Counter:
-    """The node count of one call, and the combination of discrete data that
-    the nodes since its last entry belong to."""
+    """The node count of one call, and the choices of the combination of
+    discrete data that the nodes since its last entry belong to."""
 
     __slots__ = ("nodes", "budget", "template", "combo")
 
@@ -142,12 +143,12 @@ class _Counter:
         self.nodes = 0
         self.budget = budget
         self.template = template
-        self.combo: tuple[Component, ...] = ()
+        self.combo: tuple[_Choice, ...] = ()
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.budget:
-            data = ", ".join(f"{c.kind} weights {c.weights}"
+            data = ", ".join(f"{c.comp.kind} weights {c.comp.weights}"
                              for c in self.combo)
             raise BudgetExceededError(
                 f"node budget of {self.budget} exhausted in template"
@@ -215,12 +216,6 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
 
 # The x^3 data are cubic in l: one row per coefficient of l^0..l^3.
 _ROWS = 4
-_ALL_ROWS = (1 << _ROWS) - 1
-# For a mask of lift-only rows (bit k set for row k): those rows, and the
-# rows left to the solver.
-_ROW_SPLIT = [(tuple(k for k in range(_ROWS) if mask >> k & 1),
-               tuple(k for k in range(_ROWS) if not mask >> k & 1))
-              for mask in range(_ALL_ROWS + 1)]
 
 
 def _copy(comp: Component, a: int,
@@ -241,11 +236,9 @@ class _Choice:
     zero evaluations, the names of its unknown evaluations, its lifts, and
     its x^3 datum as columns (one per unknown, then the constant one).  The
     columns are scaled to integers over the common denominator of the call
-    and shifted to each lift on first use.  Bit k of lift_only is set when
-    row k >= 1 takes none of the unknowns at any of the lifts."""
+    and shifted to each lift on first use."""
 
-    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted", "lifts",
-                 "lift_only", "tables")
+    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted", "lifts")
 
     def __init__(self, comp: Component, unknowns: tuple[str, ...]):
         self.comp = comp
@@ -257,8 +250,6 @@ class _Choice:
         self.columns: list[list[int]] = []
         self.shifted: dict[int, tuple] = {}
         self.lifts: Iterable[int] = (0,)
-        self.lift_only = 0
-        self.tables: dict[tuple[int, ...], dict] = {}
 
     def at(self, a: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The columns after the substitution l -> l + a: for each k, the
@@ -277,21 +268,14 @@ class _Choice:
             self.shifted[a] = entry
         return entry
 
-    def lifts_by(self, rows: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
-        """The lifts of this choice, keyed by its constants on the rows."""
-        table = self.tables.get(rows)
-        if table is None:
-            table = self.tables[rows] = {}
-            for a in self.lifts:
-                const = self.at(a)[1]
-                table.setdefault(tuple(const[k] for k in rows), []).append(a)
-        return table
 
-
-def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
+def _choices(template: str, ctx: _Ctx
+             ) -> tuple[list[list[_Choice]], int, tuple[int, ...]]:
     """The choices for every component of the template, in TEMPLATES order,
-    and the common denominator of their columns.  The lift is fixed at 0 on
-    the last surface, or else on the first component."""
+    the common denominator of their columns, and the lift-only rows: the
+    rows k >= 1 that no unknown of any choice enters at any of its lifts.
+    The lift is fixed at 0 on the last surface, or else on the first
+    component."""
     flags = ctx.flags
     kinds = TEMPLATES[template]
     slots = []
@@ -324,6 +308,7 @@ def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
     fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
              if "surface" in kinds else 0)
     den = lcm(*(p.den for slot in slots for c in slot for p in c.polys))
+    reached = set()
     for i, slot in enumerate(slots):
         lifts = (0,) if i == fixed else _sym(ctx.bounds.max_abs_a)
         for c in slot:
@@ -331,65 +316,66 @@ def _choices(template: str, ctx: _Ctx) -> tuple[list[list[_Choice]], int]:
                          + [0] * (_ROWS - len(p.num)) for p in c.polys]
             c.lifts = lifts
             # A shift by a spreads each coefficient over its row and the
-            # rows below, so at three or more lifts row k is free of
-            # unknowns exactly when all rows from k up are; at the fixed
-            # lift only row k counts.
-            for k in range(1, _ROWS):
-                reach = (k,) if i == fixed else range(k, _ROWS)
-                if not any(col[j] for col in c.columns[:-1] for j in reach):
-                    c.lift_only |= 1 << k
-    return slots, den
+            # rows below, so at three or more lifts an unknown reaches
+            # every row up to its degree; at the fixed lift only its own
+            # rows.
+            for col in c.columns[:-1]:
+                for j in range(_ROWS):
+                    if col[j]:
+                        reached.update((j,) if i == fixed else range(j + 1))
+    joined = tuple(k for k in range(1, _ROWS) if k not in reached)
+    return slots, den, joined
 
 
 def _combinations(template: str, slots: list[list[_Choice]],
-                  ctx: _Ctx) -> Iterator[tuple[_Choice, ...]]:
-    """The combinations of choices that pass the checks of verify_case that
-    depend on the discrete data alone, built by joins on the predicates
-    verify_case itself uses.  The last component's choices are indexed by
-    signature contribution and, under lemma64, by the key of the predicate
-    relating them to the component before; each combination of the other
-    components looks up the choices that complete it."""
+                  joined: tuple[int, ...], ctx: _Ctx, counter: _Counter
+                  ) -> Iterator[tuple[tuple[_Choice, ...], tuple[int, ...]]]:
+    """The combinations of choices, each with its lifts, that pass the
+    checks of verify_case that depend on the discrete data alone and whose
+    constants on the lift-only rows sum to 0, built by one join.  The last
+    component's (choice, lift) entries are indexed by signature
+    contribution, by the key that the lemma64 predicate relating it to the
+    component before compares, and by their constants on the lift-only
+    rows; each choice of the other components, at each of its lifts, looks
+    up the entries that complete it.  The entries of one signature and key
+    are tabulated when a lookup first needs them."""
     key = None
     if ctx.flags.lemma64 and template == "two_surfaces":
         key = _second_weight  # surface-structure
     elif ctx.flags.lemma64 and template == "surface_plus_two_points":
         key = _weight_multiset  # weight-matching
     *heads, tail = slots
-    index: dict[tuple, list[_Choice]] = {}
+    groups: dict[tuple, list[_Choice]] = {}
     for c in tail:
-        index.setdefault((c.comp.signature_contribution,
-                          key and key(c.comp.weights)), []).append(c)
+        groups.setdefault((c.comp.signature_contribution,
+                           key and key(c.comp.weights)), []).append(c)
+    tables: dict[tuple, dict[tuple[int, ...], list]] = {}
     for head in product(*heads):
         if key is _weight_multiset and not _divides_exactly_two(
                 head[0].comp.weights, head[1].comp.weights):
             continue  # weight-divisibility, on the (surface, point) pair
         # signature-limit: the contributions sum to 0.
-        sig = -sum(c.comp.signature_contribution for c in head)
-        for c in index.get((sig, key and key(head[-1].comp.weights)), ()):
-            yield head + (c,)
-
-
-def _row_split(combo: tuple[_Choice, ...]) -> tuple[tuple[int, ...], ...]:
-    """The lift-only rows of the combination, and the rows left to solve."""
-    mask = _ALL_ROWS
-    for c in combo:
-        mask &= c.lift_only
-    return _ROW_SPLIT[mask]
-
-
-def _joined_lifts(combo: tuple[_Choice, ...],
-                  rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The lifts of the combination at which the constants on the given
-    lift-only rows sum to 0: for each choice of the other lifts, the last
-    choice's lifts are looked up by the constants that cancel theirs."""
-    if rows and rows[-1] == _ROWS - 1 and sum(c.columns[-1][-1] for c in combo):
-        return  # the l^3 constants are the same at every lift
-    *head, last = combo
-    table = last.lifts_by(rows)
-    for prefix in product(*(c.lifts for c in head)):
-        consts = [c.at(a)[1] for c, a in zip(head, prefix)]
-        for a in table.get(tuple(-sum(c[k] for c in consts) for k in rows), ()):
-            yield prefix + (a,)
+        group = (-sum(c.comp.signature_contribution for c in head),
+                 key and key(head[-1].comp.weights))
+        if group not in groups:
+            continue
+        table = tables.get(group)
+        if table is None:
+            table = tables[group] = {}
+            for c in groups[group]:
+                counter.combo = head + (c,)
+                for a in c.lifts:
+                    counter.tick()
+                    const = c.at(a)[1]
+                    table.setdefault(tuple(const[k] for k in joined),
+                                     []).append((c, a))
+        counter.combo = head
+        for prefix in product(*(c.lifts for c in head)):
+            counter.tick()
+            consts = [c.at(a)[1] for c, a in zip(head, prefix)]
+            for c, a in table.get(
+                    tuple(-sum(x[k] for x in consts) for k in joined), ()):
+                yield head + (c,), prefix + (a,)
 
 
 def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
@@ -486,36 +472,33 @@ def _solve(rows, lo: list[int], hi: list[int],
 def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
     """Every consistent configuration of the template inside the box."""
     e_max = ctx.bounds.max_abs_eval
-    slots, den = _choices(template, ctx)
+    slots, den, joined = _choices(template, ctx)
+    solved = [k for k in range(_ROWS) if k not in joined]
     t_column = (-den,) + (0,) * (_ROWS - 1)  # t enters the l^0 row only
+    n = sum(len(slot[0].unknowns) for slot in slots) + 1
+    lo = [-e_max] * (n - 1) + [max(1, ctx.t_lo)]
+    hi = [e_max] * (n - 1) + [ctx.t_hi]
     hits = []
-    for combo in _combinations(template, slots, ctx):
-        comps = tuple(c.comp for c in combo)
-        counter.combo = comps
+    for combo, lift in _combinations(template, slots, joined, ctx, counter):
+        counter.combo = combo
         counter.tick()
-        joined, solved = _row_split(combo)
-        n = sum(len(c.unknowns) for c in combo) + 1
-        lo = [-e_max] * (n - 1) + [max(1, ctx.t_lo)]
-        hi = [e_max] * (n - 1) + [ctx.t_hi]
-        for lift in _joined_lifts(combo, joined):
-            counter.tick()
-            parts = [c.at(a) for c, a in zip(combo, lift)]
-            rows = []
-            for k in solved:
-                unknown, const = (), 0
-                for u, c in parts:
-                    unknown += u[k]
-                    const += c[k]
-                rows.append(unknown + (t_column[k], const))
-            for x in _solve(rows, lo, hi, counter):
-                # Each zip stops at the choice's last unknown, so the next
-                # choice takes the values that follow.
-                values = iter(x)
-                cand = tuple(_copy(c.comp, a, zip(c.unknowns, values))
-                             for c, a in zip(combo, lift))
-                cfg = _leaf(template, cand, ctx, counter)
-                if cfg is not None:
-                    hits.append(cfg)
+        parts = [c.at(a) for c, a in zip(combo, lift)]
+        rows = []
+        for k in solved:
+            unknown, const = (), 0
+            for u, c in parts:
+                unknown += u[k]
+                const += c[k]
+            rows.append(unknown + (t_column[k], const))
+        for x in _solve(rows, lo, hi, counter):
+            # Each zip stops at the choice's last unknown, so the next
+            # choice takes the values that follow.
+            values = iter(x)
+            cand = tuple(_copy(c.comp, a, zip(c.unknowns, values))
+                         for c, a in zip(combo, lift))
+            cfg = _leaf(template, cand, ctx, counter)
+            if cfg is not None:
+                hits.append(cfg)
     return hits
 
 

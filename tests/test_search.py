@@ -1,6 +1,7 @@
 """Tests for the bounded configuration search."""
 
 import hashlib
+import tracemalloc
 from dataclasses import fields
 from itertools import product
 
@@ -28,8 +29,6 @@ from cisym.search import (
     _choices,
     _Counter,
     _Ctx,
-    _joined_lifts,
-    _row_split,
     _solve,
     search_case,
 )
@@ -105,16 +104,30 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_is_exact_node_count():
-    # This call visits exactly 302 nodes (see the search module docstring).
+    # This call visits exactly 341 nodes (see the search module docstring).
     args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
-    assert len(search_case(*args, budget=302)) == 34
+    assert len(search_case(*args, budget=341)) == 34
     with pytest.raises(BudgetExceededError,
-                       match="budget of 301 exhausted in template"
-                             " two_surfaces at node 302;") as info:
-        search_case(*args, budget=301)
+                       match="budget of 340 exhausted in template"
+                             " two_surfaces at node 341;") as info:
+        search_case(*args, budget=340)
     # The message also names the discrete data being solved at that node.
     assert "; solving surface weights (3, 2), surface weights (3, 2);" \
         in str(info.value)
+
+
+def test_budget_bounds_the_lift_join():
+    # Each point takes 200,001 lifts here: the budget has to stop the join
+    # after ten of its entries, before it tabulates the rest.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="at node 11;"):
+            search_case("surface_plus_two_points",
+                        bounds=SearchBounds(5, 10**5, 10), budget=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_every_template_is_empty_on_the_wider_box():
@@ -373,23 +386,27 @@ def test_solver_yields_exactly_the_integer_points_of_the_box(system):
     assert got == want
 
 
-def _ctx(flag_set, max_weight):
-    return _Ctx(1, 6, -6, 6, SearchBounds(max_weight, 2, 2),
-                FLAG_SETS[flag_set])
-
-
 @pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
-def test_combination_join_matches_the_filtered_product(template, flag_set):
-    # The combinations that the checks on discrete data alone keep, found
-    # by filtering every combination through the predicates of verify_case.
-    ctx = _ctx(flag_set, 4)
+def test_join_matches_the_filtered_product_of_choices_and_lifts(
+        template, flag_set):
+    ctx = _Ctx(1, 6, -6, 6, SearchBounds(3, 2, 2), FLAG_SETS[flag_set])
     lemma64 = ctx.flags.lemma64
-    slots, _ = _choices(template, ctx)
+    slots, _, joined = _choices(template, ctx)
+    # The rows k >= 1 that take no unknown at any lift of the box.
+    rows = tuple(k for k in range(1, 4)
+                 if not any(any(c.at(a)[0][k])
+                            for slot in slots for c in slot for a in c.lifts))
+    assert joined == rows
 
-    def kept(combo):
-        comps = [c.comp for c in combo]
+    # The pairs that the checks on discrete data alone and the lift-only
+    # rows keep, found by filtering every (choice, lift) of every component
+    # through the predicates of verify_case and the rows' constants.
+    def kept(pairs):
+        comps = [c.comp for c, _ in pairs]
         if sum(c.signature_contribution for c in comps):
+            return False
+        if any(sum(c.at(a)[1][k] for c, a in pairs) for k in rows):
             return False
         if lemma64 and template == "two_surfaces":
             return _shares_second_weight(comps[0].weights, comps[1].weights)
@@ -400,27 +417,14 @@ def test_combination_join_matches_the_filtered_product(template, flag_set):
                     and _divides_exactly_two(surface.weights, q.weights))
         return True
 
-    want = [combo for combo in product(*slots) if kept(combo)]
+    def label(combo, lift):
+        return tuple((slot.index(c), a)
+                     for slot, c, a in zip(slots, combo, lift))
+
+    entries = [[(c, a) for c in slot for a in c.lifts] for slot in slots]
+    want = sorted(label(*zip(*pairs)) for pairs in product(*entries)
+                  if kept(pairs))
     assert want
-    assert list(_combinations(template, slots, ctx)) == want
-
-
-@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
-@pytest.mark.parametrize("template", sorted(TEMPLATES))
-def test_lift_join_keeps_exactly_the_lifts_the_lift_only_rows_allow(
-        template, flag_set):
-    ctx = _ctx(flag_set, 3)
-    slots, _ = _choices(template, ctx)
-    for combo in _combinations(template, slots, ctx):
-        lifts = list(product(*(c.lifts for c in combo)))
-        # The rows k >= 1 that take no unknown at any lift of the box.
-        rows = tuple(k for k in range(1, 4)
-                     if not any(any(c.at(a)[0][k])
-                                for lift in lifts
-                                for c, a in zip(combo, lift)))
-        assert _row_split(combo) == (
-            rows, tuple(k for k in range(4) if k not in rows))
-        want = [lift for lift in lifts
-                if all(sum(c.at(a)[1][k] for c, a in zip(combo, lift)) == 0
-                       for k in rows)]
-        assert list(_joined_lifts(combo, rows)) == want
+    got = _combinations(template, slots, joined, ctx,
+                        _Counter(10**9, template))
+    assert sorted(label(*pair) for pair in got) == want

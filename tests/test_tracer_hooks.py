@@ -1,10 +1,13 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps cisym functions and
 methods by name.  These tests load it without changing it and check that
-every name it wraps resolves the way Tracer.installed() resolves it, so a
-moved or renamed boundary fails here instead of in a traced benchmark run.
+every name it wraps resolves the way Tracer.installed() resolves it, and
+that the benchmark's search workloads reach every boundary its runner
+expects of them, so a moved, renamed or lost boundary fails here instead of
+in a traced benchmark run.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -14,19 +17,20 @@ import cisym  # noqa: F401  (imports every module the tracer looks in)
 from cisym import cli, localization, search
 from cisym.search import SearchBounds, SearchFlags
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer() -> types.ModuleType:
+def load_perfbench(name: str) -> types.ModuleType:
     # Executed from its source, so that nothing is written next to it.
-    module = types.ModuleType("perfbench_tracer")
-    module.__file__ = str(TRACER)
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"),
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
     return module
 
 
-tracer = load_tracer()
+tracer = load_perfbench("tracer")
 
 
 def resolve(modname: str, path: str):
@@ -72,6 +76,23 @@ def test_every_boundary_fires_on_three_cli_calls(capsys):
                          "--max-abs-a", "2", "--max-abs-eval", "2"]) == 0
     capsys.readouterr()
     assert tr.fired() == set(tracer.BOUNDARIES)
+
+
+@pytest.mark.parametrize("name", ["certify_empty", "search_hits"])
+def test_search_workloads_reach_the_boundaries_the_benchmark_expects(
+        name, monkeypatch):
+    # run.py imports its sibling modules by name; they resolve to copies
+    # loaded from source as well.
+    workloads = load_perfbench("workloads")
+    for module_name, module in (("tracer", tracer), ("workloads", workloads),
+                                ("speed", load_perfbench("speed"))):
+        monkeypatch.setitem(sys.modules, module_name, module)
+    run = load_perfbench("run")
+    tr = tracer.Tracer()
+    with tr.installed():
+        for op in workloads.search_ops(name, reduced=False):
+            workloads.run_search(search, op)
+    assert run.EXPECTED_BOUNDARIES[name] - tr.fired() == set()
 
 
 # The local data of a search are memoized for one search_case call only, so
