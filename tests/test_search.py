@@ -386,6 +386,42 @@ def test_solver_yields_exactly_the_integer_points_of_the_box(system):
     assert got == want
 
 
+def _passes_discrete_checks(template, lemma64, comps):
+    """The predicates of verify_case that depend on the discrete data alone,
+    applied to one combination of components."""
+    if sum(c.signature_contribution for c in comps):
+        return False
+    if lemma64 and template == "two_surfaces":
+        return _shares_second_weight(comps[0].weights, comps[1].weights)
+    if lemma64 and template == "surface_plus_two_points":
+        surface, p, q = comps
+        return (_weights_match(p.weights, q.weights)
+                and _divides_exactly_two(surface.weights, p.weights)
+                and _divides_exactly_two(surface.weights, q.weights))
+    return True
+
+
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+def test_combination_join_matches_the_filtered_product(template, flag_set):
+    # With no lift-only rows the join keeps every lift, so it yields the
+    # combinations that the checks on discrete data alone keep, in the order
+    # of product, each at every lift of its choices, in the order of product.
+    ctx = _Ctx(1, 6, -6, 6, SearchBounds(4, 1, 2), FLAG_SETS[flag_set])
+    slots, _, _ = _choices(template, ctx)
+    want = [combo for combo in product(*slots)
+            if _passes_discrete_checks(template, ctx.flags.lemma64,
+                                       [c.comp for c in combo])]
+    assert want
+    got: dict[tuple, list] = {}
+    for combo, lift in _combinations(template, slots, (), ctx,
+                                     _Counter(10**9, template)):
+        got.setdefault(combo, []).append(lift)
+    assert list(got) == want
+    for combo, lifts in got.items():
+        assert lifts == list(product(*(c.lifts for c in combo)))
+
+
 @pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_join_matches_the_filtered_product_of_choices_and_lifts(
@@ -403,19 +439,10 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
     # rows keep, found by filtering every (choice, lift) of every component
     # through the predicates of verify_case and the rows' constants.
     def kept(pairs):
-        comps = [c.comp for c, _ in pairs]
-        if sum(c.signature_contribution for c in comps):
-            return False
-        if any(sum(c.at(a)[1][k] for c, a in pairs) for k in rows):
-            return False
-        if lemma64 and template == "two_surfaces":
-            return _shares_second_weight(comps[0].weights, comps[1].weights)
-        if lemma64 and template == "surface_plus_two_points":
-            surface, p, q = comps
-            return (_weights_match(p.weights, q.weights)
-                    and _divides_exactly_two(surface.weights, p.weights)
-                    and _divides_exactly_two(surface.weights, q.weights))
-        return True
+        return (_passes_discrete_checks(template, lemma64,
+                                        [c.comp for c, _ in pairs])
+                and not any(sum(c.at(a)[1][k] for c, a in pairs)
+                            for k in rows))
 
     def label(combo, lift):
         return tuple((slot.index(c), a)
