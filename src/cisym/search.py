@@ -12,28 +12,38 @@ the bounds its hit list is exhaustive.
    the template enters it at any of its lifts: the unknown columns of a
    lifted component have degree below k, and those of the fixed one are 0
    in row k.  Such a row says that the components' constants at their
-   lifts sum to 0.
+   lifts sum to 0.  Row l^0 is the only one that holds t, with
+   coefficient -den (the common denominator of the columns).  When no
+   unknown enters it either, t is its only unknown, and the row says that
+   the constants sum to den * t: a range condition on that sum, which den
+   must also divide.
 2. One join.  For each component of the template, in TEMPLATES order, the
    routine enumerates the data of its kind (normal weights, the sign eps
    of a point, the signature of a 4-dimensional component) and its lifts.
    A combination of data and lifts is built only when it is joined on the
-   checks that verify_case also applies to the discrete data, and on the
-   lift-only rows.  The checks are the signature-limit identity (the eps
-   and the signatures sum to 0) and, under lemma64, weight-matching and
-   weight-divisibility, or the shared second weight of surface-structure.
-   The last component's (data, lift) entries are indexed by signature
-   contribution, by the key that the lemma64 predicate compares (a point's
-   weight multiset, a surface's second weight) and by their constants on
-   the lift-only rows.  The other components, at each choice of their
-   lifts, look up the entries that complete them, after
-   weight-divisibility has dropped the (surface, point) pairs that fail it.
-   For each combination the routine reduces the rows that are not
-   lift-only in exact integer arithmetic and enumerates the free unknowns
-   over the box.  Each pivot is affine in the last free unknown it depends
-   on, so that unknown runs only over the range, found by exact floor and
-   ceiling division, in which the pivot lies inside its bound; a pivot is
-   then kept only if it is an integer.  So the solver yields exactly the
-   integer points of the box at which check_x3 passes.
+   checks that verify_case also applies to the discrete data, on the
+   lift-only rows, and on row l^0 when t is its only unknown.  The checks
+   are the signature-limit identity (the eps and the signatures sum to 0)
+   and, under lemma64, weight-matching and weight-divisibility, or the
+   shared second weight of surface-structure.  The last component's
+   (data, lift) entries are indexed by signature contribution, by the key
+   that the lemma64 predicate compares (a point's weight multiset, a
+   surface's second weight) and by their constants on the lift-only rows,
+   and each bucket is sorted by the entries' l^0 constants.  The other
+   components, at each choice of their lifts, look up the entries that
+   complete them, after weight-divisibility has dropped the (surface,
+   point) pairs that fail it.  When row l^0 is joined, the t range puts
+   the last l^0 constant in a window set by the sum P of the others,
+   [den * max(1, t_lo) - P, den * t_hi - P], found by bisection, and only
+   the entries that make the sum a multiple of den are kept; otherwise the
+   lookup keeps the whole bucket.  For each combination the routine
+   reduces the rows that are not lift-only (row l^0 among them, which
+   gives t again) in exact integer arithmetic and enumerates the free
+   unknowns over the box.  Each pivot is affine in the last free unknown
+   it depends on, so that unknown runs only over the range, found by
+   exact floor and ceiling division, in which the pivot lies inside its
+   bound; a pivot is then kept only if it is an integer.  So the solver
+   yields exactly the integer points of the box at which check_x3 passes.
 3. The leaf.  Each such point is built into a candidate from the validated
    components of its choices: the copy takes the lifts and the solver's
    evaluations, Python ints, without running the components' validation
@@ -58,22 +68,29 @@ the last surface (or else the first component) has a = 0, the other lifts
 lying in [-max_abs_a, max_abs_a].
 
 The budget counts nodes.  A node is one step of the enumeration, counted
-when it is entered: one (data, lift) entry of the last component as the
-join tabulates it, one choice of the other components' lifts as it looks
-its entries up, one combination of data and lifts that the join builds,
-one value of a free unknown in the solver inside the range that the bounds
-of the pivots it completes allow, and one candidate handed to _leaf.  A
-call that visits N nodes succeeds with a budget of N; with a budget of
-N - 1 it raises BudgetExceededError, naming the template and the
-nodes reached, rather than silently truncating the search; the message
-also gives the kinds and weights of the combination being built or solved.
+when it is entered: one weight tuple of a component and one choice of its
+data as they are built, one choice of the data of the components before
+the last (a head tuple, also one that weight-divisibility or
+signature-limit then drops), one (data, lift) entry of the last component
+as the join tabulates it, one choice of the other components' lifts as it
+looks its entries up, one combination of data and lifts that the join
+builds, one value of a free unknown in the solver inside the range that
+the bounds of the pivots it completes allow, and one candidate handed to
+_leaf.  A combination that the join drops is never built and is no node.
+A call that visits N nodes succeeds with a budget of N; with a budget of
+N - 1 it raises BudgetExceededError, naming the template and the nodes
+reached, rather than silently truncating the search; the message also
+gives the kind and weights of the component being built, or the kinds and
+weights of the combination being joined or solved.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .configio import dump_config
@@ -134,25 +151,32 @@ class SearchFlags(Flags):
 
 
 class _Counter:
-    """The node count of one call, and the choices of the combination of
-    discrete data that the nodes since its last entry belong to."""
+    """The node count of one call, and what the nodes since the last entry
+    belong to: the kind and weights of the component being built, or else
+    the choices of the combination of discrete data being joined or
+    solved."""
 
-    __slots__ = ("nodes", "budget", "template", "combo")
+    __slots__ = ("nodes", "budget", "template", "building", "combo")
 
     def __init__(self, budget: int, template: str):
         self.nodes = 0
         self.budget = budget
         self.template = template
+        self.building: Optional[tuple[str, tuple[int, ...]]] = None
         self.combo: tuple[_Choice, ...] = ()
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.budget:
-            data = ", ".join(f"{c.comp.kind} weights {c.comp.weights}"
-                             for c in self.combo)
+            if self.building:
+                doing = "building {} weights {}".format(*self.building)
+            else:
+                doing = "solving " + ", ".join(
+                    f"{c.comp.kind} weights {c.comp.weights}"
+                    for c in self.combo)
             raise BudgetExceededError(
                 f"node budget of {self.budget} exhausted in template"
-                f" {self.template} at node {self.nodes}; solving {data};"
+                f" {self.template} at node {self.nodes}; {doing};"
                 " tighten the bounds or raise --budget"
             )
 
@@ -177,11 +201,11 @@ def _weight_values(ctx: _Ctx) -> list[int]:
     return list(range(1, ctx.bounds.max_weight + 1))
 
 
-def _weight_tuples(ctx: _Ctx, size: int) -> list[tuple[int, ...]]:
+def _weight_tuples(ctx: _Ctx, size: int) -> Iterator[tuple[int, ...]]:
     """The sorted normal weights of a component with size of them, coprime
-    under effectiveness (so a single weight is then 1)."""
-    return [w for w in combinations_with_replacement(_weight_values(ctx), size)
-            if not ctx.flags.effectiveness or gcd(*w) == 1]
+    under effectiveness (so a single weight is then 1), enumerated lazily."""
+    return (w for w in combinations_with_replacement(_weight_values(ctx), size)
+            if not ctx.flags.effectiveness or gcd(*w) == 1)
 
 
 def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
@@ -216,6 +240,8 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
 
 # The x^3 data are cubic in l: one row per coefficient of l^0..l^3.
 _ROWS = 4
+
+_first = itemgetter(0)
 
 
 def _copy(comp: Component, a: int,
@@ -269,42 +295,51 @@ class _Choice:
         return entry
 
 
-def _choices(template: str, ctx: _Ctx
-             ) -> tuple[list[list[_Choice]], int, tuple[int, ...]]:
+def _choices(template: str, ctx: _Ctx, counter: _Counter
+             ) -> tuple[list[list[_Choice]], int, tuple[int, ...], bool]:
     """The choices for every component of the template, in TEMPLATES order,
-    the common denominator of their columns, and the lift-only rows: the
-    rows k >= 1 that no unknown of any choice enters at any of its lifts.
-    The lift is fixed at 0 on the last surface, or else on the first
-    component."""
+    the common denominator of their columns, the lift-only rows (the rows
+    k >= 1 that no unknown of any choice enters at any of its lifts), and
+    whether t is the only unknown of row l^0, which holds when no unknown
+    enters that row either.  The lift is fixed at 0 on the last surface, or
+    else on the first component.  Each weight tuple and each choice is a
+    node."""
     flags = ctx.flags
     kinds = TEMPLATES[template]
     slots = []
     for i, kind in enumerate(kinds):
+        # data: each weight tuple with the components that it gives.
         if kind == "point":
             first = "point" not in kinds[:i]
             eps_values = (1,) if flags.convention35 and first else (1, -1)
-            slots.append([_Choice(PointComponent(eps, w, 0), ())
-                          for w in _weight_tuples(ctx, 3) for eps in eps_values])
+            data = ((w, [PointComponent(eps, w, 0) for eps in eps_values])
+                    for w in _weight_tuples(ctx, 3))
+            unknowns = ()
         elif kind == "surface":
             if template == "two_surfaces" and flags.lemma64:
                 ws = _weight_values(ctx)
-                pairs = [(n, m) for n in ws for m in ws
-                         if not flags.effectiveness or gcd(n, m) == 1]
+                pairs = ((n, m) for n in ws for m in ws
+                         if not flags.effectiveness or gcd(n, m) == 1)
                 unknowns = ("ev_x", "ev_y1")
             else:
                 pairs = _weight_tuples(ctx, 2)
                 unknowns = ("ev_x", "ev_y1", "ev_y2")
-            slots.append([_Choice(SurfaceComponent(p, 0, 0, 0, 0, 2), unknowns)
-                          for p in pairs])
+            data = ((p, [SurfaceComponent(p, 0, 0, 0, 0, 2)]) for p in pairs)
         else:
             b2 = _TEMPLATE_B2[template]
             unknowns = ("ev_x2", "ev_xy", "ev_y2") if b2 else ()
-            slots.append([
-                _Choice(FourComponent(w, 0, 0, 0, 0, 3 * s, b2, s, 2 + b2),
-                        unknowns)
-                for (w,) in _weight_tuples(ctx, 1)
-                for s in range(-b2, b2 + 1, 2)
-            ])
+            data = ((w, [FourComponent(w[0], 0, 0, 0, 0, 3 * s, b2, s, 2 + b2)
+                         for s in range(-b2, b2 + 1, 2)])
+                    for w in _weight_tuples(ctx, 1))
+        slot = []
+        for w, comps in data:
+            counter.building = (kind, w)
+            counter.tick()
+            for comp in comps:
+                counter.tick()
+                slot.append(_Choice(comp, unknowns))
+        slots.append(slot)
+    counter.building = None
     fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
              if "surface" in kinds else 0)
     den = lcm(*(p.den for slot in slots for c in slot for p in c.polys))
@@ -324,26 +359,37 @@ def _choices(template: str, ctx: _Ctx
                     if col[j]:
                         reached.update((j,) if i == fixed else range(j + 1))
     joined = tuple(k for k in range(1, _ROWS) if k not in reached)
-    return slots, den, joined
+    return slots, den, joined, 0 not in reached
 
 
-def _combinations(template: str, slots: list[list[_Choice]],
-                  joined: tuple[int, ...], ctx: _Ctx, counter: _Counter
+def _combinations(template: str, slots: list[list[_Choice]], den: int,
+                  joined: tuple[int, ...], t_only: bool, ctx: _Ctx,
+                  counter: _Counter
                   ) -> Iterator[tuple[tuple[_Choice, ...], tuple[int, ...]]]:
     """The combinations of choices, each with its lifts, that pass the
-    checks of verify_case that depend on the discrete data alone and whose
-    constants on the lift-only rows sum to 0, built by one join.  The last
-    component's (choice, lift) entries are indexed by signature
-    contribution, by the key that the lemma64 predicate relating it to the
-    component before compares, and by their constants on the lift-only
-    rows; each choice of the other components, at each of its lifts, looks
-    up the entries that complete it.  The entries of one signature and key
-    are tabulated when a lookup first needs them."""
+    checks of verify_case that depend on the discrete data alone, whose
+    constants on the lift-only rows sum to 0 and, when t is the only
+    unknown of row l^0, whose l^0 constants sum to den * t for some t in
+    range, built by one join.  The last component's (choice, lift) entries
+    are indexed by signature contribution, by the key that the lemma64
+    predicate relating it to the component before compares, and by their
+    constants on the lift-only rows, and each bucket is sorted by the
+    entries' l^0 constants; each choice of the other components, at each of
+    its lifts, looks up the entries that complete it, a slice of the bucket
+    found by bisection.  The entries of one signature and key are tabulated
+    when a lookup first needs them.  Each head tuple, tabulated entry and
+    lookup is a node."""
     key = None
     if ctx.flags.lemma64 and template == "two_surfaces":
         key = _second_weight  # surface-structure
     elif ctx.flags.lemma64 and template == "surface_plus_two_points":
         key = _weight_multiset  # weight-matching
+    # With t alone in row l^0, den * t is the sum of the row's constants, so
+    # the last constant lies in a window set by the others' sum, and den
+    # divides the total.  Otherwise every entry's l^0 key is 0 and the
+    # window [0, 0] keeps the whole bucket in the order it was tabulated.
+    low, high, step = ((den * max(1, ctx.t_lo), den * ctx.t_hi, den)
+                       if t_only else (0, 0, 1))
     *heads, tail = slots
     groups: dict[tuple, list[_Choice]] = {}
     for c in tail:
@@ -351,6 +397,8 @@ def _combinations(template: str, slots: list[list[_Choice]],
                            key and key(c.comp.weights)), []).append(c)
     tables: dict[tuple, dict[tuple[int, ...], list]] = {}
     for head in product(*heads):
+        counter.combo = head
+        counter.tick()
         if key is _weight_multiset and not _divides_exactly_two(
                 head[0].comp.weights, head[1].comp.weights):
             continue  # weight-divisibility, on the (surface, point) pair
@@ -367,15 +415,23 @@ def _combinations(template: str, slots: list[list[_Choice]],
                 for a in c.lifts:
                     counter.tick()
                     const = c.at(a)[1]
-                    table.setdefault(tuple(const[k] for k in joined),
-                                     []).append((c, a))
+                    table.setdefault(tuple(const[k] for k in joined), []
+                                     ).append((const[0] if t_only else 0, c, a))
+            for bucket in table.values():
+                bucket.sort(key=_first)
         counter.combo = head
         for prefix in product(*(c.lifts for c in head)):
             counter.tick()
             consts = [c.at(a)[1] for c, a in zip(head, prefix)]
-            for c, a in table.get(
-                    tuple(-sum(x[k] for x in consts) for k in joined), ()):
-                yield head + (c,), prefix + (a,)
+            bucket = table.get(
+                tuple(-sum(x[k] for x in consts) for k in joined))
+            if bucket is None:
+                continue
+            p = sum(x[0] for x in consts) if t_only else 0
+            for e0, c, a in bucket[bisect_left(bucket, low - p, key=_first):
+                                   bisect_right(bucket, high - p, key=_first)]:
+                if (p + e0) % step == 0:
+                    yield head + (c,), prefix + (a,)
 
 
 def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
@@ -472,14 +528,15 @@ def _solve(rows, lo: list[int], hi: list[int],
 def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
     """Every consistent configuration of the template inside the box."""
     e_max = ctx.bounds.max_abs_eval
-    slots, den, joined = _choices(template, ctx)
+    slots, den, joined, t_only = _choices(template, ctx, counter)
     solved = [k for k in range(_ROWS) if k not in joined]
     t_column = (-den,) + (0,) * (_ROWS - 1)  # t enters the l^0 row only
     n = sum(len(slot[0].unknowns) for slot in slots) + 1
     lo = [-e_max] * (n - 1) + [max(1, ctx.t_lo)]
     hi = [e_max] * (n - 1) + [ctx.t_hi]
     hits = []
-    for combo, lift in _combinations(template, slots, joined, ctx, counter):
+    for combo, lift in _combinations(template, slots, den, joined, t_only,
+                                     ctx, counter):
         counter.combo = combo
         counter.tick()
         parts = [c.at(a) for c, a in zip(combo, lift)]

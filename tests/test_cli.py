@@ -3,7 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -406,6 +410,28 @@ def test_search_cli_budget_exit_66(capsys):
     code, _, err = run(capsys, "search", "two_surfaces", "--budget", "10")
     assert code == 66
     assert "budget" in err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_search_cli_budget_stops_before_the_choices_are_built():
+    # At --max-weight 1000 a point alone takes about 1.7e8 weight tuples:
+    # the budget stops the search at its second node, the first choice.  It
+    # runs as its own process, capped in time and memory, so that a search
+    # that builds the choices first fails here instead of exhausting either.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cisym.cli", "search",
+         "surface_plus_two_points", "--max-weight", "1000", "--budget", "1"],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 66
+    assert "at node 2; building surface weights (1, 1);" in proc.stderr
 
 
 def test_search_cli_bad_template_exit_64(capsys):

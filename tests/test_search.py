@@ -1,6 +1,7 @@
 """Tests for the bounded configuration search."""
 
 import hashlib
+import time
 import tracemalloc
 from dataclasses import fields
 from itertools import product
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bruteforce import brute_force
+from cisym import search
 from cisym.configio import dump_config, parse_config
 from cisym.localization import (
     MAX_WEIGHT,
@@ -104,13 +106,13 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_is_exact_node_count():
-    # This call visits exactly 341 nodes (see the search module docstring).
+    # This call visits exactly 376 nodes (see the search module docstring).
     args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
-    assert len(search_case(*args, budget=341)) == 34
+    assert len(search_case(*args, budget=376)) == 34
     with pytest.raises(BudgetExceededError,
-                       match="budget of 340 exhausted in template"
-                             " two_surfaces at node 341;") as info:
-        search_case(*args, budget=340)
+                       match="budget of 375 exhausted in template"
+                             " two_surfaces at node 376;") as info:
+        search_case(*args, budget=375)
     # The message also names the discrete data being solved at that node.
     assert "; solving surface weights (3, 2), surface weights (3, 2);" \
         in str(info.value)
@@ -118,16 +120,69 @@ def test_budget_is_exact_node_count():
 
 def test_budget_bounds_the_lift_join():
     # Each point takes 200,001 lifts here: the budget has to stop the join
-    # after ten of its entries, before it tabulates the rest.
+    # after ten of its entries, before it tabulates the rest.  The 166
+    # nodes before them are the weight tuples and choices of the three
+    # components (165) and the first head tuple.
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="at node 11;"):
+        with pytest.raises(BudgetExceededError,
+                           match="at node 177; solving surface weights"
+                                 r" \(1, 1\), point weights \(1, 1, 1\),"
+                                 r" point weights \(1, 1, 1\);"):
             search_case("surface_plus_two_points",
-                        bounds=SearchBounds(5, 10**5, 10), budget=10)
+                        bounds=SearchBounds(5, 10**5, 10), budget=176)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def test_budget_bounds_the_choices():
+    # At max_weight 30 the three components take 20,691 weight tuples and
+    # choices: the budget has to stop at the second node, the first choice,
+    # before the rest are built.
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match="at node 2; building surface weights"
+                                 r" \(1, 1\);"):
+            search_case("surface_plus_two_points",
+                        bounds=SearchBounds(30, 1, 1), budget=1)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 2**20
+
+
+def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
+    # Leaves (candidates handed to _leaf) and _solve calls per template on
+    # the certify box, 5/5/10, t 1..10, rho -10..0.  Joining row l^0 as a t
+    # range leaves the leaves as they were and settles the four templates
+    # that can have no hit (every solution there has t = 0) in the join.
+    calls = {"leaf": 0, "solve": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(search, "_leaf", counted("leaf", search._leaf))
+    monkeypatch.setattr(search, "_solve", counted("solve", search._solve))
+    leaves, solves = {}, {}
+    for template in sorted(TEMPLATES):
+        calls.update(leaf=0, solve=0)
+        assert search_case(template) == []
+        leaves[template], solves[template] = calls["leaf"], calls["solve"]
+    assert {t: n for t, n in leaves.items() if n} == {
+        "two_surfaces": 180, "surface_plus_two_points": 193,
+        "cp2like_plus_point": 2}
+    for template in ("two_fours", "four_plus_surface", "four_plus_two_points",
+                     "single_four_b2_2"):
+        assert solves[template] == 0, template
 
 
 def test_every_template_is_empty_on_the_wider_box():
@@ -350,8 +405,18 @@ def test_search_matches_pruning_free_enumeration(template, flag_set):
     args = (template, (1, 6), (-6, 6),
             BRUTE_BOUNDS.get(flag_set, SearchBounds(2, 1, 1)),
             FLAG_SETS[flag_set])
+    want = brute_force(*args)
     assert [dump_config(c) for c in search_case(*args)] == \
-        [dump_config(c) for c in brute_force(*args)]
+        [dump_config(c) for c in want]
+    if flag_set not in ("default", "all_off"):
+        return
+    # The ends of the t range bound the join on row l^0.  The reference
+    # only filters its candidates by t, so its hits in a narrower range are
+    # the ones above with t in it.  At 2/1/1 every hit has t = 1.
+    for t_lo, t_hi in ((1, 1), (2, 2), (5, 6)):
+        assert [dump_config(c)
+                for c in search_case(template, (t_lo, t_hi), *args[2:])] == \
+            [dump_config(c) for c in want if t_lo <= c.ambient.t <= t_hi]
 
 
 @st.composite
@@ -408,13 +473,13 @@ def test_combination_join_matches_the_filtered_product(template, flag_set):
     # combinations that the checks on discrete data alone keep, in the order
     # of product, each at every lift of its choices, in the order of product.
     ctx = _Ctx(1, 6, -6, 6, SearchBounds(4, 1, 2), FLAG_SETS[flag_set])
-    slots, _, _ = _choices(template, ctx)
+    slots, den, _, _ = _choices(template, ctx, _Counter(10**9, template))
     want = [combo for combo in product(*slots)
             if _passes_discrete_checks(template, ctx.flags.lemma64,
                                        [c.comp for c in combo])]
     assert want
     got: dict[tuple, list] = {}
-    for combo, lift in _combinations(template, slots, (), ctx,
+    for combo, lift in _combinations(template, slots, den, (), False, ctx,
                                      _Counter(10**9, template)):
         got.setdefault(combo, []).append(lift)
     assert list(got) == want
@@ -426,32 +491,49 @@ def test_combination_join_matches_the_filtered_product(template, flag_set):
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_join_matches_the_filtered_product_of_choices_and_lifts(
         template, flag_set):
-    ctx = _Ctx(1, 6, -6, 6, SearchBounds(3, 2, 2), FLAG_SETS[flag_set])
-    lemma64 = ctx.flags.lemma64
-    slots, _, joined = _choices(template, ctx)
-    # The rows k >= 1 that take no unknown at any lift of the box.
-    rows = tuple(k for k in range(1, 4)
+    bounds, flags = SearchBounds(3, 2, 2), FLAG_SETS[flag_set]
+    slots, den, joined, t_only = _choices(
+        template, _Ctx(1, 6, -6, 6, bounds, flags), _Counter(10**9, template))
+    # The rows that take no unknown at any lift of the box: those with
+    # k >= 1 are lift-only, and row l^0 holds t alone if it is one of them.
+    rows = tuple(k for k in range(4)
                  if not any(any(c.at(a)[0][k])
                             for slot in slots for c in slot for a in c.lifts))
-    assert joined == rows
+    lift_only = tuple(k for k in rows if k)
+    assert joined == lift_only
+    assert t_only == (0 in rows)
 
     # The pairs that the checks on discrete data alone and the lift-only
     # rows keep, found by filtering every (choice, lift) of every component
     # through the predicates of verify_case and the rows' constants.
     def kept(pairs):
-        return (_passes_discrete_checks(template, lemma64,
+        return (_passes_discrete_checks(template, flags.lemma64,
                                         [c.comp for c, _ in pairs])
                 and not any(sum(c.at(a)[1][k] for c, a in pairs)
-                            for k in rows))
+                            for k in lift_only))
 
     def label(combo, lift):
         return tuple((slot.index(c), a)
                      for slot, c, a in zip(slots, combo, lift))
 
     entries = [[(c, a) for c in slot for a in c.lifts] for slot in slots]
-    want = sorted(label(*zip(*pairs)) for pairs in product(*entries)
-                  if kept(pairs))
-    assert want
-    got = _combinations(template, slots, joined, ctx,
-                        _Counter(10**9, template))
-    assert sorted(label(*pair) for pair in got) == want
+    base = [pairs for pairs in product(*entries) if kept(pairs)]
+    assert base
+    for t_range in ((1, 6), (2, 2), (-3, 0)):
+        # With t alone in row l^0, den * t is the sum of its constants.  t
+        # is clamped at 1, so (-3, 0) keeps nothing where that row is joined.
+        t_lo, t_hi = max(1, t_range[0]), t_range[1]
+        want = sorted(label(*zip(*pairs)) for pairs in base
+                      if not t_only or _t_from_row0(pairs, den) in range(
+                          t_lo, t_hi + 1))
+        got = _combinations(template, slots, den, joined, t_only,
+                            _Ctx(*t_range, -6, 6, bounds, flags),
+                            _Counter(10**9, template))
+        assert sorted(label(*pair) for pair in got) == want
+
+
+def _t_from_row0(pairs, den):
+    """t from row l^0 of the x^3 identity when t is its only unknown: the
+    constants at the lifts sum to den * t (None if den does not divide)."""
+    total = sum(c.at(a)[1][0] for c, a in pairs)
+    return None if total % den else total // den
