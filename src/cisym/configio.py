@@ -10,13 +10,20 @@ in field order.  A key repeated within one object is an error too, found
 while the text is parsed, before any of these.
 
 Rendering is canonical: parse(dump(cfg)) reproduces dump(cfg) byte for
-byte.  Exact rational values elsewhere in the tool's JSON output are
-rendered as "p/q" strings via fraction_str.
+byte.  dump_config writes a fixed layout, each record's keys sorted with
+their line heads computed once, and its text is exactly
+json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) plus a newline:
+strings through json's own ASCII encoder, ints (int subclasses too) by
+int.__repr__, bools as true/false, lists and tuples as indented arrays,
+any other value by json itself.  The search sorts its hits by this text.
+Exact rational values elsewhere in the tool's JSON output are rendered as
+"p/q" strings via fraction_str.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
@@ -189,9 +196,68 @@ def config_to_obj(cfg: Configuration) -> dict:
     }
 
 
+def _json(value, depth: int) -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) renders it at
+    `depth` levels of nesting."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)) and value:
+        pad = "\n" + "  " * (depth + 1)
+        return ("[" + ",".join([pad + _json(v, depth + 1) for v in value])
+                + "\n" + "  " * depth + "]")
+    # Any other value is rendered by json itself: each line after the first
+    # of a nested value is indented by its depth.
+    return json.dumps(value, sort_keys=True, indent=2).replace(
+        "\n", "\n" + "  " * depth)
+
+
+class _Layout(NamedTuple):
+    """A record's JSON object at a fixed depth: its keys in sorted order,
+    each with the text that opens its line, and the text that closes it."""
+
+    depth: int
+    heads: tuple[tuple[str, str], ...]
+    close: str
+
+
+def _layout(record: _Record, depth: int) -> _Layout:
+    pad = "\n" + "  " * (depth + 1)
+    return _Layout(depth, tuple((key, f"{pad}{encode_basestring_ascii(key)}: ")
+                                for key in sorted(record.keys)),
+                   "\n" + "  " * depth + "}")
+
+
+_AMBIENT_LAYOUT = _layout(_AMBIENT, 1)
+_FLAGS_LAYOUT = _layout(_FLAGS, 1)
+_COMPONENT_LAYOUTS = {kind: _layout(record, 2)
+                      for kind, record in _COMPONENTS.items()}
+
+
+def _record_json(record, layout: _Layout) -> str:
+    depth = layout.depth + 1
+    return ("{" + ",".join([head + _json(getattr(record, key), depth)
+                            for key, head in layout.heads]) + layout.close)
+
+
 def dump_config(cfg: Configuration) -> str:
-    """Canonical JSON rendering; parsing it back reproduces it byte for byte."""
-    return json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering; parsing it back reproduces it byte for byte.
+
+    The text is json.dumps(config_to_obj(cfg), sort_keys=True, indent=2)
+    plus a newline, written from the fixed layout of the records."""
+    comps = cfg.components
+    components = ("[" + ",".join(["\n    " + _record_json(
+        c, _COMPONENT_LAYOUTS[c.kind]) for c in comps]) + "\n  ]"
+                  if comps else "[]")
+    return ('{\n  "ambient": ' + _record_json(cfg.ambient, _AMBIENT_LAYOUT)
+            + ',\n  "components": ' + components
+            + ',\n  "flags": ' + _record_json(cfg.flags, _FLAGS_LAYOUT)
+            + ',\n  "template": ' + _json(cfg.template, 1) + "\n}\n")
 
 
 def fraction_str(value: Union[int, Fraction]) -> str:

@@ -36,9 +36,10 @@ from __future__ import annotations
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd
-from typing import Optional, Sequence, Union
+from operator import add
+from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .algebra import CharacterFunction, LiftPolynomial, _lowest
 
@@ -475,20 +476,23 @@ def _signature_local_datum(kind: str, key: tuple) -> CharacterFunction:
 
 
 _ZERO = LiftPolynomial()
+_ZERO_CHARACTER = CharacterFunction.zero()
+_Datum = TypeVar("_Datum", LiftPolynomial, CharacterFunction)
 
 
-def x3_sum(components: Sequence[Component]) -> LiftPolynomial:
-    total = _ZERO
-    for c in components:
-        total = total + x3_local_datum(c)
-    return total
+def _fold(data: Iterator[_Datum], zero: _Datum) -> _Datum:
+    """The sum of data, folded from its first item (zero when there is
+    none).  Every local datum is in canonical form, so a fold from zero
+    gives the same parts, at the cost of one more sum and reduction."""
+    return reduce(add, data, next(data, zero))
 
 
-def p1x_sum(components: Sequence[Component]) -> LiftPolynomial:
-    total = _ZERO
-    for c in components:
-        total = total + p1x_local_datum(c)
-    return total
+def x3_sum(components: Iterable[Component]) -> LiftPolynomial:
+    return _fold(map(x3_local_datum, components), _ZERO)
+
+
+def p1x_sum(components: Iterable[Component]) -> LiftPolynomial:
+    return _fold(map(p1x_local_datum, components), _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +606,7 @@ def check_p1x(cfg: Configuration) -> CheckResult:
 
 
 def signature_checks(
-    components: Sequence[Component], sign_m: int = 0
+    components: Iterable[Component], sign_m: int = 0
 ) -> list[CheckResult]:
     """Rigidity checks on a component multiset.
 
@@ -611,6 +615,7 @@ def signature_checks(
     match the sum of component signatures.  With 4-dimensional components
     only the limit identity applies (they carry no character datum).
     """
+    components = tuple(components)  # read three times below
     results: list[CheckResult] = []
     contributions = sum(c.signature_contribution for c in components)
     if any(c.kind == "four" for c in components):
@@ -619,9 +624,7 @@ def signature_checks(
                     sign_m - contributions)
         )
         return results
-    total = CharacterFunction.zero()
-    for c in components:
-        total = total + signature_local_datum(c)
+    total = _fold(map(signature_local_datum, components), _ZERO_CHARACTER)
     const = total.is_constant()
     results.append(_result("signature-rigidity", const is not None, total))
     if const is not None:

@@ -282,16 +282,13 @@ class _Choice:
         l^k coefficients of the unknown columns, and of the constant one."""
         entry = self.shifted.get(a)
         if entry is None:
-            cols = []
-            for col in self.columns:
-                c = list(col)
-                for i in range(_ROWS - 1):  # Taylor shift, Horner's scheme
-                    for j in range(_ROWS - 2, i - 1, -1):
-                        c[j] += a * c[j + 1]
-                cols.append(c)
-            entry = (tuple(tuple(c[k] for c in cols[:-1]) for k in range(_ROWS)),
-                     tuple(cols[-1]))
-            self.shifted[a] = entry
+            # The Taylor shift of c0 + c1 l + c2 l^2 + c3 l^3, in closed form.
+            *unknown, const = [(c0 + a * (c1 + a * (c2 + a * c3)),
+                                c1 + a * (2 * c2 + 3 * a * c3),
+                                c2 + 3 * a * c3,
+                                c3) for c0, c1, c2, c3 in self.columns]
+            entry = self.shifted[a] = (
+                tuple(zip(*unknown)) if unknown else ((),) * _ROWS, const)
         return entry
 
 

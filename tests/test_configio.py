@@ -1,17 +1,22 @@
 """Tests for the strict JSON configuration format."""
 
 import json
+from enum import IntEnum
+from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisym.configio import (
     _COMPONENTS,
     SchemaError,
     config_from_obj,
+    config_to_obj,
     dump_config,
     fraction_str,
+    load_config,
     parse_config,
 )
 from cisym.localization import (
@@ -25,6 +30,8 @@ from cisym.localization import (
     PointComponent,
     SurfaceComponent,
 )
+from cisym.search import SearchBounds, search_case
+from test_search import FLAG_SETS, PINNED, PINNED_WIDE, SMALL
 
 from fractions import Fraction
 
@@ -658,3 +665,134 @@ def test_dump_parse_dump_is_byte_identical(cfg):
     parsed = parse_config(text)
     assert parsed == cfg
     assert dump_config(parsed) == text
+
+
+# ---------------------------------------------------------------------------
+# dump_config writes the fixed layout of the records itself; it must be the
+# text json.dumps gives for config_to_obj, byte for byte.
+
+
+def json_reference(cfg: Configuration) -> str:
+    return json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) + "\n"
+
+
+DEMO_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+
+
+def test_demo_configs_are_dumped_as_json_dumps_renders_them():
+    assert len(DEMO_CONFIGS) == 10
+    for path in DEMO_CONFIGS:
+        cfg = load_config(str(path))
+        assert dump_config(cfg) == json_reference(cfg)
+
+
+# The searches of the pinned hit lists of test_search that have hits.
+PINNED_SEARCHES = (
+    [pytest.param(template, (1, 6), (-6, 6), SearchBounds(*bounds), flag_set,
+                  id="-".join((template, flag_set, *map(str, bounds))))
+     for flag_set, bounds, template in sorted(PINNED)]
+    + [pytest.param(template, (1, 10), (-10, 10), SMALL, flag_set,
+                    id=f"{template}-{flag_set}-wide")
+       for flag_set, template in sorted(PINNED_WIDE)
+       if PINNED_WIDE[flag_set, template][0]])
+
+
+@pytest.mark.parametrize("template, t_range, rho_range, bounds, flag_set",
+                         PINNED_SEARCHES)
+def test_pinned_hits_are_dumped_as_json_dumps_renders_them(
+        template, t_range, rho_range, bounds, flag_set):
+    hits = search_case(template, t_range, rho_range, bounds,
+                       FLAG_SETS[flag_set])
+    assert hits
+    for cfg in hits:
+        assert dump_config(cfg) == json_reference(cfg)
+
+
+class Level(IntEnum):
+    """int subclass values: json renders them with int.__repr__."""
+
+    LOW = -(2**70)
+    MINUS = -1
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+    HIGH = 2**70
+
+
+levels = st.sampled_from(list(Level))
+edge_ints = st.one_of(exact_ints, st.integers(2**64, 2**80),
+                      st.integers(-(2**80), -(2**64)), levels)
+edge_weights = st.one_of(weights, st.sampled_from((Level.ONE, Level.TWO)))
+
+
+@st.composite
+def edge_configurations(draw, template, flags):
+    """A configuration of the template under the flags whose integers are
+    negative, zero, beyond 2^64 or IntEnum members."""
+    b2 = _TEMPLATE_B2.get(template)
+    eps_values = (Level.ONE, 1) if flags.convention35 else (-1, 1, Level.MINUS)
+
+    def component(kind, first_point):
+        a = draw(edge_ints)
+        if kind == "point":
+            eps = draw(st.sampled_from(eps_values if first_point else (-1, 1)))
+            ws = draw(st.tuples(*[edge_weights] * 3))
+            return PointComponent(eps, ws[:2] + (1,) if flags.effectiveness
+                                  else ws, a)
+        if kind == "surface":
+            ws = (draw(edge_weights), 1) if flags.effectiveness else \
+                draw(st.tuples(edge_weights, edge_weights))
+            return SurfaceComponent(ws, a, draw(edge_ints), draw(edge_ints),
+                                    draw(edge_ints), 2)
+        sign = draw(st.sampled_from(range(-b2, b2 + 1, 2)))
+        evs = [draw(edge_ints) for _ in range(3)] if b2 else (0, 0, 0)
+        return FourComponent(1 if flags.effectiveness else draw(edge_weights),
+                             a, *evs, 3 * sign, b2, sign, 2 + b2)
+
+    kinds = TEMPLATES[template]
+    comps = tuple(component(kind, kind == "point" and "point" not in kinds[:i])
+                  for i, kind in enumerate(kinds))
+    ambient = AmbientData(draw(st.one_of(st.integers(1, 2**80),
+                                         st.sampled_from((Level.ONE,
+                                                          Level.HIGH)))),
+                          draw(edge_ints), draw(edge_ints), draw(
+                              st.sampled_from((0, Level.ZERO))))
+    return Configuration(ambient, template, comps, flags)
+
+
+ALL_FLAGS = [Flags(*bits) for bits in product((False, True), repeat=3)]
+
+
+@pytest.mark.parametrize("flags", ALL_FLAGS, ids=lambda f: "-".join(
+    name for name in ("effectiveness", "convention35", "lemma64")
+    if getattr(f, name)) or "none")
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dump_config_is_what_json_dumps_renders(template, flags, data):
+    cfg = data.draw(edge_configurations(template, flags))
+    assert dump_config(cfg) == json_reference(cfg)
+
+
+@pytest.mark.parametrize("flags", [
+    Flags(1, 0, 1), Flags(None, 2.5, "yes"), Flags([1, {"b": 2, "a": [3]}], 0, 0),
+    Flags({}, [], ()),
+])
+def test_values_outside_the_schema_are_dumped_as_json_dumps_renders_them(
+        flags):
+    # Flags does not check its values; whatever they are, dump_config
+    # renders them as json does (or raises as json does).
+    cfg = Configuration(AmbientData(2, 1, 4), "surface_plus_two_points",
+                        config_from_obj(quadric_obj()).components, flags)
+    assert dump_config(cfg) == json_reference(cfg)
+
+
+def test_values_json_cannot_render_raise_as_json_raises():
+    cfg = Configuration(AmbientData(2, 1, 4), "surface_plus_two_points",
+                        config_from_obj(quadric_obj()).components,
+                        Flags(object(), False, False))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json_reference(cfg)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_config(cfg)

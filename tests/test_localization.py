@@ -238,6 +238,55 @@ def test_local_data_match_plain_fraction_reference(c):
         assert datum == rebuilt and hash(datum) == hash(rebuilt)
 
 
+small_weight = st.integers(1, 12)
+character_components = st.one_of(
+    st.builds(PointComponent, st.sampled_from((-1, 1)),
+              st.tuples(small_weight, small_weight, small_weight), big),
+    st.builds(SurfaceComponent, st.tuples(small_weight, small_weight),
+              big, big, big, big, st.just(2)))
+
+
+def _parts(x):
+    return (x.num, x.den)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(points, surfaces, fours()), max_size=3),
+       st.lists(character_components, max_size=3))
+def test_sums_fold_to_the_parts_of_a_fold_from_zero(comps, characters):
+    # The sums start from their first datum; their parts must be those of
+    # the fold from zero, which verify --json prints, for a list and for a
+    # generator of 0 to 3 components.
+    for sum_, datum in ((x3_sum, x3_local_datum), (p1x_sum, p1x_local_datum)):
+        want = LiftPolynomial()
+        for c in comps:
+            want = want + datum(c)
+        assert _parts(sum_(comps)) == _parts(want)
+        assert _parts(sum_(c for c in comps)) == _parts(want)
+    # Characters grow with the weights, so their fold takes small ones; with
+    # a 4-dimensional component only the limit identity is formed.
+    limit_only = comps + [zero_four()]
+    assert signature_checks(c for c in limit_only) == \
+        signature_checks(limit_only)
+    want = CharacterFunction.zero()
+    for c in characters:
+        want = want + signature_local_datum(c)
+    for group in (characters, (c for c in characters)):
+        results = signature_checks(group)
+        assert results[0].name == "signature-rigidity"
+        assert _parts(results[0].residual) == _parts(want)
+        assert results == signature_checks(characters)
+
+
+def test_sums_of_no_components_are_zero():
+    assert _parts(x3_sum(())) == _parts(p1x_sum(iter(()))) == ((), 1)
+    results = signature_checks(())
+    assert [(r.name, r.passed) for r in results] == [
+        ("signature-rigidity", True), ("signature-vanishing", True),
+        ("signature-limit", True)]
+    assert _parts(results[0].residual) == ((), (1,))
+
+
 def _edge_uncached(n):
     return CharacterFunction((1,) + (0,) * (n - 1) + (1,),
                              (1,) + (0,) * (n - 1) + (-1,))

@@ -1,5 +1,6 @@
 """Tests for the bounded configuration search."""
 
+import functools
 import hashlib
 import time
 import tracemalloc
@@ -22,6 +23,7 @@ from cisym.localization import (
     _shares_second_weight,
     _weights_match,
     verify_case,
+    x3_local_datum,
 )
 from cisym.search import (
     BudgetExceededError,
@@ -29,6 +31,7 @@ from cisym.search import (
     SearchFlags,
     _combinations,
     _choices,
+    _copy,
     _Counter,
     _Ctx,
     _solve,
@@ -449,6 +452,31 @@ def test_solver_yields_exactly_the_integer_points_of_the_box(system):
                    for r in rows)]
     got = sorted(_solve(rows, lo, hi, _Counter(10**9, "test")))
     assert got == want
+
+
+@functools.cache
+def _template_choices(template, flag_set):
+    ctx = _Ctx(1, 6, -6, 6, SearchBounds(4, 2, 2), FLAG_SETS[flag_set])
+    slots, den, _, _ = _choices(template, ctx, _Counter(10**9, template))
+    return [c for slot in slots for c in slot], den
+
+
+@given(st.sampled_from(sorted(TEMPLATES)), st.sampled_from(sorted(FLAG_SETS)),
+       st.data(), st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30)))
+def test_shifted_columns_are_the_x3_datum_at_the_lift(template, flag_set,
+                                                      data, a):
+    # _Choice.at shifts the integer columns to lift a in closed form; they
+    # must be den times the l^k coefficients of the x^3 datum at that lift,
+    # the unknown columns as differences of the datum at a unit evaluation.
+    choices, den = _template_choices(template, flag_set)
+    c = data.draw(st.sampled_from(choices))
+    unknown, const = c.at(a)
+    base = x3_local_datum(_copy(c.comp, a, ()))
+    columns = [x3_local_datum(_copy(c.comp, a, ((name, 1),))) - base
+               for name in c.unknowns] + [base]
+    want = [[poly.coefficient(k) * den for poly in columns] for k in range(4)]
+    assert [list(unknown[k]) + [const[k]] for k in range(4)] == want
+    assert all(type(x) is int for row in unknown for x in row + const)
 
 
 def _passes_discrete_checks(template, lemma64, comps):

@@ -78,21 +78,43 @@ def test_every_boundary_fires_on_three_cli_calls(capsys):
     assert tr.fired() == set(tracer.BOUNDARIES)
 
 
-@pytest.mark.parametrize("name", ["certify_empty", "search_hits"])
-def test_search_workloads_reach_the_boundaries_the_benchmark_expects(
-        name, monkeypatch):
-    # run.py imports its sibling modules by name; they resolve to copies
-    # loaded from source as well.
+def load_runner(monkeypatch) -> tuple[types.ModuleType, types.ModuleType]:
+    """perfbench/run.py and its workloads module.  run.py imports its
+    sibling modules by name; they resolve to copies loaded from source as
+    well."""
     workloads = load_perfbench("workloads")
     for module_name, module in (("tracer", tracer), ("workloads", workloads),
                                 ("speed", load_perfbench("speed"))):
         monkeypatch.setitem(sys.modules, module_name, module)
-    run = load_perfbench("run")
+    return load_perfbench("run"), workloads
+
+
+@pytest.mark.parametrize("name", ["certify_empty", "search_hits"])
+def test_search_workloads_reach_the_boundaries_the_benchmark_expects(
+        name, monkeypatch):
+    run, workloads = load_runner(monkeypatch)
     tr = tracer.Tracer()
     with tr.installed():
         for op in workloads.search_ops(name, reduced=False):
             workloads.run_search(search, op)
     assert run.EXPECTED_BOUNDARIES[name] - tr.fired() == set()
+
+
+def test_the_queries_stream_reaches_the_boundaries_the_benchmark_expects(
+        monkeypatch, tmp_path):
+    # One traced pass of the full stream, as a traced benchmark pass runs
+    # it; the sums fold from their first datum, so the kernels' additions
+    # fire only where a sum has a second term.
+    run, workloads = load_runner(monkeypatch)
+    workload = run.make_workload("queries", 7, False,
+                                 workloads.load_expected(), tmp_path)
+    tr = tracer.Tracer()
+    with tr.installed():
+        for op in workload.ops:
+            workload.run_op(op)
+    assert run.EXPECTED_BOUNDARIES["queries"] - tr.fired() == set()
+    assert tr.calls("algebra.LiftPolynomial.add")
+    assert tr.calls("algebra.CharacterFunction.add")
 
 
 # The local data of a search are memoized for one search_case call only, so
