@@ -14,8 +14,8 @@ byte.  dump_config writes a fixed layout, each record's keys sorted with
 their line heads computed once, and its text is exactly
 json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) plus a newline:
 strings through json's own ASCII encoder, ints (int subclasses too) by
-int.__repr__, bools as true/false, lists and tuples as indented arrays,
-any other value by json itself.  The search sorts its hits by this text.
+int.__repr__, bools as true/false and weight tuples as indented arrays.
+The records admit no other value.  The search sorts its hits by this text.
 Exact rational values elsewhere in the tool's JSON output are rendered as
 "p/q" strings via fraction_str.
 """
@@ -30,13 +30,11 @@ from functools import partial
 from typing import Callable, NamedTuple, Union, get_args, get_type_hints
 
 from .localization import (
+    _COMPONENT_TYPES,
     AmbientData,
     Component,
     Configuration,
     Flags,
-    FourComponent,
-    PointComponent,
-    SurfaceComponent,
     TEMPLATES,
 )
 
@@ -81,14 +79,18 @@ def _weights_at(value, path: str, arity: int) -> list[int]:
 
 
 class _Record(NamedTuple):
-    """The JSON object of one record class, read off its dataclass fields."""
+    """The JSON object of one record class, read off its dataclass fields,
+    and its fixed layout at its depth in a document."""
 
     cls: type
     keys: tuple[str, ...]  # every key of the object, in field order
     readers: tuple[tuple[str, Callable], ...]  # (key, reader) per field
+    heads: tuple[tuple[str, str], ...]  # sorted (key, text opening its line)
+    close: str  # the text closing the object
+    depth: int  # the nesting depth of its values
 
 
-def _record(cls, *leading_keys: str) -> _Record:
+def _record(cls, depth: int, *leading_keys: str) -> _Record:
     hints = get_type_hints(cls)
     readers = []
     for f in fields(cls):
@@ -100,13 +102,16 @@ def _record(cls, *leading_keys: str) -> _Record:
         else:  # a tuple of normal weights
             readers.append((f.name, partial(_weights_at, arity=len(get_args(hint)))))
     keys = leading_keys + tuple(key for key, _ in readers)
-    return _Record(cls, keys, tuple(readers))
+    pad = "\n" + "  " * (depth + 1)
+    heads = tuple((key, f"{pad}{encode_basestring_ascii(key)}: ")
+                  for key in sorted(keys))
+    return _Record(cls, keys, tuple(readers), heads, "\n" + "  " * depth + "}",
+                   depth + 1)
 
 
-_AMBIENT = _record(AmbientData)
-_FLAGS = _record(Flags)
-_COMPONENTS = {cls.kind: _record(cls, "kind")
-               for cls in (PointComponent, SurfaceComponent, FourComponent)}
+_AMBIENT = _record(AmbientData, 1)
+_FLAGS = _record(Flags, 1)
+_COMPONENTS = {cls.kind: _record(cls, 2, "kind") for cls in _COMPONENT_TYPES}
 
 
 def _record_from_obj(obj, path: str, record: _Record):
@@ -207,42 +212,16 @@ def _json(value, depth: int) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, tuple) and value:
         pad = "\n" + "  " * (depth + 1)
         return ("[" + ",".join([pad + _json(v, depth + 1) for v in value])
                 + "\n" + "  " * depth + "]")
-    # Any other value is rendered by json itself: each line after the first
-    # of a nested value is indented by its depth.
-    return json.dumps(value, sort_keys=True, indent=2).replace(
-        "\n", "\n" + "  " * depth)
+    raise TypeError(f"a configuration holds no {type(value).__name__} value")
 
 
-class _Layout(NamedTuple):
-    """A record's JSON object at a fixed depth: its keys in sorted order,
-    each with the text that opens its line, and the text that closes it."""
-
-    depth: int
-    heads: tuple[tuple[str, str], ...]
-    close: str
-
-
-def _layout(record: _Record, depth: int) -> _Layout:
-    pad = "\n" + "  " * (depth + 1)
-    return _Layout(depth, tuple((key, f"{pad}{encode_basestring_ascii(key)}: ")
-                                for key in sorted(record.keys)),
-                   "\n" + "  " * depth + "}")
-
-
-_AMBIENT_LAYOUT = _layout(_AMBIENT, 1)
-_FLAGS_LAYOUT = _layout(_FLAGS, 1)
-_COMPONENT_LAYOUTS = {kind: _layout(record, 2)
-                      for kind, record in _COMPONENTS.items()}
-
-
-def _record_json(record, layout: _Layout) -> str:
-    depth = layout.depth + 1
-    return ("{" + ",".join([head + _json(getattr(record, key), depth)
-                            for key, head in layout.heads]) + layout.close)
+def _record_json(obj, record: _Record) -> str:
+    return ("{" + ",".join([head + _json(getattr(obj, key), record.depth)
+                            for key, head in record.heads]) + record.close)
 
 
 def dump_config(cfg: Configuration) -> str:
@@ -250,13 +229,11 @@ def dump_config(cfg: Configuration) -> str:
 
     The text is json.dumps(config_to_obj(cfg), sort_keys=True, indent=2)
     plus a newline, written from the fixed layout of the records."""
-    comps = cfg.components
-    components = ("[" + ",".join(["\n    " + _record_json(
-        c, _COMPONENT_LAYOUTS[c.kind]) for c in comps]) + "\n  ]"
-                  if comps else "[]")
-    return ('{\n  "ambient": ' + _record_json(cfg.ambient, _AMBIENT_LAYOUT)
-            + ',\n  "components": ' + components
-            + ',\n  "flags": ' + _record_json(cfg.flags, _FLAGS_LAYOUT)
+    components = ",".join(["\n    " + _record_json(c, _COMPONENTS[c.kind])
+                           for c in cfg.components])
+    return ('{\n  "ambient": ' + _record_json(cfg.ambient, _AMBIENT)
+            + ',\n  "components": [' + components + "\n  ]"
+            + ',\n  "flags": ' + _record_json(cfg.flags, _FLAGS)
             + ',\n  "template": ' + _json(cfg.template, 1) + "\n}\n")
 
 

@@ -18,13 +18,15 @@ _edge(n) and _kernel(n) are built once per weight and reused, a table of at
 most MAX_WEIGHT entries each.
 
 Within one search_case call, each local datum is computed once per distinct
-input: the x^3 and p1*x data per component, the signature character per
-(eps, weights) of a point and (weights, ev_y1, ev_y2) of a surface.  The
-call enters a fresh memo (_LOCAL_DATA) and resets it when it returns or
-raises, so verify_case in a leaf reuses the leaf's data, while verify_case
-outside a search computes everything fresh.  No cache outlives the call:
-a signature character grows with its weights, so a cache for the whole
-process would have no safe size.
+key.  The call enters a fresh memo (_LOCAL_DATA), one dict for every datum,
+and resets it when it returns or raises.  A key is a plain tuple, hashed and
+compared in C: the function that computes the datum, the component's kind,
+and the values of the fields the datum reads (every field for the x^3 and
+p1*x data; eps and weights of a point, weights, ev_y1 and ev_y2 of a
+surface for the signature character).  So verify_case in a leaf reuses the
+leaf's data, while outside a search each datum is computed directly, before
+any key is built.  No cache outlives the call: a signature character grows
+with its weights, so a cache for the whole process would have no safe size.
 
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
@@ -38,8 +40,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
-from operator import add
-from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from operator import add, attrgetter
+from typing import (Callable, Iterable, Iterator, Optional, Sequence, TypeVar,
+                    Union, get_args)
 
 from .algebra import CharacterFunction, LiftPolynomial, _lowest
 
@@ -202,6 +205,7 @@ class FourComponent:
 
 
 Component = Union[PointComponent, SurfaceComponent, FourComponent]
+_COMPONENT_TYPES = get_args(Component)  # a tuple, which isinstance reads fast
 
 
 @dataclass(frozen=True)
@@ -242,6 +246,12 @@ class Flags:
     convention35: bool = True
     lemma64: bool = True
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"flag {name} must be a bool, got {value!r}")
+
 
 TEMPLATES: dict[str, tuple[str, ...]] = {
     "two_fours": ("four", "four"),
@@ -271,9 +281,19 @@ class Configuration:
     flags: Flags = Flags()
 
     def __post_init__(self):
+        if not isinstance(self.ambient, AmbientData):
+            raise ConfigurationError(
+                f"ambient must be an AmbientData, got {self.ambient!r}")
+        if not isinstance(self.flags, Flags):
+            raise ConfigurationError(f"flags must be a Flags, got {self.flags!r}")
         if self.template not in TEMPLATES:
             raise ConfigurationError(f"unknown template {self.template!r}")
         comps = tuple(self.components)
+        for c in comps:
+            if not isinstance(c, _COMPONENT_TYPES):
+                raise ConfigurationError(
+                    "components must be PointComponent, SurfaceComponent or"
+                    f" FourComponent, got {c!r}")
         object.__setattr__(self, "components", comps)
         kinds = tuple(sorted(c.kind for c in comps))
         if kinds != tuple(sorted(TEMPLATES[self.template])):
@@ -343,45 +363,42 @@ def _in_lift(u: LiftPolynomial, coeffs: Sequence[int],
     return _lowest(num, den)
 
 
-class _LocalData:
-    """The local data computed within one search_case call: the x^3 and
-    p1*x data keyed by the component, the signature characters by the
-    fields they read."""
+_Datum = TypeVar("_Datum", LiftPolynomial, CharacterFunction)
 
-    __slots__ = ("x3", "p1x", "signature")
-
-    def __init__(self):
-        self.x3: dict[Component, LiftPolynomial] = {}
-        self.p1x: dict[Component, LiftPolynomial] = {}
-        self.signature: dict[tuple, CharacterFunction] = {}
-
-
-# The memo of the search_case call in progress; None outside a search.
-_LOCAL_DATA: ContextVar[Optional[_LocalData]] = ContextVar(
+# The memo of the search_case call in progress, one dict for every local
+# datum; None outside a search.
+_LOCAL_DATA: ContextVar[Optional[dict[tuple, object]]] = ContextVar(
     "cisym_local_data", default=None)
+
+
+def _local(compute: Callable[[Component], _Datum], c: Component,
+           reads: Optional[Callable[[Component], tuple]] = None) -> _Datum:
+    """compute(c), memoized within a search_case call under the key
+    (compute, c.kind, the values of the fields it reads).  reads gives those
+    values; by default they are every field, c.__dict__.values() in field
+    order: the dataclass __init__ sets the fields in that order, and
+    __post_init__ and search._copy only reassign existing ones, which keeps
+    their place."""
+    memo = _LOCAL_DATA.get()
+    if memo is None:
+        return compute(c)
+    key = (compute, c.kind,
+           *(c.__dict__.values() if reads is None else reads(c)))
+    datum = memo.get(key)
+    if datum is None:
+        datum = memo[key] = compute(c)
+    return datum
 
 
 def x3_local_datum(c: Component) -> LiftPolynomial:
     """Local contribution of a fixed component to the localized x^3 = t, as a
     polynomial in the lift parameter l."""
-    memo = _LOCAL_DATA.get()
-    if memo is None:
-        return _x3_local_datum(c)
-    datum = memo.x3.get(c)
-    if datum is None:
-        datum = memo.x3[c] = _x3_local_datum(c)
-    return datum
+    return _local(_x3_local_datum, c)
 
 
 def p1x_local_datum(c: Component) -> LiftPolynomial:
     """Local contribution to the localized p1 * x = rho * t."""
-    memo = _LOCAL_DATA.get()
-    if memo is None:
-        return _p1x_local_datum(c)
-    datum = memo.p1x.get(c)
-    if datum is None:
-        datum = memo.p1x[c] = _p1x_local_datum(c)
-    return datum
+    return _local(_p1x_local_datum, c)
 
 
 def _x3_local_datum(c: Component) -> LiftPolynomial:
@@ -439,45 +456,39 @@ def _kernel(n: int) -> CharacterFunction:
     return CharacterFunction(num, den)
 
 
+# The fields a signature character reads, by component kind.
+_SIGNATURE_READS = {"point": attrgetter("eps", "weights"),
+                    "surface": attrgetter("weights", "ev_y1", "ev_y2")}
+
+
 def signature_local_datum(c: Component) -> CharacterFunction:
     """Local contribution to the equivariant signature, a rational function
     of the circle parameter.  4-dimensional components carry none; only the
     limit identity constrains them."""
-    if c.kind == "point":
-        key = (c.eps, c.weights)
-    elif c.kind == "surface":
-        key = (c.weights, c.ev_y1, c.ev_y2)
-    else:
+    reads = _SIGNATURE_READS.get(c.kind)
+    if reads is None:
         raise UnsupportedComponentError(
             "4-dimensional components have no signature character datum"
         )
-    memo = _LOCAL_DATA.get()
-    if memo is None:
-        return _signature_local_datum(c.kind, key)
-    datum = memo.signature.get(key)
-    if datum is None:
-        datum = memo.signature[key] = _signature_local_datum(c.kind, key)
-    return datum
+    return _local(_signature_local_datum, c, reads)
 
 
-def _signature_local_datum(kind: str, key: tuple) -> CharacterFunction:
-    if kind == "point":
+def _signature_local_datum(c: Component) -> CharacterFunction:
+    if c.kind == "point":
         # (1 + q^-n)/(1 - q^-n) == -(1 + q^n)/(1 - q^n), for each of the
         # three weights.
-        eps, weights = key
-        acc = CharacterFunction.constant(-eps)
-        for n in weights:
+        acc = CharacterFunction.constant(-c.eps)
+        for n in c.weights:
             acc = acc * _edge(n)
         return acc
-    (n1, n2), ev_y1, ev_y2 = key
-    term1 = _edge(n2) * _kernel(n1) * ev_y1
-    term2 = _edge(n1) * _kernel(n2) * ev_y2
+    n1, n2 = c.weights
+    term1 = _edge(n2) * _kernel(n1) * c.ev_y1
+    term2 = _edge(n1) * _kernel(n2) * c.ev_y2
     return 4 * (term1 + term2)
 
 
 _ZERO = LiftPolynomial()
 _ZERO_CHARACTER = CharacterFunction.zero()
-_Datum = TypeVar("_Datum", LiftPolynomial, CharacterFunction)
 
 
 def _fold(data: Iterator[_Datum], zero: _Datum) -> _Datum:

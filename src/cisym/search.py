@@ -51,7 +51,7 @@ the bounds its hit list is exhaustive.
    sums, derives rho, and keeps the candidate only if Configuration accepts
    it and verify_case passes.  Every hit is thus checked independently of
    the solver.  Within one search_case call each local datum is computed
-   once per distinct input (see localization), so verify_case reuses the
+   once per distinct key (see localization), so verify_case reuses the
    data of the leaf that calls it.
 
 The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
@@ -87,7 +87,7 @@ weights of the combination being joined or solved.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 from operator import itemgetter
@@ -99,7 +99,6 @@ from .localization import (
     _divides_exactly_two,
     _int,
     _LOCAL_DATA,
-    _LocalData,
     _second_weight,
     _weight_multiset,
     AmbientData,
@@ -189,6 +188,10 @@ class _Ctx:
     rho_hi: int
     bounds: SearchBounds
     flags: SearchFlags
+    config_flags: Flags = field(init=False)  # the flags of every hit
+
+    def __post_init__(self):
+        object.__setattr__(self, "config_flags", self.flags.as_config_flags())
 
 
 def _sym(limit: int) -> range:
@@ -228,7 +231,7 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
     try:
         cfg = Configuration(
             AmbientData(t, rho, euler, 0), template, components,
-            ctx.flags.as_config_flags(),
+            ctx.config_flags,
         )
     except ConfigurationError:
         return None
@@ -248,7 +251,9 @@ def _copy(comp: Component, a: int,
           evaluations: Iterable[tuple[str, int]]) -> Component:
     """comp at lift a with the given (name, value) evaluations, made without
     running the components' validation again: comp passed it, and a and the
-    values are Python ints, all that the validation asks of those fields."""
+    values are Python ints, all that the validation asks of those fields.
+    The copy's fields stay in field order, as the memo keys of the local
+    data require."""
     new = object.__new__(type(comp))
     fields = new.__dict__
     fields.update(comp.__dict__)
@@ -578,7 +583,7 @@ def search_case(
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError("budget must be a positive integer")
     ctx = _Ctx(t_lo, t_hi, rho_lo, rho_hi, bounds, flags)
-    token = _LOCAL_DATA.set(_LocalData())
+    token = _LOCAL_DATA.set({})
     try:
         hits = _search(template, ctx, _Counter(budget, template))
     finally:

@@ -439,6 +439,25 @@ def test_search_cli_bad_template_exit_64(capsys):
     assert code == 64
 
 
+EMPTY_RANGE = "empty range: lower bound exceeds upper bound"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--t-min", "5", "--t-max", "1"), EMPTY_RANGE),
+    (("--rho-min", "3", "--rho-max", "2"), EMPTY_RANGE),
+    (("--max-weight", "0"), "max_weight must be a positive integer"),
+    (("--max-weight", "1001"), "max_weight must be <= 1000"),
+    (("--max-abs-a", "0"), "max_abs_a must be a positive integer"),
+    (("--max-abs-eval", "0"), "max_abs_eval must be a positive integer"),
+    (("--budget", "0"), "budget must be a positive integer"),
+])
+def test_search_cli_rejected_values_exit_64(capsys, argv, message):
+    code, out, err = run_usage_error(capsys, "search", "two_surfaces", *argv)
+    assert code == 64
+    assert out == ""
+    assert err.endswith(f"cisym: error: {message}\n")
+
+
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 

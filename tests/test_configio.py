@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cisym.configio import (
     _COMPONENTS,
+    _json,
     SchemaError,
     config_from_obj,
     config_to_obj,
@@ -775,24 +776,18 @@ def test_dump_config_is_what_json_dumps_renders(template, flags, data):
     assert dump_config(cfg) == json_reference(cfg)
 
 
-@pytest.mark.parametrize("flags", [
-    Flags(1, 0, 1), Flags(None, 2.5, "yes"), Flags([1, {"b": 2, "a": [3]}], 0, 0),
-    Flags({}, [], ()),
+@pytest.mark.parametrize("values", [
+    (1, 0, 1), (None, 2.5, "yes"), ([1, {"b": 2, "a": [3]}], 0, 0),
+    ({}, [], ()), (object(), False, False),
 ])
-def test_values_outside_the_schema_are_dumped_as_json_dumps_renders_them(
-        flags):
-    # Flags does not check its values; whatever they are, dump_config
-    # renders them as json does (or raises as json does).
-    cfg = Configuration(AmbientData(2, 1, 4), "surface_plus_two_points",
-                        config_from_obj(quadric_obj()).components, flags)
-    assert dump_config(cfg) == json_reference(cfg)
+def test_flag_values_outside_the_schema_are_rejected_when_built(values):
+    # dump_config renders only the values the records admit: a flag that
+    # json would render as something other than a boolean, or not at all,
+    # never reaches it.
+    with pytest.raises(ConfigurationError, match="must be a bool"):
+        Flags(*values)
 
 
-def test_values_json_cannot_render_raise_as_json_raises():
-    cfg = Configuration(AmbientData(2, 1, 4), "surface_plus_two_points",
-                        config_from_obj(quadric_obj()).components,
-                        Flags(object(), False, False))
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        json_reference(cfg)
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        dump_config(cfg)
+def test_dump_config_renders_only_what_the_records_admit():
+    with pytest.raises(TypeError, match="holds no float value"):
+        _json(2.5, 1)

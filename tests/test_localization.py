@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisym.algebra import CharacterFunction, LiftPolynomial
+from cisym.configio import load_config
 from cisym.localization import (
     CITATIONS,
     MAX_WEIGHT,
@@ -398,6 +400,17 @@ def test_template_component_mismatch():
                       (zero_four(), PointComponent(1, (1, 1, 1), 0)))
 
 
+def test_configuration_requires_its_record_types():
+    cfg = quadric_configuration()
+    ambient, comps, flags = cfg.ambient, cfg.components, cfg.flags
+    for args in (((2, 1, 4), comps, flags),
+                 (ambient, comps, {"lemma64": True}),
+                 (ambient, comps[:2] + ((1, 1, 1),), flags),
+                 (ambient, comps[:2] + (None,), flags)):
+        with pytest.raises(ConfigurationError, match="must be"):
+            Configuration(args[0], "surface_plus_two_points", *args[1:])
+
+
 def test_unknown_template():
     with pytest.raises(ConfigurationError):
         Configuration(AmbientData(1, 0, 4), "mystery", (zero_four(),))
@@ -434,6 +447,22 @@ def test_effectiveness_flag_requires_coprime_weights():
 
 # ---------------------------------------------------------------------------
 # Witnesses
+
+
+DEMO_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+
+
+def test_failed_gives_exactly_the_failing_checks_in_order():
+    assert len(DEMO_CONFIGS) == 10
+    verdicts = set()
+    for path in DEMO_CONFIGS:
+        report = verify_case(load_config(str(path)))
+        failed = report.failed()
+        assert failed == tuple(c for c in report.checks if not c.passed)
+        assert (failed == ()) == report.consistent
+        verdicts.add(report.consistent)
+    assert verdicts == {False, True}
 
 
 def test_cp3_configuration_is_consistent():

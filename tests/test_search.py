@@ -12,13 +12,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bruteforce import brute_force
-from cisym import search
+from cisym import localization, search
 from cisym.configio import dump_config, parse_config
 from cisym.localization import (
     MAX_WEIGHT,
     TEMPLATES,
     ConfigurationError,
     Flags,
+    FourComponent,
+    PointComponent,
+    SurfaceComponent,
     _divides_exactly_two,
     _shares_second_weight,
     _weights_match,
@@ -227,6 +230,12 @@ def test_bounds_validation():
     assert SearchBounds(max_weight=MAX_WEIGHT).max_weight == MAX_WEIGHT
     with pytest.raises(ValueError):
         SearchBounds(max_abs_a=-1)
+
+
+def test_search_flags_are_booleans():
+    for kwargs in ({"semifree": 1}, {"lemma64": None}):
+        with pytest.raises(ConfigurationError, match="must be a bool"):
+            SearchFlags(**kwargs)
 
 
 def test_flags_restrict_the_space():
@@ -565,3 +574,69 @@ def _t_from_row0(pairs, den):
     constants at the lifts sum to den * t (None if den does not divide)."""
     total = sum(c.at(a)[1][0] for c, a in pairs)
     return None if total % den else total // den
+
+
+# ---------------------------------------------------------------------------
+# The memo of one search_case call
+
+
+DATA = ("_x3_local_datum", "_p1x_local_datum", "_signature_local_datum")
+
+
+def test_each_local_datum_is_computed_once_per_key_in_a_search(monkeypatch):
+    computed = {name: [] for name in DATA}
+    memos = []
+
+    def counted(name, compute):
+        def datum(c):
+            memos.append(localization._LOCAL_DATA.get())
+            reads = (localization._SIGNATURE_READS[c.kind](c)
+                     if name == "_signature_local_datum" else vars(c).values())
+            computed[name].append((c.kind, *reads))
+            return compute(c)
+        return datum
+
+    for name in DATA:
+        monkeypatch.setattr(localization, name,
+                            counted(name, getattr(localization, name)))
+    hits = search_case("two_surfaces", rho_range=(-10, 10), bounds=SMALL,
+                       flags=SearchFlags(semifree=True))
+    assert hits
+    (memo,) = {id(m): m for m in memos}.values()
+    assert memo is not None
+    for name, keys in computed.items():
+        assert keys, name
+        assert len(set(keys)) == len(keys), name
+    assert len(memo) == sum(map(len, computed.values()))
+
+
+def test_a_copied_component_has_the_key_of_an_equal_constructed_one():
+    pairs = [
+        (PointComponent(-1, (1, 2, 3), 4),
+         _copy(PointComponent(-1, (1, 2, 3), 0), 4, ())),
+        (SurfaceComponent((1, 2), 3, 4, 5, 6, 2),
+         _copy(SurfaceComponent((1, 2), 0, 0, 0, 0, 2), 3,
+               (("ev_x", 4), ("ev_y1", 5), ("ev_y2", 6)))),
+        (FourComponent(1, -2, 1, 0, 0, 3, 1, 1, 3),
+         _copy(FourComponent(1, 0, 0, 0, 0, 3, 1, 1, 3), -2, (("ev_x2", 1),))),
+    ]
+    for built, copied in pairs:
+        # The x^3 and p1*x keys read vars(c) in field order, which both the
+        # dataclass __init__ and _copy keep.
+        assert copied == built
+        names = [f.name for f in fields(built)]
+        assert list(vars(built)) == list(vars(copied)) == names
+        data = [localization.x3_local_datum, localization.p1x_local_datum]
+        if built.kind != "four":
+            data.append(localization.signature_local_datum)
+        memo = {}
+        token = localization._LOCAL_DATA.set(memo)
+        try:
+            for datum in data:
+                assert datum(copied) is datum(built)
+        finally:
+            localization._LOCAL_DATA.reset(token)
+        assert len(memo) == len(data)
+        assert {key[1] for key in memo} == {built.kind}
+        assert {key[0] for key in memo} == {getattr(localization, name)
+                                           for name in DATA[:len(data)]}
