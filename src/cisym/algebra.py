@@ -253,6 +253,17 @@ class TruncatedSeries(_Exact):
             [scale * big[k] * powers[n - k] for k in range(n + 1)],
             abs(powers[n + 1]))
 
+    def rescaled(self, scale: int) -> "TruncatedSeries":
+        """The series at scale*x: coefficient k times scale^k."""
+        if not isinstance(scale, int) or isinstance(scale, bool):
+            raise TypeError("scale must be an integer")
+        num = []
+        power = 1
+        for c in self.num:
+            num.append(c * power)
+            power *= scale
+        return _reduced(TruncatedSeries, num, self.den)
+
     def __repr__(self) -> str:
         terms = []
         for k, c in enumerate(self.num):

@@ -8,7 +8,6 @@ Subcommands: invariants, classify, table, verify, search.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -19,6 +18,7 @@ from .configio import (
     config_to_obj,
     dump_config,
     fraction_str,
+    json_text,
     load_config,
 )
 from .invariants import CompleteIntersection, InvariantReport, invariants
@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json_text(obj))
 
 
 def _ci_from_args(parser: _Parser, args) -> CompleteIntersection:

@@ -12,12 +12,17 @@ while the text is parsed, before any of these.
 Rendering is canonical: parse(dump(cfg)) reproduces dump(cfg) byte for
 byte.  dump_config writes a fixed layout, each record's keys sorted with
 their line heads computed once, and its text is exactly
-json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) plus a newline:
-strings through json's own ASCII encoder, ints (int subclasses too) by
-int.__repr__, bools as true/false and weight tuples as indented arrays.
-The records admit no other value.  The search sorts its hits by this text.
-Exact rational values elsewhere in the tool's JSON output are rendered as
-"p/q" strings via fraction_str.
+json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) plus a newline.
+The search sorts its hits by this text.
+
+One renderer, json_text, writes the values of that layout and every
+`--json` answer of the command line, byte for byte the text of
+json.dumps(value, sort_keys=True, indent=2): strings through json's own
+ASCII encoder, ints (int subclasses too) by int.__repr__, bools as
+true/false, tuples and lists as indented arrays, objects with their string
+keys sorted, and None as null.  It renders no other value, floats
+included.  Exact rational values are rendered as "p/q" strings via
+fraction_str.
 """
 
 from __future__ import annotations
@@ -201,9 +206,14 @@ def config_to_obj(cfg: Configuration) -> dict:
     }
 
 
-def _json(value, depth: int) -> str:
+def json_text(value, depth: int = 0) -> str:
     """value as json.dumps(value, sort_keys=True, indent=2) renders it at
-    `depth` levels of nesting."""
+    `depth` levels of nesting.
+
+    Strings, bools, ints, arrays (tuples and lists), objects with string
+    keys and None are JSON; any other value or key is a TypeError.  The
+    branches a configuration takes come first, since dump_config is the
+    search's sort key."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is True:
@@ -212,15 +222,30 @@ def _json(value, depth: int) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, tuple) and value:
-        pad = "\n" + "  " * (depth + 1)
-        return ("[" + ",".join([pad + _json(v, depth + 1) for v in value])
-                + "\n" + "  " * depth + "]")
-    raise TypeError(f"a configuration holds no {type(value).__name__} value")
+    if isinstance(value, (tuple, list)):
+        if not value:
+            return "[]"
+        depth += 1
+        pad = "\n" + "  " * depth
+        return ("[" + pad + ("," + pad).join([json_text(v, depth)
+                                              for v in value])
+                + pad[:-2] + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        depth += 1
+        pad = "\n" + "  " * depth
+        # Sorted as json.dumps sorts them, by (key, value) pairs.
+        return ("{" + pad + ("," + pad).join(
+            [encode_basestring_ascii(key) + ": " + json_text(v, depth)
+             for key, v in sorted(value.items())]) + pad[:-2] + "}")
+    if value is None:
+        return "null"
+    raise TypeError(f"JSON output holds no {type(value).__name__} value")
 
 
 def _record_json(obj, record: _Record) -> str:
-    return ("{" + ",".join([head + _json(getattr(obj, key), record.depth)
+    return ("{" + ",".join([head + json_text(getattr(obj, key), record.depth)
                             for key, head in record.heads]) + record.close)
 
 
@@ -234,7 +259,7 @@ def dump_config(cfg: Configuration) -> str:
     return ('{\n  "ambient": ' + _record_json(cfg.ambient, _AMBIENT)
             + ',\n  "components": [' + components + "\n  ]"
             + ',\n  "flags": ' + _record_json(cfg.flags, _FLAGS)
-            + ',\n  "template": ' + _json(cfg.template, 1) + "\n}\n")
+            + ',\n  "template": ' + json_text(cfg.template, 1) + "\n}\n")
 
 
 def fraction_str(value: Union[int, Fraction]) -> str:

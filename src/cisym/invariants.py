@@ -99,11 +99,16 @@ def evaluate_top(ci: CompleteIntersection, f: TruncatedSeries) -> Fraction:
 
 def _virtual_genus_series(ci: CompleteIntersection, kind: str) -> TruncatedSeries:
     """Genus series of the stable tangent bundle: ambient line factors over
-    the factors of the defining degrees, one inverse per distinct degree."""
-    order = ci.n
-    total = genus_line_factor(kind, 1, order) ** ci.ambient_lines
+    the factors of the defining degrees.
+
+    The factor at line weight d is the weight-1 factor f at d*x, and so is
+    its inverse, so f and its inverse are built once and each distinct
+    degree takes the inverse rescaled by d."""
+    line = genus_line_factor(kind, 1, ci.n)
+    inverse = line.inverse()
+    total = line ** ci.ambient_lines
     for d, m in Counter(ci.degrees).items():
-        total = total * genus_line_factor(kind, d, order).inverse() ** m
+        total = total * inverse.rescaled(d) ** m
     return total
 
 

@@ -286,7 +286,7 @@ class Configuration:
                 f"ambient must be an AmbientData, got {self.ambient!r}")
         if not isinstance(self.flags, Flags):
             raise ConfigurationError(f"flags must be a Flags, got {self.flags!r}")
-        if self.template not in TEMPLATES:
+        if not isinstance(self.template, str) or self.template not in TEMPLATES:
             raise ConfigurationError(f"unknown template {self.template!r}")
         comps = tuple(self.components)
         for c in comps:

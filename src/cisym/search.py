@@ -572,7 +572,7 @@ def search_case(
     """Enumerate all consistent configurations of one template within the
     bounds, sorted by their canonical JSON rendering.  The run raises
     BudgetExceededError as soon as it visits more than budget nodes."""
-    if template not in TEMPLATES:
+    if not isinstance(template, str) or template not in TEMPLATES:
         raise ConfigurationError(f"unknown template {template!r}")
     if not isinstance(bounds, SearchBounds) or not isinstance(flags, SearchFlags):
         raise TypeError("bounds must be a SearchBounds and flags a SearchFlags")

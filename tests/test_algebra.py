@@ -14,6 +14,7 @@ from cisym.algebra import (
     LiftPolynomial,
     NonUnitError,
     OrderMismatchError,
+    GENUS_KINDS,
     TruncatedSeries,
     genus_line_factor,
 )
@@ -185,6 +186,28 @@ def test_series_inverse_matches_reference(args, c0):
         TruncatedSeries(order, [0] + a[1:]).inverse()
 
 
+@given(series_inputs(1), st.integers(-12, 12))
+def test_series_rescaling_matches_reference(args, d):
+    order, a = args
+    assert_series(TruncatedSeries(order, a).rescaled(d),
+                  [c * d**k for k, c in enumerate(ref_coeffs(order, a))])
+
+
+@given(series_inputs(1), rationals.filter(lambda c: c != 0),
+       st.integers(-12, 12), st.integers(-12, 12))
+def test_rescaling_commutes_with_inverse_and_composes(args, c0, d, e):
+    order, a = args
+    s = TruncatedSeries(order, [c0] + a[1:])
+    assert s.rescaled(d).inverse() == s.inverse().rescaled(d)
+    assert s.rescaled(d).rescaled(e) == s.rescaled(d * e)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, F(1, 2)])
+def test_rescaling_takes_an_integer(bad):
+    with pytest.raises(TypeError):
+        TruncatedSeries(2, [1, 1]).rescaled(bad)
+
+
 @pytest.mark.parametrize("order, coeffs, text", [
     (0, (), "0 + O(x^1)"),
     (0, (3,), "3 + O(x^1)"),
@@ -265,6 +288,13 @@ def test_hyperbolic_factors_against_sympy(d):
     for k in range(order + 1):
         assert F(str(lg.coeff(x, k))) == lg_ours.coefficient(k)
         assert F(str(ah.coeff(x, k))) == ah_ours.coefficient(k)
+
+
+@given(st.sampled_from(GENUS_KINDS), st.integers(-30, 30), st.integers(0, 9))
+def test_line_factor_at_weight_d_is_the_weight_one_factor_rescaled(
+        kind, d, order):
+    assert (genus_line_factor(kind, d, order)
+            == genus_line_factor(kind, 1, order).rescaled(d))
 
 
 def test_unknown_genus_kind_rejected():

@@ -79,6 +79,34 @@ def test_json_output_is_canonically_sorted(capsys):
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+# One call per shape of answer: every subcommand, classify's verdicts with
+# and without hypotheses, empty and nonempty hit lists, passing and failing
+# checks.
+JSON_ANSWERS = (
+    [("invariants", "2", "4"), ("invariants", "3", "5"),
+     ("invariants", "6", "2", "3", "1000")]
+    + [("classify", str(n), *degrees) for n in range(1, 5)
+       for degrees in (("1",), ("2",), ("4",), ("2", "3"))]
+    + [("table",)]
+    + [("verify", str(path)) for path in sorted(DEMO_CONFIGS.glob("*.json"))]
+    + [("search", "two_surfaces", "--semifree", "--rho-min", "-4",
+        "--rho-max", "4", "--t-max", "2", "--max-abs-a", "2",
+        "--max-abs-eval", "2"),
+       ("search", "two_fours")]
+)
+
+
+@pytest.mark.parametrize(
+    "argv", JSON_ANSWERS,
+    ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_every_json_answer_is_what_json_dumps_renders(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code in (0, 2)
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_invariants_usage_errors(capsys):
     code, _, err = run_usage_error(capsys, "invariants", "7", "2")
     assert code == 64

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from cisym.configio import (
     _COMPONENTS,
-    _json,
     SchemaError,
     config_from_obj,
     config_to_obj,
     dump_config,
     fraction_str,
+    json_text,
     load_config,
     parse_config,
 )
@@ -790,4 +790,45 @@ def test_flag_values_outside_the_schema_are_rejected_when_built(values):
 
 def test_dump_config_renders_only_what_the_records_admit():
     with pytest.raises(TypeError, match="holds no float value"):
-        _json(2.5, 1)
+        json_text(2.5, 1)
+
+
+# json_text renders every --json answer of the command line as well: any
+# JSON value without floats, byte for byte as json.dumps renders it.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.text(), st.text(st.characters(max_codepoint=0x1f)),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(json_values)
+def test_json_text_is_what_json_dumps_renders(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], {"": {}}, {"b": [1, {}], "a": None},
+    {"\u00e9\x00": "\U0001f600\ud800"}, (1, [True, False]), 2**200,
+    Level.HIGH, [Level.TWO, {"k": Level.LOW}],
+])
+def test_json_text_renders_edge_values_as_json_dumps(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value, message", [
+    ({"a": [1.5]}, "holds no float value"),
+    ({1: "a"}, "must be a string"),
+    ({"a": 1, 2: "b"}, "not supported"),
+    ({"a": {2}}, "holds no set value"),
+])
+def test_json_text_rejects_what_is_not_json(value, message):
+    with pytest.raises(TypeError, match=message):
+        json_text(value)

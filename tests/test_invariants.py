@@ -1,12 +1,14 @@
 """Tests for complete-intersection invariants, frozen against the naive
 convolution oracle in oracle.py and closed forms."""
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
 
 import oracle
+from cisym.algebra import TruncatedSeries
 from cisym.invariants import (
     MAX_DIMENSION,
     CompleteIntersection,
@@ -116,12 +118,19 @@ def test_curve_euler_closed_form_sweep():
         assert euler_characteristic(ci) == t * (2 - sum(d - 1 for d in degs))
 
 
+# Beyond the sweeps: repeated degrees and large ones, which the genus series
+# reach by rescaling the weight-1 factor.
+LARGE_MULTIDEGREES = [(7, 7, 7), (2, 2, 3, 3, 3), (97,), (1000,), (2, 999),
+                      (10**6,)]
+
+
 def test_euler_matches_oracle_on_a_sweep():
-    for degs in multidegrees(8, min_part=2):
-        for n in (2, 3):
+    # n = 1..6 is every dimension the CLI answers.
+    for degs in list(multidegrees(8)) + LARGE_MULTIDEGREES:
+        for n in range(1, 7):
             assert euler_characteristic(
                 CompleteIntersection(n, degs)
-            ) == oracle.euler_ci(n, degs)
+            ) == oracle.euler_ci(n, degs), (n, degs)
 
 
 def test_evaluate_top_requires_enough_order():
@@ -178,10 +187,11 @@ def test_parity_errors_in_odd_dimension():
 
 
 def test_signature_and_a_hat_match_oracle_on_a_sweep():
-    for degs in multidegrees(9, min_part=2):
-        ci = CompleteIntersection(2, degs)
-        assert signature(ci) == oracle.signature_ci(2, degs)
-        assert a_hat_genus(ci) == oracle.a_hat_ci(2, degs)
+    for n, max_sum in ((2, 9), (4, 8), (6, 8)):
+        for degs in list(multidegrees(max_sum)) + LARGE_MULTIDEGREES:
+            ci = CompleteIntersection(n, degs)
+            assert signature(ci) == oracle.signature_ci(n, degs), (n, degs)
+            assert a_hat_genus(ci) == oracle.a_hat_ci(n, degs), (n, degs)
 
 
 def test_rokhlin_divisibility_sweep():
@@ -205,3 +215,48 @@ def test_report_fields_in_odd_dimension():
     assert rep.b3 == 10
     rep1 = invariants(X(1, 2))
     assert rep1.b3 is None and rep1.euler == 2
+
+
+# ---------------------------------------------------------------------------
+# The structure of one invariants() call
+
+
+def kernel_calls(monkeypatch, ci) -> dict:
+    """How often one invariants(ci) call runs each series kernel."""
+    counts = Counter()
+    for name in ("inverse", "rescaled", "__mul__", "__pow__"):
+        method = getattr(TruncatedSeries, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    invariants(ci)
+    monkeypatch.undo()
+    return dict(counts)
+
+
+def test_kernel_calls_of_one_invariants_call_are_pinned(monkeypatch):
+    # The chern series alone: its weight-1 line factor and that factor's
+    # inverse are built once, and each distinct degree rescales the inverse.
+    # One more degree costs one rescaling, one power and one product, and
+    # no inverse.
+    assert kernel_calls(monkeypatch, X(3, 2)) == {
+        "inverse": 1, "rescaled": 1, "__pow__": 2, "__mul__": 4}
+    assert kernel_calls(monkeypatch, X(3, 2, 3, 4, 5)) == {
+        "inverse": 1, "rescaled": 4, "__pow__": 5, "__mul__": 7}
+
+
+@pytest.mark.parametrize("n, inverses", [(3, 1), (4, 5), (6, 5)])
+def test_one_invariants_call_inverts_once_per_genus_however_many_degrees(
+        monkeypatch, n, inverses):
+    # Even n adds the l_genus and a_hat series, whose line factors invert
+    # once more inside genus_line_factor.
+    one = kernel_calls(monkeypatch, X(n, 2))
+    four = kernel_calls(monkeypatch, X(n, 2, 3, 4, 5))
+    repeated = kernel_calls(monkeypatch, X(n, 2, 2, 3, 3))
+    series = 1 if n % 2 else 3
+    assert one["inverse"] == four["inverse"] == repeated["inverse"] == inverses
+    assert (one["rescaled"], four["rescaled"], repeated["rescaled"]) == (
+        series, 4 * series, 2 * series)

@@ -416,6 +416,13 @@ def test_unknown_template():
         Configuration(AmbientData(1, 0, 4), "mystery", (zero_four(),))
 
 
+@pytest.mark.parametrize("template", [["two_fours"], None, 3])
+def test_a_template_that_is_no_string_is_unknown(template):
+    # An unhashable one too: the type is checked before the lookup.
+    with pytest.raises(ConfigurationError, match="unknown template"):
+        Configuration(AmbientData(1, 0, 4), template, (zero_four(),))
+
+
 def test_template_b2_requirement():
     # single_four_b2_2 needs b2 = 2; a b2 = 0 component is rejected before
     # the Betti sum is even considered.

@@ -204,6 +204,13 @@ def test_unknown_template_rejected():
         search_case("everything")
 
 
+@pytest.mark.parametrize("template", [["x"], None])
+def test_a_template_that_is_no_string_is_unknown(template):
+    # An unhashable one too: the type is checked before the lookup.
+    with pytest.raises(ConfigurationError, match="unknown template"):
+        search_case(template)
+
+
 def test_bad_ranges_rejected():
     with pytest.raises(ValueError):
         search_case("two_surfaces", t_range=(5, 1))
