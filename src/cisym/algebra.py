@@ -283,6 +283,40 @@ class TruncatedSeries(_Exact):
 GENUS_KINDS = ("chern", "pontrjagin", "a_hat", "l_genus")
 
 
+def _unit_line_factor(kind: str, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """A genus's line factor at weight 1 and its inverse, with at most one
+    inversion each."""
+    if kind == "chern":
+        factor = TruncatedSeries(order, [1, 1][:order + 1])
+        return factor, factor.inverse()
+    if kind == "pontrjagin":
+        factor = TruncatedSeries(order, [1, 0, 1][:order + 1])
+        return factor, factor.inverse()
+    if kind not in ("a_hat", "l_genus"):
+        raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
+    # The Taylor coefficients through x^(2m), m = order // 2, as integer
+    # numerators over their common denominator: (2m+1)! at u = x,
+    # 4^m * (2m+1)! at u = x/2.
+    m = order // 2
+    top = factorial(2 * m + 1)
+    sinh_over = [0] * (order + 1)
+    if kind == "a_hat":
+        # The factor inverts sinh(u)/u at u = x/2, which is its inverse.
+        for k in range(m + 1):
+            sinh_over[2 * k] = 4 ** (m - k) * (top // factorial(2 * k + 1))
+        ratio = _reduced(TruncatedSeries, sinh_over, 4**m * top)
+        return ratio.inverse(), ratio
+    # u/tanh(u) = cosh(u) / (sinh(u)/u) at u = x; the common denominator
+    # cancels in the quotient.
+    cosh = [0] * (order + 1)
+    for k in range(m + 1):
+        cosh[2 * k] = top // factorial(2 * k)
+        sinh_over[2 * k] = top // factorial(2 * k + 1)
+    factor = (_reduced(TruncatedSeries, cosh, 1)
+              * _reduced(TruncatedSeries, sinh_over, 1).inverse())
+    return factor, factor.inverse()
+
+
 def genus_line_factor(kind: str, scale: int, order: int) -> TruncatedSeries:
     """The multiplicative one-line factor of a genus, at line weight `scale`.
 
@@ -291,42 +325,10 @@ def genus_line_factor(kind: str, scale: int, order: int) -> TruncatedSeries:
     a_hat       (d*x/2) / sinh(d*x/2)
     l_genus     d*x / tanh(d*x)
 
-    The last two are even series with exact rational coefficients; at d = 0
-    they degenerate to 1.
+    Each is the weight-1 factor at d*x.  The last two are even series with
+    exact rational coefficients; at d = 0 every factor degenerates to 1.
     """
-    if not isinstance(scale, int) or isinstance(scale, bool):
-        raise TypeError("scale must be an integer")
-    d = scale
-    if kind == "chern":
-        if order == 0:
-            return TruncatedSeries.one(0)
-        return TruncatedSeries(order, [1, d])
-    if kind == "pontrjagin":
-        if order < 2:
-            return TruncatedSeries.one(order)
-        return TruncatedSeries(order, [1, 0, d * d])
-    if kind not in ("a_hat", "l_genus"):
-        raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
-    # The Taylor coefficients through x^(2m), m = order // 2, as integer
-    # numerators over their common denominator: (2m+1)! at u = d*x,
-    # 4^m * (2m+1)! at u = d*x/2.
-    m = order // 2
-    top = factorial(2 * m + 1)
-    sinh_over = [0] * (order + 1)
-    if kind == "a_hat":
-        # sinh(u)/u at u = d*x/2, then invert.
-        for k in range(m + 1):
-            sinh_over[2 * k] = (d ** (2 * k) * 4 ** (m - k)
-                                * (top // factorial(2 * k + 1)))
-        return _reduced(TruncatedSeries, sinh_over, 4**m * top).inverse()
-    # u/tanh(u) = cosh(u) / (sinh(u)/u) at u = d*x; the common denominator
-    # cancels in the quotient.
-    cosh = [0] * (order + 1)
-    for k in range(m + 1):
-        cosh[2 * k] = d ** (2 * k) * (top // factorial(2 * k))
-        sinh_over[2 * k] = d ** (2 * k) * (top // factorial(2 * k + 1))
-    return (_reduced(TruncatedSeries, cosh, 1)
-            * _reduced(TruncatedSeries, sinh_over, 1).inverse())
+    return _unit_line_factor(kind, order)[0].rescaled(scale)
 
 
 # ---------------------------------------------------------------------------

@@ -52,21 +52,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    inv = sub.add_parser(
-        "invariants",
-        help="invariants of a complete intersection X_n(d_1, ..., d_r)",
-    )
-    inv.add_argument("n", type=int, help="complex dimension (1 to 6)")
-    inv.add_argument("degrees", type=int, nargs="+", metavar="d",
-                     help="multidegree entries, each >= 1")
-
-    cls = sub.add_parser(
-        "classify",
-        help="decide whether X_n(d) admits a smooth circle action",
-    )
-    cls.add_argument("n", type=int, help="complex dimension (1 to 6)")
-    cls.add_argument("degrees", type=int, nargs="+", metavar="d",
-                     help="multidegree entries, each >= 1")
+    for name, text in (
+        ("invariants", "invariants of a complete intersection X_n(d_1, ..., d_r)"),
+        ("classify", "decide whether X_n(d) admits a smooth circle action"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("n", type=int, help="complex dimension (1 to 6)")
+        command.add_argument("degrees", type=int, nargs="+", metavar="d",
+                             help="multidegree entries, each >= 1")
 
     sub.add_parser(
         "table",
@@ -110,10 +103,6 @@ def build_parser() -> _Parser:
                              help="print the answer as JSON instead of text")
 
     return parser
-
-
-def _print_json(obj) -> None:
-    print(json_text(obj))
 
 
 def _ci_from_args(parser: _Parser, args) -> CompleteIntersection:
@@ -168,7 +157,7 @@ def _cmd_invariants(parser: _Parser, args) -> int:
     ci = _ci_from_args(parser, args)
     obj = _invariants_obj(invariants(ci))
     if args.as_json:
-        _print_json(obj)
+        print(json_text(obj))
         return EXIT_OK
     print(ci)
     _print_invariants_text(obj)
@@ -202,7 +191,7 @@ def _cmd_classify(parser: _Parser, args) -> int:
     ci = _ci_from_args(parser, args)
     obj = _verdict_obj(s1_verdict(ci))
     if args.as_json:
-        _print_json(obj)
+        print(json_text(obj))
         return EXIT_OK
     if obj["admits"] is None:
         headline = "out of scope"
@@ -229,7 +218,7 @@ def _cmd_table(args) -> int:
     entries = [dict(_invariants_obj(v.evidence), citation=v.citation)
                for v in verdicts]
     if args.as_json:
-        _print_json({"dimension_bound": 3, "entries": entries})
+        print(json_text({"dimension_bound": 3, "entries": entries}))
         return EXIT_OK
     print("Complete intersections of complex dimension <= 3 admitting a"
           " smooth circle action")
@@ -273,7 +262,7 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     report = verify_case(cfg)
     if args.as_json:
-        _print_json({
+        print(json_text({
             "consistent": report.consistent,
             "checks": [
                 {
@@ -285,7 +274,7 @@ def _cmd_verify(args) -> int:
                 for c in report.checks
             ],
             "config": config_to_obj(cfg),
-        })
+        }))
     else:
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
@@ -322,11 +311,11 @@ def _cmd_search(parser: _Parser, args) -> int:
     except (ValueError, ConfigurationError) as exc:
         parser.error(str(exc))
     if args.as_json:
-        _print_json({
+        print(json_text({
             "template": args.template,
             "count": len(hits),
             "hits": [config_to_obj(cfg) for cfg in hits],
-        })
+        }))
     else:
         print(f"{len(hits)} consistent configuration(s) within bounds")
         for cfg in hits:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import TruncatedSeries, genus_line_factor
+from .algebra import TruncatedSeries, _unit_line_factor
 
 MAX_DEGREE = 10**6
 MAX_FACTORS = 64
@@ -104,8 +104,7 @@ def _virtual_genus_series(ci: CompleteIntersection, kind: str) -> TruncatedSerie
     The factor at line weight d is the weight-1 factor f at d*x, and so is
     its inverse, so f and its inverse are built once and each distinct
     degree takes the inverse rescaled by d."""
-    line = genus_line_factor(kind, 1, ci.n)
-    inverse = line.inverse()
+    line, inverse = _unit_line_factor(kind, ci.n)
     total = line ** ci.ambient_lines
     for d, m in Counter(ci.degrees).items():
         total = total * inverse.rescaled(d) ** m

@@ -16,6 +16,7 @@ from cisym.algebra import (
     OrderMismatchError,
     GENUS_KINDS,
     TruncatedSeries,
+    _unit_line_factor,
     genus_line_factor,
 )
 
@@ -297,9 +298,23 @@ def test_line_factor_at_weight_d_is_the_weight_one_factor_rescaled(
             == genus_line_factor(kind, 1, order).rescaled(d))
 
 
+@given(st.sampled_from(GENUS_KINDS), st.integers(0, 12))
+def test_unit_line_factor_times_its_inverse_is_one(kind, order):
+    factor, inverse = _unit_line_factor(kind, order)
+    assert factor == genus_line_factor(kind, 1, order)
+    assert factor * inverse == TruncatedSeries.one(order)
+
+
 def test_unknown_genus_kind_rejected():
     with pytest.raises(ValueError):
         genus_line_factor("todd", 1, 3)
+
+
+@pytest.mark.parametrize("kind", GENUS_KINDS)
+@pytest.mark.parametrize("scale", [2.5, True])
+def test_line_weight_must_be_an_integer(kind, scale):
+    with pytest.raises(TypeError, match="scale must be an integer"):
+        genus_line_factor(kind, scale, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -246,13 +246,18 @@ def test_kernel_calls_of_one_invariants_call_are_pinned(monkeypatch):
         "inverse": 1, "rescaled": 1, "__pow__": 2, "__mul__": 4}
     assert kernel_calls(monkeypatch, X(3, 2, 3, 4, 5)) == {
         "inverse": 1, "rescaled": 4, "__pow__": 5, "__mul__": 7}
+    # Even n adds the l_genus and a_hat series: two more rescalings, and
+    # three more inverses (see the test below).
+    assert kernel_calls(monkeypatch, X(4, 2)) == {
+        "inverse": 4, "rescaled": 3, "__pow__": 6, "__mul__": 13}
 
 
-@pytest.mark.parametrize("n, inverses", [(3, 1), (4, 5), (6, 5)])
+@pytest.mark.parametrize("n, inverses", [(3, 1), (4, 4), (6, 4)])
 def test_one_invariants_call_inverts_once_per_genus_however_many_degrees(
         monkeypatch, n, inverses):
-    # Even n adds the l_genus and a_hat series, whose line factors invert
-    # once more inside genus_line_factor.
+    # Even n adds the l_genus series, which inverts sinh(u)/u and then its
+    # factor, and the a_hat series, whose factor is the inverse of
+    # sinh(u)/u and so needs no second inversion.
     one = kernel_calls(monkeypatch, X(n, 2))
     four = kernel_calls(monkeypatch, X(n, 2, 3, 4, 5))
     repeated = kernel_calls(monkeypatch, X(n, 2, 2, 3, 3))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bruteforce import brute_force
 from cisym import localization, search
+from cisym.algebra import LiftPolynomial
 from cisym.configio import dump_config, parse_config
 from cisym.localization import (
     MAX_WEIGHT,
@@ -27,6 +28,7 @@ from cisym.localization import (
     _weights_match,
     verify_case,
     x3_local_datum,
+    x3_sum,
 )
 from cisym.search import (
     BudgetExceededError,
@@ -189,6 +191,35 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
     for template in ("two_fours", "four_plus_surface", "four_plus_two_points",
                      "single_four_b2_2"):
         assert solves[template] == 0, template
+
+
+def test_the_solver_t_is_the_x3_sum_of_every_leaf(monkeypatch):
+    # The solver's last unknown is t, and its rows are the x^3 identity, so
+    # every candidate handed to _leaf has x3_sum == t and _leaf's own x^3
+    # checks never reject one.  Checked on every leaf at t 1..10, rho
+    # -10..0, at 2/2/2 under every flag set and on the certify box.
+    solution = []
+    leaves = []
+    solve_, leaf_ = search._solve, search._leaf
+
+    def solve(*args):
+        for x in solve_(*args):
+            solution[:] = x
+            yield x
+
+    def leaf(template, cand, ctx, counter):
+        leaves.append(x3_sum(cand) == LiftPolynomial.constant(solution[-1]))
+        return leaf_(template, cand, ctx, counter)
+
+    monkeypatch.setattr(search, "_solve", solve)
+    monkeypatch.setattr(search, "_leaf", leaf)
+    for flags, template in product(FLAG_SETS.values(), sorted(TEMPLATES)):
+        search_case(template, bounds=SearchBounds(2, 2, 2), flags=flags)
+    assert len(leaves) == 515 and all(leaves)
+    leaves.clear()
+    for template in sorted(TEMPLATES):
+        search_case(template)
+    assert len(leaves) == 375 and all(leaves)
 
 
 def test_every_template_is_empty_on_the_wider_box():
