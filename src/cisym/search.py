@@ -44,15 +44,25 @@ the bounds its hit list is exhaustive.
    exact floor and ceiling division, in which the pivot lies inside its
    bound; a pivot is then kept only if it is an integer.  So the solver
    yields exactly the integer points of the box at which check_x3 passes.
-3. The leaf.  Each such point is built into a candidate from the validated
-   components of its choices: the copy takes the lifts and the solver's
-   evaluations, Python ints, without running the components' validation
-   again.  The candidate goes to _leaf, which recomputes the x^3 and p1*x
-   sums, derives rho, and keeps the candidate only if Configuration accepts
-   it and verify_case passes.  Every hit is thus checked independently of
-   the solver.  Within one search_case call each local datum is computed
-   once per distinct key (see localization), so verify_case reuses the
-   data of the leaf that calls it.
+3. The leaf.  The p1*x identity says that the localized p1*x sum is the
+   constant rho * t.  The l^1 coefficient of each p1*x datum does not
+   depend on the lift and is affine in the unknown evaluations, so each
+   choice has integer l^1 entries (den times the coefficients, one per
+   unknown, then the constant one), read from the p1*x datum at zero and
+   unit evaluations the first time a point of the solver involves the
+   choice.  A point is dropped when the constant entries of its
+   combination plus the unknown entries times its evaluations do not sum
+   to 0: there the p1*x sum keeps an l^1 term.  Every other point is built
+   into a candidate from the validated components of its choices: the
+   copy takes the lifts and the solver's evaluations, Python ints, without
+   running the components' validation again.  The candidate goes to _leaf,
+   which recomputes the x^3 and p1*x sums, derives rho, and keeps the
+   candidate only if Configuration accepts it and verify_case passes.
+   Every hit is thus checked independently of the solver, and the drop
+   only skips candidates that _leaf would reject.  Within one search_case
+   call the leaves' local data are computed once per distinct key (see
+   localization), so verify_case reuses the data of the leaf that calls
+   it; the choices compute their own directly, once each.
 
 The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
 [max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1 under
@@ -77,6 +87,10 @@ looks its entries up, one combination of data and lifts that the join
 builds, one value of a free unknown in the solver inside the range that
 the bounds of the pivots it completes allow, and one candidate handed to
 _leaf.  A combination that the join drops is never built and is no node.
+A point that the l^1 row drops is a value the solver tried, not a
+candidate handed to _leaf, so it adds no node of its own.  Nothing is
+enumerated before its nodes are counted, so the budget bounds the memory
+of a call too: a range of lifts is walked, never copied.
 A call that visits N nodes succeeds with a budget of N; with a budget of
 N - 1 it raises BudgetExceededError, naming the template and the nodes
 reached, rather than silently truncating the search; the message also
@@ -90,17 +104,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, Optional
 
+from .algebra import LiftPolynomial
 from .configio import dump_config
 from .localization import (
     _TEMPLATE_B2,
     _divides_exactly_two,
     _int,
     _LOCAL_DATA,
+    _p1x_local_datum,
     _second_weight,
     _weight_multiset,
+    _x3_local_datum,
     AmbientData,
     Component,
     Configuration,
@@ -113,7 +130,6 @@ from .localization import (
     TEMPLATES,
     p1x_sum,
     verify_case,
-    x3_local_datum,
     x3_sum,
 )
 
@@ -267,20 +283,24 @@ class _Choice:
     zero evaluations, the names of its unknown evaluations, its lifts, and
     its x^3 datum as columns (one per unknown, then the constant one).  The
     columns are scaled to integers over the common denominator of the call
-    and shifted to each lift on first use."""
+    and shifted to each lift on first use; the l^1 entries of its p1*x
+    datum are built on first use."""
 
-    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted", "lifts")
+    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted", "lifts",
+                 "l1")
 
     def __init__(self, comp: Component, unknowns: tuple[str, ...]):
         self.comp = comp
         self.unknowns = unknowns
-        base = x3_local_datum(comp)
-        self.polys = [x3_local_datum(_copy(comp, 0, ((name, 1),))) - base
-                      for name in unknowns]
+        *unit, base = self._read(_x3_local_datum)
+        # Where there are unknowns the datum at zero evaluations is 0, and
+        # subtracting it would only cost time.
+        self.polys = [p - base for p in unit] if base.num else unit
         self.polys.append(base)
         self.columns: list[list[int]] = []
         self.shifted: dict[int, tuple] = {}
         self.lifts: Iterable[int] = (0,)
+        self.l1: Optional[tuple[tuple[int, ...], int]] = None
 
     def at(self, a: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The columns after the substitution l -> l + a: for each k, the
@@ -295,6 +315,41 @@ class _Choice:
             entry = self.shifted[a] = (
                 tuple(zip(*unknown)) if unknown else ((),) * _ROWS, const)
         return entry
+
+    def _read(self, datum: Callable[[Component], LiftPolynomial]
+              ) -> list[LiftPolynomial]:
+        """datum at lift 0, at a unit evaluation of each unknown and then at
+        zero evaluations.  Each is read once per call, so it is computed
+        outside the call's memo."""
+        comp = self.comp
+        data = [datum(_copy(comp, 0, ((name, 1),))) for name in self.unknowns]
+        data.append(datum(comp))
+        return data
+
+    def p1x_l1(self, den: int) -> tuple[tuple[int, ...], int]:
+        """den times the l^1 coefficients of the p1*x datum, read like the
+        columns, as the entries for each unknown and the constant one.  The
+        datum has degree <= 1 in l + a, so they hold at every lift.  Where
+        it has an l^1 term its denominator divides that of an x^3 datum of
+        the choice, and so den: n1 n2 n3 for a point, n1^2 n2 or n1 n2^2 for
+        a surface at ev_y1 or ev_y2, and n1 against n1^3 (ev_y2) for a
+        4-dimensional component, whose datum is 0 at b2 = 0."""
+        *unknown, const = [p.num[1] * (den // p.den) if len(p.num) > 1 else 0
+                           for p in self._read(_p1x_local_datum)]
+        self.l1 = (tuple([u - const for u in unknown]), const)
+        return self.l1
+
+
+def _p1x_l1(combo: tuple[_Choice, ...], x: list[int], den: int) -> int:
+    """den times the l^1 coefficient of the p1*x sum of the combination at
+    the solver point x, which the p1*x identity asks to be 0."""
+    values = iter(x)
+    total = 0
+    for c in combo:
+        unknown, const = c.l1 or c.p1x_l1(den)
+        # map stops at the choice's last unknown, as zip does in _search.
+        total += const + sum(map(mul, unknown, values))
+    return total
 
 
 def _choices(template: str, ctx: _Ctx, counter: _Counter
@@ -422,7 +477,7 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
             for bucket in table.values():
                 bucket.sort(key=_first)
         counter.combo = head
-        for prefix in product(*(c.lifts for c in head)):
+        for prefix in _lift_tuples(head):
             counter.tick()
             consts = [c.at(a)[1] for c, a in zip(head, prefix)]
             bucket = table.get(
@@ -434,6 +489,17 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
                                    bisect_right(bucket, high - p, key=_first)]:
                 if (p + e0) % step == 0:
                     yield head + (c,), prefix + (a,)
+
+
+def _lift_tuples(choices: tuple[_Choice, ...]) -> Iterator[tuple[int, ...]]:
+    """The lift tuples of the choices in the order of product, enumerated
+    lazily: product would first copy every range of lifts into a tuple."""
+    if not choices:
+        yield ()
+        return
+    for prefix in _lift_tuples(choices[:-1]):
+        for a in choices[-1].lifts:
+            yield prefix + (a,)
 
 
 def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
@@ -550,6 +616,8 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
                 const += c[k]
             rows.append(unknown + (t_column[k], const))
         for x in _solve(rows, lo, hi, counter):
+            if _p1x_l1(combo, x, den):
+                continue
             # Each zip stops at the choice's last unknown, so the next
             # choice takes the values that follow.
             values = iter(x)

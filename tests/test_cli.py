@@ -462,6 +462,23 @@ def test_search_cli_budget_stops_before_the_choices_are_built():
     assert "at node 2; building surface weights (1, 1);" in proc.stderr
 
 
+def test_search_cli_budget_bounds_the_memory_of_the_lifts():
+    # At --max-abs-a 10^9 the first surface takes 2e9 + 1 lifts: the budget
+    # stops their enumeration at node 1001, before they are made.  Its own
+    # process, capped as above.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cisym.cli", "search", "two_surfaces",
+         "--max-abs-a", "1000000000", "--budget", "1000"],
+        env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 66
+    assert "at node 1001;" in proc.stderr
+
+
 def test_search_cli_bad_template_exit_64(capsys):
     code, _, _ = run_usage_error(capsys, "search", "dodecahedron")
     assert code == 64

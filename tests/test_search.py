@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from dataclasses import fields
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import example, given
@@ -26,6 +27,8 @@ from cisym.localization import (
     _divides_exactly_two,
     _shares_second_weight,
     _weights_match,
+    p1x_local_datum,
+    p1x_sum,
     verify_case,
     x3_local_datum,
     x3_sum,
@@ -38,6 +41,7 @@ from cisym.search import (
     _choices,
     _copy,
     _Counter,
+    _Choice,
     _Ctx,
     _solve,
     search_case,
@@ -114,13 +118,13 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_is_exact_node_count():
-    # This call visits exactly 376 nodes (see the search module docstring).
+    # This call visits exactly 372 nodes (see the search module docstring).
     args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
-    assert len(search_case(*args, budget=376)) == 34
+    assert len(search_case(*args, budget=372)) == 34
     with pytest.raises(BudgetExceededError,
-                       match="budget of 375 exhausted in template"
-                             " two_surfaces at node 376;") as info:
-        search_case(*args, budget=375)
+                       match="budget of 371 exhausted in template"
+                             " two_surfaces at node 372;") as info:
+        search_case(*args, budget=371)
     # The message also names the discrete data being solved at that node.
     assert "; solving surface weights (3, 2), surface weights (3, 2);" \
         in str(info.value)
@@ -139,6 +143,20 @@ def test_budget_bounds_the_lift_join():
                                  r" point weights \(1, 1, 1\);"):
             search_case("surface_plus_two_points",
                         bounds=SearchBounds(5, 10**5, 10), budget=176)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_budget_bounds_the_head_lifts():
+    # The first surface takes 2,000,001 lifts here: the budget has to stop
+    # their enumeration after the first few, before the rest are made.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="at node 1001;"):
+            search_case("two_surfaces",
+                        bounds=SearchBounds(5, 10**6, 10), budget=1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -170,6 +188,7 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
     # the certify box, 5/5/10, t 1..10, rho -10..0.  Joining row l^0 as a t
     # range leaves the leaves as they were and settles the four templates
     # that can have no hit (every solution there has t = 0) in the join.
+    # The l^1 row of the p1*x identity drops 44 + 58 solver points.
     calls = {"leaf": 0, "solve": 0}
 
     def counted(name, func):
@@ -186,7 +205,7 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
         assert search_case(template) == []
         leaves[template], solves[template] = calls["leaf"], calls["solve"]
     assert {t: n for t, n in leaves.items() if n} == {
-        "two_surfaces": 180, "surface_plus_two_points": 193,
+        "two_surfaces": 136, "surface_plus_two_points": 135,
         "cp2like_plus_point": 2}
     for template in ("two_fours", "four_plus_surface", "four_plus_two_points",
                      "single_four_b2_2"):
@@ -215,11 +234,100 @@ def test_the_solver_t_is_the_x3_sum_of_every_leaf(monkeypatch):
     monkeypatch.setattr(search, "_leaf", leaf)
     for flags, template in product(FLAG_SETS.values(), sorted(TEMPLATES)):
         search_case(template, bounds=SearchBounds(2, 2, 2), flags=flags)
-    assert len(leaves) == 515 and all(leaves)
+    assert len(leaves) == 407 and all(leaves)
     leaves.clear()
     for template in sorted(TEMPLATES):
         search_case(template)
-    assert len(leaves) == 375 and all(leaves)
+    assert len(leaves) == 273 and all(leaves)
+
+
+def test_the_l1_row_drops_exactly_the_points_whose_p1x_sum_keeps_l(
+        monkeypatch):
+    # _p1x_l1 is the l^1 row of the p1*x identity at a solver point.  A point
+    # it drops would be a candidate whose p1*x sum is not constant in l, and
+    # every candidate it hands to _leaf has a constant one.  Checked at t
+    # 1..10, rho -10..0, at 2/2/2 under every flag set and on the certify box.
+    current, leaves = [], []
+    kept, dropped = [], []
+    combinations_, p1x_l1_, leaf_ = (search._combinations, search._p1x_l1,
+                                     search._leaf)
+
+    def combinations(*args):
+        for pair in combinations_(*args):
+            current[:] = pair
+            yield pair
+
+    def p1x_l1(combo, x, den):
+        residual = p1x_l1_(combo, x, den)
+        assert combo is current[0]
+        values = iter(x)
+        cand = tuple(_copy(c.comp, a, zip(c.unknowns, values))
+                     for c, a in zip(combo, current[1]))
+        constant = p1x_sum(cand).constant_value() is not None
+        (dropped if residual else kept).append(constant)
+        return residual
+
+    def leaf(template, cand, ctx, counter):
+        leaves.append(p1x_sum(cand).constant_value() is not None)
+        return leaf_(template, cand, ctx, counter)
+
+    monkeypatch.setattr(search, "_combinations", combinations)
+    monkeypatch.setattr(search, "_p1x_l1", p1x_l1)
+    monkeypatch.setattr(search, "_leaf", leaf)
+    for flags, template in product(FLAG_SETS.values(), sorted(TEMPLATES)):
+        search_case(template, bounds=SearchBounds(2, 2, 2), flags=flags)
+    assert (len(leaves), len(kept), len(dropped)) == (407, 407, 108)
+    assert all(leaves) and all(kept) and not any(dropped)
+    for lists in (leaves, kept, dropped):
+        lists.clear()
+    for template in sorted(TEMPLATES):
+        search_case(template)
+    assert (len(leaves), len(kept), len(dropped)) == (273, 273, 102)
+    assert all(leaves) and all(kept) and not any(dropped)
+
+
+_WEIGHTS = st.integers(1, 30)
+
+
+@st.composite
+def choices(draw):
+    """A choice of any kind with its unknowns: a point, a surface (with
+    ev_y2 fixed at 0, as under lemma64, or not) or a 4-dimensional
+    component of any b2 and signature."""
+    kind = draw(st.sampled_from(("point", "surface", "four")))
+    if kind == "point":
+        weights = tuple(sorted(draw(st.lists(_WEIGHTS, min_size=3,
+                                             max_size=3))))
+        return PointComponent(draw(st.sampled_from((1, -1))), weights, 0), ()
+    if kind == "surface":
+        weights = (draw(_WEIGHTS), draw(_WEIGHTS))
+        unknowns = draw(st.sampled_from((("ev_x", "ev_y1", "ev_y2"),
+                                         ("ev_x", "ev_y1"))))
+        return SurfaceComponent(weights, 0, 0, 0, 0, 2), unknowns
+    b2 = draw(st.integers(0, 2))
+    sign = draw(st.sampled_from(range(-b2, b2 + 1, 2)))
+    unknowns = ("ev_x2", "ev_xy", "ev_y2") if b2 else ()
+    return (FourComponent(draw(_WEIGHTS), 0, 0, 0, 0, 3 * sign, b2, sign,
+                          2 + b2), unknowns)
+
+
+@given(choices(), st.data(), st.integers(-10**6, 10**6))
+def test_the_l1_entries_are_the_p1x_datum_at_every_lift(choice, data, a):
+    # The l^1 coefficient of the p1*x datum, times the common denominator
+    # of the choice's x^3 columns (every call's den is a multiple of it), is
+    # the constant entry plus the unknown entries times the evaluations, at
+    # every lift: the premise of the l^1 row that _search checks.
+    comp, unknowns = choice
+    c = _Choice(comp, unknowns)
+    den = lcm(*(p.den for p in c.polys))
+    unknown, const = c.p1x_l1(den)
+    assert all(type(x) is int for x in unknown + (const,))
+    values = data.draw(st.lists(st.integers(-10**6, 10**6),
+                                min_size=len(unknowns),
+                                max_size=len(unknowns)))
+    datum = p1x_local_datum(_copy(comp, a, zip(unknowns, values)))
+    assert datum.coefficient(1) * den == const + sum(
+        e * v for e, v in zip(unknown, values))
 
 
 def test_every_template_is_empty_on_the_wider_box():
@@ -467,6 +575,27 @@ def test_search_matches_pruning_free_enumeration(template, flag_set):
         assert [dump_config(c)
                 for c in search_case(template, (t_lo, t_hi), *args[2:])] == \
             [dump_config(c) for c in want if t_lo <= c.ambient.t <= t_hi]
+
+
+def test_a_pruning_free_box_where_the_l1_row_drops_points(monkeypatch):
+    # The boxes above hold no point that the l^1 row of the p1*x identity
+    # drops; this one holds two, and the search still matches the
+    # reference.
+    dropped = []
+    p1x_l1_ = search._p1x_l1
+
+    def p1x_l1(*args):
+        residual = p1x_l1_(*args)
+        dropped.append(residual != 0)
+        return residual
+
+    monkeypatch.setattr(search, "_p1x_l1", p1x_l1)
+    args = ("surface_plus_two_points", (1, 6), (-6, 6), SearchBounds(2, 1, 2),
+            FLAG_SETS["no_lemma64"])
+    want = brute_force(*args)
+    assert [dump_config(c) for c in search_case(*args)] == \
+        [dump_config(c) for c in want]
+    assert sum(dropped) == 2 and len(want) == 11
 
 
 @st.composite
