@@ -108,11 +108,9 @@ def build_parser() -> _Parser:
 def _ci_from_args(parser: _Parser, args) -> CompleteIntersection:
     if not 1 <= args.n <= 6:
         parser.error("n must be between 1 and 6")
-    if any(d < 1 for d in args.degrees):
-        parser.error("degrees must be positive integers")
     try:
         return CompleteIntersection(args.n, tuple(args.degrees))
-    except ValueError as exc:  # MAX_DEGREE or MAX_FACTORS exceeded
+    except ValueError as exc:  # a degree below 1 or above MAX_DEGREE, or too many
         parser.error(str(exc))
 
 

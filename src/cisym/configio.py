@@ -264,7 +264,4 @@ def dump_config(cfg: Configuration) -> str:
 
 def fraction_str(value: Union[int, Fraction]) -> str:
     """Exact decimal-free rendering: "p/q" for non-integers, "p" otherwise."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))

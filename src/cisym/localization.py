@@ -103,7 +103,6 @@ class PointComponent:
 
     kind = "point"
     chi = 1
-    b_ev = 1
 
     @property
     def signature_contribution(self) -> int:
@@ -136,7 +135,6 @@ class SurfaceComponent:
             _int(getattr(self, name), name)
 
     kind = "surface"
-    b_ev = 2
     signature_contribution = 0
 
 
@@ -194,10 +192,6 @@ class FourComponent:
     @property
     def weights(self) -> tuple[int]:
         return (self.weight,)
-
-    @property
-    def b_ev(self) -> int:
-        return 2 + self.b2
 
     @property
     def signature_contribution(self) -> int:
@@ -263,7 +257,9 @@ TEMPLATES: dict[str, tuple[str, ...]] = {
     "surface_plus_two_points": ("surface", "point", "point"),
 }
 
-# b2 of every 4-dimensional component, fixed by the template's b_ev budget.
+# b2 of every 4-dimensional component.  The even Betti numbers of the fixed
+# set sum to 4, a point counting 1, a surface 2 and a 4-dimensional component
+# 2 + b2, so the template's other components fix it.
 _TEMPLATE_B2 = {
     "two_fours": 0,
     "four_plus_surface": 0,
@@ -308,10 +304,6 @@ class Configuration:
                     f"template {self.template} requires b2 = {required_b2}"
                     f" on 4-dimensional components, got {c.b2}"
                 )
-        if sum(c.b_ev for c in comps) != 4:
-            raise ConfigurationError(
-                "even Betti numbers of the fixed set must sum to 4"
-            )
         if self.flags.convention35:
             points = [c for c in comps if c.kind == "point"]
             if points and not any(p.eps == 1 for p in points):
@@ -591,8 +583,10 @@ CITATIONS = {
 }
 
 
-def _result(name: str, passed: bool, residual: object = None, key: Optional[str] = None) -> CheckResult:
-    return CheckResult(name, passed, CITATIONS[key or name], residual)
+def _result(name: str, passed: bool, residual: object = None) -> CheckResult:
+    """A check cited by its base name, any "[i]" suffix dropped."""
+    return CheckResult(name, passed, CITATIONS[name.partition("[")[0]],
+                       residual)
 
 
 def check_euler(cfg: Configuration) -> CheckResult:
@@ -684,7 +678,7 @@ def _intersection_form_check(f: FourComponent, label: str) -> CheckResult:
             s = f.sign // 2
             ok = det >= 0 and s * f.ev_x2 >= 0 and s * f.ev_y2 >= 0
     # b2 == 0 has nothing to check beyond the type-level vanishing.
-    return _result(label, ok, det, key="intersection-form")
+    return _result(label, ok, det)
 
 
 def _four_checks(cfg: Configuration) -> list[CheckResult]:
@@ -699,8 +693,7 @@ def _four_checks(cfg: Configuration) -> list[CheckResult]:
             passed, residual = res.passed, res.residual
         else:
             passed, residual = False, Fraction(f.ev_x2, t)
-        results.append(_result("pontrjagin-restriction" + suffix, passed,
-                               residual, key="pontrjagin-restriction"))
+        results.append(_result("pontrjagin-restriction" + suffix, passed, residual))
     return results
 
 
@@ -708,11 +701,6 @@ def _four_checks(cfg: Configuration) -> list[CheckResult]:
 def _weight_multiset(weights: tuple[int, ...]) -> tuple[int, ...]:
     """The key that weight-matching compares: the sorted weights."""
     return tuple(sorted(weights))
-
-
-def _weights_match(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    """weight-matching: two isolated points have equal weight multisets."""
-    return _weight_multiset(p) == _weight_multiset(q)
 
 
 def _divides_exactly_two(pair: tuple[int, int],
@@ -730,48 +718,23 @@ def _second_weight(weights: tuple[int, int]) -> int:
     return weights[1]
 
 
-def _shares_second_weight(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """The weight half of surface-structure: two surfaces share their
-    second weight."""
-    return _second_weight(x) == _second_weight(y)
-
-
-def _surface_structured(x: SurfaceComponent, y: SurfaceComponent) -> bool:
-    """surface-structure: the surfaces share their second weight and both
-    second evaluations vanish."""
-    return (_shares_second_weight(x.weights, y.weights)
-            and x.ev_y2 == 0 and y.ev_y2 == 0)
-
-
-def _lemma64_checks(cfg: Configuration) -> list[CheckResult]:
-    results = []
-    if cfg.template == "surface_plus_two_points":
-        pt, q = cfg.points()
-        results.append(
-            _result("weight-matching", _weights_match(pt.weights, q.weights),
-                    None)
-        )
-        (x,) = cfg.surfaces()
-        ok = all(_divides_exactly_two(x.weights, p.weights) for p in (pt, q))
-        results.append(_result("weight-divisibility", ok, None))
-    elif cfg.template == "two_surfaces":
-        results.append(_result("surface-structure",
-                               _surface_structured(*cfg.surfaces()), None))
-    return results
-
-
-def _diagnostic_checks(cfg: Configuration) -> list[CheckResult]:
-    """Named template relations, derived from the raw sums; they identify
-    which display of the case analysis a failing configuration violates."""
+def _surface_checks(cfg: Configuration) -> list[CheckResult]:
+    """The lemma64 checks of a surface template, when the flag is set, then
+    its named relations, derived from the raw sums; they identify which
+    display of the case analysis a failing configuration violates."""
     results = []
     t, rho = cfg.ambient.t, cfg.ambient.rho
     if cfg.template == "two_surfaces":
         x, y = cfg.surfaces()
+        structured = (_second_weight(x.weights) == _second_weight(y.weights)
+                      and x.ev_y2 == 0 and y.ev_y2 == 0)
+        if cfg.flags.lemma64:
+            results.append(_result("surface-structure", structured))
         delta = x.a - y.a
         if all(w == 1 for w in x.weights + y.weights):
             residual = t - Fraction(rho * t * delta**2, 4)
             results.append(_result("semifree-closure", residual == 0, residual))
-        if _surface_structured(x, y):
+        if structured:
             n1, n2 = x.weights
             res_t = t - Fraction(delta**2 * x.ev_x, n1 * n2)
             results.append(
@@ -782,7 +745,12 @@ def _diagnostic_checks(cfg: Configuration) -> list[CheckResult]:
     elif cfg.template == "surface_plus_two_points":
         (x,) = cfg.surfaces()
         pt, q = cfg.points()
-        if _weights_match(pt.weights, q.weights):
+        matched = _weight_multiset(pt.weights) == _weight_multiset(q.weights)
+        if cfg.flags.lemma64:
+            results.append(_result("weight-matching", matched))
+            ok = all(_divides_exactly_two(x.weights, p.weights) for p in (pt, q))
+            results.append(_result("weight-divisibility", ok))
+        if matched:
             a_rel = pt.a - x.a
             big_q = sum(w * w for w in pt.weights)
             big_r = sum(w * w for w in x.weights)
@@ -816,7 +784,5 @@ def verify_case(cfg: Configuration) -> VerificationReport:
     ]
     checks.extend(check_signature_rigidity(cfg))
     checks.extend(_four_checks(cfg))
-    if cfg.flags.lemma64:
-        checks.extend(_lemma64_checks(cfg))
-    checks.extend(_diagnostic_checks(cfg))
+    checks.extend(_surface_checks(cfg))
     return VerificationReport(cfg, tuple(checks))

@@ -111,8 +111,12 @@ def test_invariants_usage_errors(capsys):
     code, _, err = run_usage_error(capsys, "invariants", "7", "2")
     assert code == 64
     assert "between 1 and 6" in err
-    code, _, _ = run_usage_error(capsys, "invariants", "3", "0")
+    code, _, err = run_usage_error(capsys, "invariants", "3", "0")
     assert code == 64
+    assert "degrees must be positive integers" in err
+    code, _, err = run_usage_error(capsys, "classify", "2", "0", "3")
+    assert code == 64
+    assert "degrees must be positive integers" in err
     code, _, _ = run_usage_error(capsys, "invariants", "3")
     assert code == 64
 

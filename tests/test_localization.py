@@ -1,6 +1,8 @@
 """Tests for fixed-point components, local data, and the verifier."""
 
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 from cisym.algebra import CharacterFunction, LiftPolynomial
 from cisym.configio import load_config
 from cisym.localization import (
+    _TEMPLATE_B2,
     CITATIONS,
     MAX_WEIGHT,
+    TEMPLATES,
     AmbientData,
     Configuration,
     ConfigurationError,
@@ -424,11 +428,45 @@ def test_a_template_that_is_no_string_is_unknown(template):
 
 
 def test_template_b2_requirement():
-    # single_four_b2_2 needs b2 = 2; a b2 = 0 component is rejected before
-    # the Betti sum is even considered.
+    # single_four_b2_2 needs b2 = 2, so a b2 = 0 component is rejected; the
+    # requirement is what keeps the even Betti numbers summing to 4.
     with pytest.raises(ConfigurationError):
         Configuration(AmbientData(1, 0, 2), "single_four_b2_2",
                       (zero_four(b2=0),))
+
+
+# The even Betti numbers of the fixed set sum to 4: a point has 1, a surface
+# 2 and a 4-dimensional component 2 + b2.
+_BETTI = {"point": 1, "surface": 2, "four": 2}
+
+
+def _component_with_b2(kind, b2):
+    return {"point": PointComponent(1, (1, 1, 1), 0),
+            "surface": SurfaceComponent((1, 1), 0, 0, 0, 0, 2),
+            "four": zero_four(b2=b2, sign=b2 % 2)}[kind]
+
+
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+def test_the_betti_budget_is_the_template_b2(template):
+    kinds = TEMPLATES[template]
+    left = 4 - sum(_BETTI[k] for k in kinds)
+    n_fours = kinds.count("four")
+    if not n_fours:
+        assert left == 0
+        assert template not in _TEMPLATE_B2
+        return
+    assert left == n_fours * _TEMPLATE_B2[template]
+    for b2s in product((0, 1, 2), repeat=n_fours):
+        it = iter(b2s)
+        comps = tuple(_component_with_b2(k, next(it) if k == "four" else 0)
+                      for k in kinds)
+        fits = sum(b2s) == left
+        try:
+            Configuration(AmbientData(1, 0, 4), template, comps)
+        except ConfigurationError as exc:
+            assert not fits and "requires b2" in str(exc)
+        else:
+            assert fits
 
 
 def test_convention_flag_requires_positive_point():
@@ -596,6 +634,93 @@ def test_surface_structure_checks_shared_weight():
     sy = SurfaceComponent((1, 3), 0, 0, 0, 0, 2)
     cfg = Configuration(AmbientData(1, 0, 4), "two_surfaces", (sx, sy))
     assert "surface-structure" in failures(cfg)
+
+
+def test_every_citation_is_the_base_name_of_an_emitted_check():
+    cfgs = [load_config(str(path)) for path in DEMO_CONFIGS]
+    cfgs.append(Configuration(AmbientData(1, 0, 4), "two_fours",
+                              (zero_four(), zero_four(a=1))))
+    bases = set()
+    for cfg in cfgs:
+        for check in verify_case(cfg).checks:
+            base = check.name.partition("[")[0]
+            assert check.citation == CITATIONS[base]
+            bases.add(base)
+    assert "intersection-form[1]" in {c.name for c in verify_case(cfgs[-1]).checks}
+    assert bases == set(CITATIONS)
+
+
+# ---------------------------------------------------------------------------
+# Check lists of the two surface templates
+
+_LEMMA64_CHECKS = {"weight-matching", "weight-divisibility",
+                   "surface-structure"}
+_RELATIONS = {"semifree-closure", "surface-restriction-product",
+              "pontrjagin-slope", "point-pontrjagin-positivity"}
+
+# sha256 of the verify_case check lists (name, passed, repr of the residual)
+# of _surface_configurations() with every lift shifted by -2..2, lemma64 on
+# then off for each.
+SURFACE_CHECK_LISTS_DIGEST = (
+    "58afba68d28d95f82c343305382fbab94fd0e7a3bd8e839cd4f87794453e0db3")
+
+
+def _surface_configurations():
+    demos = [load_config(str(path)) for path in DEMO_CONFIGS]
+    ambient = AmbientData(1, -4, 4)
+    plus = PointComponent(1, (1, 1, 2), 1)
+    minus = PointComponent(-1, (1, 1, 2), 1)
+    return [cfg for cfg in demos
+            if cfg.template in ("two_surfaces", "surface_plus_two_points")] + [
+        # surface-structure fails on the second weights
+        Configuration(ambient, "two_surfaces",
+                      (SurfaceComponent((1, 2), 1, 0, 0, 0, 2),
+                       SurfaceComponent((1, 3), 0, 0, 0, 0, 2))),
+        # ... and on a second evaluation alone
+        Configuration(ambient, "two_surfaces",
+                      (SurfaceComponent((1, 2), 1, 1, 1, 1, 2),
+                       SurfaceComponent((1, 2), 0, 1, -1, 0, 2))),
+        Configuration(ambient, "two_surfaces",
+                      (SurfaceComponent((1, 1), 1, 1, 2, 0, 2),
+                       SurfaceComponent((1, 1), 0, 1, -2, 3, 2))),
+        # weight-matching fails
+        Configuration(ambient, "surface_plus_two_points",
+                      (SurfaceComponent((1, 1), 0, 0, 0, 0, 2), plus,
+                       PointComponent(-1, (1, 2, 2), 1))),
+        # weight-matching holds and weight-divisibility fails
+        Configuration(ambient, "surface_plus_two_points",
+                      (SurfaceComponent((1, 3), 0, 0, -1, 0, 2), plus,
+                       minus)),
+        # both hold
+        Configuration(ambient, "surface_plus_two_points",
+                      (SurfaceComponent((1, 2), 0, 1, -1, 0, 2), plus,
+                       minus)),
+    ]
+
+
+def _check_list(cfg, lemma64):
+    cfg = replace(cfg, flags=replace(cfg.flags, lemma64=lemma64))
+    return [(c.name, c.passed, repr(c.residual))
+            for c in verify_case(cfg).checks]
+
+
+def test_surface_check_lists_with_lemma64_on_and_off_are_pinned():
+    lists = []
+    for cfg in _surface_configurations():
+        for delta in range(-2, 3):
+            shifted = shift_lift(cfg, delta)
+            on = _check_list(shifted, True)
+            off = _check_list(shifted, False)
+            # lemma64 off drops exactly its own checks and keeps the
+            # relations, in their place.
+            assert off == [c for c in on if c[0] not in _LEMMA64_CHECKS]
+            lists += [on, off]
+    outcomes = {(name, passed) for checks in lists for name, passed, _ in checks}
+    assert {(name, passed) for name in _LEMMA64_CHECKS
+            for passed in (False, True)} <= outcomes
+    assert _RELATIONS <= {name for name, _ in outcomes}
+    text = repr(lists).encode("utf-8")
+    assert hashlib.sha256(text).hexdigest() == SURFACE_CHECK_LISTS_DIGEST
 
 
 # ---------------------------------------------------------------------------

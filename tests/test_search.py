@@ -24,9 +24,6 @@ from cisym.localization import (
     FourComponent,
     PointComponent,
     SurfaceComponent,
-    _divides_exactly_two,
-    _shares_second_weight,
-    _weights_match,
     p1x_local_datum,
     p1x_sum,
     verify_case,
@@ -657,16 +654,19 @@ def test_shifted_columns_are_the_x3_datum_at_the_lift(template, flag_set,
 
 def _passes_discrete_checks(template, lemma64, comps):
     """The predicates of verify_case that depend on the discrete data alone,
-    applied to one combination of components."""
+    applied to one combination of components.  The lemma64 rules are stated
+    here, apart from the helpers that the join shares with localization."""
     if sum(c.signature_contribution for c in comps):
         return False
     if lemma64 and template == "two_surfaces":
-        return _shares_second_weight(comps[0].weights, comps[1].weights)
+        x, y = comps
+        return x.weights[1] == y.weights[1]
     if lemma64 and template == "surface_plus_two_points":
         surface, p, q = comps
-        return (_weights_match(p.weights, q.weights)
-                and _divides_exactly_two(surface.weights, p.weights)
-                and _divides_exactly_two(surface.weights, q.weights))
+        return (sorted(p.weights) == sorted(q.weights)
+                and all(sum(m % w == 0 for m in point.weights) == 2
+                        for w in surface.weights if w > 1
+                        for point in (p, q)))
     return True
 
 
