@@ -402,11 +402,21 @@ class LiftPolynomial(_Exact):
     def __add__(self, other: "LiftPolynomial") -> "LiftPolynomial":
         if not isinstance(other, LiftPolynomial):
             return NotImplemented
+        # A zero operand gives the other one back (negated for 0 - q in
+        # __sub__): it is already canonical and immutable.
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         return _lowest(*_sum(self, other, 1))
 
     def __sub__(self, other: "LiftPolynomial") -> "LiftPolynomial":
         if not isinstance(other, LiftPolynomial):
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
         return _lowest(*_sum(self, other, -1))
 
     def __mul__(self, other: Union["LiftPolynomial", Scalar]) -> "LiftPolynomial":

@@ -32,16 +32,25 @@ the bounds its hit list is exhaustive.
    and each bucket is sorted by the entries' l^0 constants.  The other
    components, at each choice of their lifts, look up the entries that
    complete them, after weight-divisibility has dropped the (surface,
-   point) pairs that fail it.  When row l^0 is joined, the t range puts
-   the last l^0 constant in a window set by the sum P of the others,
-   [den * max(1, t_lo) - P, den * t_hi - P], found by bisection, and only
-   the entries that make the sum a multiple of den are kept; otherwise the
-   lookup keeps the whole bucket.  For each combination the routine
-   reduces the rows that are not lift-only (row l^0 among them, which
-   gives t again) in exact integer arithmetic and enumerates the free
-   unknowns over the box.  Each pivot is affine in the last free unknown
-   it depends on, so that unknown runs only over the range, found by
-   exact floor and ceiling division, in which the pivot lies inside its
+   point) pairs that fail it.  The head rows are the rows that an unknown
+   of some choice of the other components (the head) enters and that no
+   column of any choice of the last component (the tail), unknown or
+   constant, enters at any of its lifts; only two_surfaces has them, l^0
+   and l^1, where the last surface's columns at its fixed lift vanish.
+   Before a choice of the head's lifts looks its entries up, its head rows
+   (t among the unknowns of row l^0) go to the solver below, and the lifts
+   are dropped when they have no point in the box.  The drop is exact: the
+   tail adds nothing to those rows, so a point of a full combination's
+   rows restricts to a point of its head's.  When row l^0 is joined, the
+   t range puts the last l^0 constant in a window set by the sum P of the
+   others, [den * max(1, t_lo) - P, den * t_hi - P], found by bisection,
+   and only the entries that make the sum a multiple of den are kept;
+   otherwise the lookup keeps the whole bucket.  For each combination the
+   routine reduces the rows that are not lift-only (row l^0 among them,
+   which gives t again) in exact integer arithmetic and enumerates the
+   free unknowns over the box.  Each pivot is affine in the last free
+   unknown it depends on, so that unknown runs only over the range, found
+   by exact floor and ceiling division, in which the pivot lies inside its
    bound; a pivot is then kept only if it is an integer.  So the solver
    yields exactly the integer points of the box at which check_x3 passes.
 3. The leaf.  The p1*x identity says that the localized p1*x sum is the
@@ -85,12 +94,13 @@ signature-limit then drops), one (data, lift) entry of the last component
 as the join tabulates it, one choice of the other components' lifts as it
 looks its entries up, one combination of data and lifts that the join
 builds, one value of a free unknown in the solver inside the range that
-the bounds of the pivots it completes allow, and one candidate handed to
-_leaf.  A combination that the join drops is never built and is no node.
-A point that the l^1 row drops is a value the solver tried, not a
-candidate handed to _leaf, so it adds no node of its own.  Nothing is
-enumerated before its nodes are counted, so the budget bounds the memory
-of a call too: a range of lifts is walked, never copied.
+the bounds of the pivots it completes allow (in a head solve too, which
+stops at its first point), and one candidate handed to _leaf.  A
+combination that the join drops is never built and is no node.  A point
+that the l^1 row drops is a value the solver tried, not a candidate
+handed to _leaf, so it adds no node of its own.  Nothing is enumerated
+before its nodes are counted, so the budget bounds the memory of a call
+too: a range of lifts is walked, never copied.
 A call that visits N nodes succeeds with a budget of N; with a budget of
 N - 1 it raises BudgetExceededError, naming the template and the nodes
 reached, rather than silently truncating the search; the message also
@@ -293,9 +303,7 @@ class _Choice:
         self.comp = comp
         self.unknowns = unknowns
         *unit, base = self._read(_x3_local_datum)
-        # Where there are unknowns the datum at zero evaluations is 0, and
-        # subtracting it would only cost time.
-        self.polys = [p - base for p in unit] if base.num else unit
+        self.polys = [p - base for p in unit]
         self.polys.append(base)
         self.columns: list[list[int]] = []
         self.shifted: dict[int, tuple] = {}
@@ -353,14 +361,18 @@ def _p1x_l1(combo: tuple[_Choice, ...], x: list[int], den: int) -> int:
 
 
 def _choices(template: str, ctx: _Ctx, counter: _Counter
-             ) -> tuple[list[list[_Choice]], int, tuple[int, ...], bool]:
+             ) -> tuple[list[list[_Choice]], int, tuple[int, ...], bool,
+                        tuple[int, ...]]:
     """The choices for every component of the template, in TEMPLATES order,
     the common denominator of their columns, the lift-only rows (the rows
-    k >= 1 that no unknown of any choice enters at any of its lifts), and
+    k >= 1 that no unknown of any choice enters at any of its lifts),
     whether t is the only unknown of row l^0, which holds when no unknown
-    enters that row either.  The lift is fixed at 0 on the last surface, or
-    else on the first component.  Each weight tuple and each choice is a
-    node."""
+    enters that row either, and the head rows: the rows that an unknown of
+    some choice of the head (the components before the last) enters and
+    that no column of any choice of the tail (the last component), unknown
+    or constant, enters at any of its lifts.  The lift is fixed at 0 on the
+    last surface, or else on the first component.  Each weight tuple and
+    each choice is a node."""
     flags = ctx.flags
     kinds = TEMPLATES[template]
     slots = []
@@ -400,42 +412,82 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
     fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
              if "surface" in kinds else 0)
     den = lcm(*(p.den for slot in slots for c in slot for p in c.polys))
-    reached = set()
+    last = len(slots) - 1
+    # The rows that an unknown of the head enters, that any column of the
+    # tail enters, and that an unknown of the tail enters.
+    head, tail, tail_unknown = set(), set(), set()
     for i, slot in enumerate(slots):
         lifts = (0,) if i == fixed else _sym(ctx.bounds.max_abs_a)
+        # The columns read: the unknown ones, and in the tail the constant
+        # one too, until the tail reaches every row.
+        end = None if i == last else -1
         for c in slot:
             c.columns = [[x * (den // p.den) for x in p.num]
                          + [0] * (_ROWS - len(p.num)) for p in c.polys]
             c.lifts = lifts
             # A shift by a spreads each coefficient over its row and the
-            # rows below, so at three or more lifts an unknown reaches
-            # every row up to its degree; at the fixed lift only its own
-            # rows.
-            for col in c.columns[:-1]:
+            # rows below, so at three or more lifts a column reaches every
+            # row up to its degree; at the fixed lift only its own rows.
+            for n, col in enumerate(c.columns[:end]):
                 for j in range(_ROWS):
                     if col[j]:
-                        reached.update((j,) if i == fixed else range(j + 1))
-    joined = tuple(k for k in range(1, _ROWS) if k not in reached)
-    return slots, den, joined, 0 not in reached
+                        rows = (j,) if i == fixed else range(j + 1)
+                        if i < last:
+                            head.update(rows)
+                            continue
+                        tail.update(rows)
+                        if n < len(c.unknowns):
+                            tail_unknown.update(rows)
+                        elif len(tail) == _ROWS:
+                            end = -1
+    unknown = head | tail_unknown
+    joined = tuple(k for k in range(1, _ROWS) if k not in unknown)
+    head_rows = tuple(sorted(head - tail))
+    return slots, den, joined, 0 not in unknown, head_rows
+
+
+def _box(slots: list[list[_Choice]], ctx: _Ctx
+         ) -> tuple[list[int], list[int]]:
+    """The lower and upper bounds of the unknown evaluations of the slots'
+    components, then of t."""
+    e_max = ctx.bounds.max_abs_eval
+    n = sum(len(slot[0].unknowns) for slot in slots)
+    return [-e_max] * n + [max(1, ctx.t_lo)], [e_max] * n + [ctx.t_hi]
+
+
+def _rows(parts, ks: Iterable[int], den: int) -> list[tuple[int, ...]]:
+    """Rows ks of the x^3 identity over the shifted columns parts, (unknown,
+    constant) per choice as _Choice.at gives them: the unknowns' entries,
+    then t's (-den in row l^0, else 0), then the constant."""
+    rows = []
+    for k in ks:
+        unknown, const = (), 0
+        for u, c in parts:
+            unknown += u[k]
+            const += c[k]
+        rows.append(unknown + (-den if k == 0 else 0, const))
+    return rows
 
 
 def _combinations(template: str, slots: list[list[_Choice]], den: int,
-                  joined: tuple[int, ...], t_only: bool, ctx: _Ctx,
-                  counter: _Counter
+                  joined: tuple[int, ...], t_only: bool,
+                  head_rows: tuple[int, ...], ctx: _Ctx, counter: _Counter
                   ) -> Iterator[tuple[tuple[_Choice, ...], tuple[int, ...]]]:
     """The combinations of choices, each with its lifts, that pass the
     checks of verify_case that depend on the discrete data alone, whose
-    constants on the lift-only rows sum to 0 and, when t is the only
-    unknown of row l^0, whose l^0 constants sum to den * t for some t in
-    range, built by one join.  The last component's (choice, lift) entries
-    are indexed by signature contribution, by the key that the lemma64
-    predicate relating it to the component before compares, and by their
-    constants on the lift-only rows, and each bucket is sorted by the
-    entries' l^0 constants; each choice of the other components, at each of
-    its lifts, looks up the entries that complete it, a slice of the bucket
-    found by bisection.  The entries of one signature and key are tabulated
-    when a lookup first needs them.  Each head tuple, tabulated entry and
-    lookup is a node."""
+    constants on the lift-only rows sum to 0, whose head rows have a point
+    in the box and, when t is the only unknown of row l^0, whose l^0
+    constants sum to den * t for some t in range, built by one join.  The
+    last component's (choice, lift) entries are indexed by signature
+    contribution, by the key that the lemma64 predicate relating it to the
+    component before compares, and by their constants on the lift-only
+    rows, and each bucket is sorted by the entries' l^0 constants; each
+    choice of the other components, at each of its lifts, asks _solve for
+    one point of its head rows and then looks up the entries that complete
+    it, a slice of the bucket found by bisection.  The entries of one
+    signature and key are tabulated when a lookup first needs them.  Each
+    head tuple, tabulated entry and lookup is a node, and so is each value
+    that a head solve tries."""
     key = None
     if ctx.flags.lemma64 and template == "two_surfaces":
         key = _second_weight  # surface-structure
@@ -448,6 +500,7 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
     low, high, step = ((den * max(1, ctx.t_lo), den * ctx.t_hi, den)
                        if t_only else (0, 0, 1))
     *heads, tail = slots
+    lo, hi = _box(heads, ctx) if head_rows else (None, None)
     groups: dict[tuple, list[_Choice]] = {}
     for c in tail:
         groups.setdefault((c.comp.signature_contribution,
@@ -479,6 +532,12 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
         counter.combo = head
         for prefix in _lift_tuples(head):
             counter.tick()
+            # The tail enters no head row, so the head of a combination with
+            # a solution has a point on those rows.
+            if head_rows and next(_solve(
+                    _rows([c.at(a) for c, a in zip(head, prefix)], head_rows,
+                          den), lo, hi, counter), None) is None:
+                continue
             consts = [c.at(a)[1] for c, a in zip(head, prefix)]
             bucket = table.get(
                 tuple(-sum(x[k] for x in consts) for k in joined))
@@ -595,26 +654,15 @@ def _solve(rows, lo: list[int], hi: list[int],
 
 def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
     """Every consistent configuration of the template inside the box."""
-    e_max = ctx.bounds.max_abs_eval
-    slots, den, joined, t_only = _choices(template, ctx, counter)
+    slots, den, joined, t_only, head_rows = _choices(template, ctx, counter)
     solved = [k for k in range(_ROWS) if k not in joined]
-    t_column = (-den,) + (0,) * (_ROWS - 1)  # t enters the l^0 row only
-    n = sum(len(slot[0].unknowns) for slot in slots) + 1
-    lo = [-e_max] * (n - 1) + [max(1, ctx.t_lo)]
-    hi = [e_max] * (n - 1) + [ctx.t_hi]
+    lo, hi = _box(slots, ctx)
     hits = []
     for combo, lift in _combinations(template, slots, den, joined, t_only,
-                                     ctx, counter):
+                                     head_rows, ctx, counter):
         counter.combo = combo
         counter.tick()
-        parts = [c.at(a) for c, a in zip(combo, lift)]
-        rows = []
-        for k in solved:
-            unknown, const = (), 0
-            for u, c in parts:
-                unknown += u[k]
-                const += c[k]
-            rows.append(unknown + (t_column[k], const))
+        rows = _rows([c.at(a) for c, a in zip(combo, lift)], solved, den)
         for x in _solve(rows, lo, hi, counter):
             if _p1x_l1(combo, x, den):
                 continue

@@ -402,6 +402,16 @@ def test_lift_polynomial_ring_operations_match_sympy(a, b):
     assert (pa == pb) == (ra == rb)
 
 
+@given(coeff_lists)
+def test_a_zero_operand_gives_the_other_one_back(a):
+    p, zero = LiftPolynomial(a), LiftPolynomial()
+    ref = reference(a)
+    for got, want in ((p + zero, ref), (zero + p, ref), (p - zero, ref),
+                      (zero - p, -ref)):
+        assert_matches(got, want)
+    assert (p + zero, zero + p, p - zero, zero - p) == (p, p, p, -p)
+
+
 @given(coeff_lists, rationals)
 def test_lift_polynomial_scalar_products_match_sympy(a, s):
     pa, ra = LiftPolynomial(a), reference(a)

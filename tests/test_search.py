@@ -115,16 +115,36 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_is_exact_node_count():
-    # This call visits exactly 372 nodes (see the search module docstring).
+    # This call visits exactly 301 nodes (see the search module docstring).
     args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
-    assert len(search_case(*args, budget=372)) == 34
+    assert len(search_case(*args, budget=301)) == 34
     with pytest.raises(BudgetExceededError,
-                       match="budget of 371 exhausted in template"
-                             " two_surfaces at node 372;") as info:
-        search_case(*args, budget=371)
+                       match="budget of 300 exhausted in template"
+                             " two_surfaces at node 301;") as info:
+        search_case(*args, budget=300)
     # The message also names the discrete data being solved at that node.
     assert "; solving surface weights (3, 2), surface weights (3, 2);" \
         in str(info.value)
+
+
+def test_budget_can_run_out_in_a_head_solve(monkeypatch):
+    # The values that a head solve tries are nodes: here the budget runs
+    # out among them, and the message names the head's components alone.
+    raised = []
+    solve_ = search._solve
+
+    def solve(rows, lo, hi, counter):
+        try:
+            yield from solve_(rows, lo, hi, counter)
+        except BudgetExceededError:
+            raised.append(len(rows))
+            raise
+
+    monkeypatch.setattr(search, "_solve", solve)
+    with pytest.raises(BudgetExceededError,
+                       match="at node 35; solving surface weights \\(1, 1\\);"):
+        search_case("two_surfaces", (1, 6), (-6, 6), SMALL, budget=34)
+    assert raised == [2]  # a head solve: rows l^0 and l^1 of the head alone
 
 
 def test_budget_bounds_the_lift_join():
@@ -185,7 +205,9 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
     # the certify box, 5/5/10, t 1..10, rho -10..0.  Joining row l^0 as a t
     # range leaves the leaves as they were and settles the four templates
     # that can have no hit (every solution there has t = 0) in the join.
-    # The l^1 row of the p1*x identity drops 44 + 58 solver points.
+    # The l^1 row of the p1*x identity drops 44 + 58 solver points.  The
+    # two_surfaces solves are 209 head solves, which drop 137 (surface,
+    # lift) prefixes, and 284 full ones (825 before the head rows).
     calls = {"leaf": 0, "solve": 0}
 
     def counted(name, func):
@@ -204,6 +226,7 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
     assert {t: n for t, n in leaves.items() if n} == {
         "two_surfaces": 136, "surface_plus_two_points": 135,
         "cp2like_plus_point": 2}
+    assert solves["two_surfaces"] == 209 + 284
     for template in ("two_fours", "four_plus_surface", "four_plus_two_points",
                      "single_four_b2_2"):
         assert solves[template] == 0, template
@@ -333,6 +356,51 @@ def test_every_template_is_empty_on_the_wider_box():
     bounds = SearchBounds(8, 8, 16)
     for template in sorted(TEMPLATES):
         assert search_case(template, (1, 10), (-10, 0), bounds) == [], template
+
+
+def test_every_template_is_empty_on_the_12_12_24_box():
+    # Wider again, where two_surfaces' head rows pay off.
+    bounds = SearchBounds(12, 12, 24)
+    for template in sorted(TEMPLATES):
+        assert search_case(template, (1, 10), (-10, 0), bounds) == [], template
+
+
+# The search_hits boxes of the benchmark: t 1..10, rho -10..10 under these
+# flag sets and bounds.
+HIT_BOXES = (({"lemma64": False}, (3, 3, 6)), ({}, (3, 3, 6)),
+             ({"semifree": True}, (5, 5, 10)))
+
+
+def test_the_head_rows_hand_the_same_candidates_to_the_leaf(monkeypatch):
+    # The head solve only drops prefixes whose combinations have no solver
+    # point, so without it _leaf sees the same candidates in the same order.
+    # Checked on the certify box and the search_hits boxes.
+    leaves = []
+    leaf_ = search._leaf
+
+    def leaf(template, cand, ctx, counter):
+        leaves.append(cand)
+        return leaf_(template, cand, ctx, counter)
+
+    def candidates():
+        leaves.clear()
+        for template in sorted(TEMPLATES):
+            search_case(template)
+        certify = list(leaves)
+        leaves.clear()
+        for flags, bounds in HIT_BOXES:
+            for template in sorted(TEMPLATES):
+                search_case(template, (1, 10), (-10, 10),
+                            SearchBounds(*bounds), SearchFlags(**flags))
+        return certify, list(leaves)
+
+    monkeypatch.setattr(search, "_leaf", leaf)
+    with_head = candidates()
+    choices_ = search._choices
+    monkeypatch.setattr(search, "_choices",
+                        lambda *args: choices_(*args)[:4] + ((),))
+    assert candidates() == with_head
+    assert [len(cands) for cands in with_head] == [273, 1645]
 
 
 def test_unknown_template_rejected():
@@ -574,6 +642,27 @@ def test_search_matches_pruning_free_enumeration(template, flag_set):
             [dump_config(c) for c in want if t_lo <= c.ambient.t <= t_hi]
 
 
+def test_a_pruning_free_box_where_the_head_rows_drop_prefixes(monkeypatch):
+    # A lemma64 box wider in lifts and evaluations than those above: the
+    # head solve drops 7 of the 15 (surface, lift) prefixes, and the search
+    # still matches the reference.
+    heads = []
+    solve_ = search._solve
+
+    def solve(rows, lo, hi, counter):
+        if len(rows) == 2:  # rows l^0 and l^1 of the head alone
+            heads.append(any(solve_(rows, lo, hi, _Counter(10**9, "test"))))
+        return solve_(rows, lo, hi, counter)
+
+    monkeypatch.setattr(search, "_solve", solve)
+    args = ("two_surfaces", (1, 6), (-6, 6), SearchBounds(2, 2, 2),
+            FLAG_SETS["default"])
+    want = brute_force(*args)
+    assert [dump_config(c) for c in search_case(*args)] == \
+        [dump_config(c) for c in want]
+    assert (len(heads), heads.count(False), len(want)) == (15, 7, 10)
+
+
 def test_a_pruning_free_box_where_the_l1_row_drops_points(monkeypatch):
     # The boxes above hold no point that the l^1 row of the p1*x identity
     # drops; this one holds two, and the search still matches the
@@ -630,7 +719,7 @@ def test_solver_yields_exactly_the_integer_points_of_the_box(system):
 @functools.cache
 def _template_choices(template, flag_set):
     ctx = _Ctx(1, 6, -6, 6, SearchBounds(4, 2, 2), FLAG_SETS[flag_set])
-    slots, den, _, _ = _choices(template, ctx, _Counter(10**9, template))
+    slots, den, *_ = _choices(template, ctx, _Counter(10**9, template))
     return [c for slot in slots for c in slot], den
 
 
@@ -677,13 +766,13 @@ def test_combination_join_matches_the_filtered_product(template, flag_set):
     # combinations that the checks on discrete data alone keep, in the order
     # of product, each at every lift of its choices, in the order of product.
     ctx = _Ctx(1, 6, -6, 6, SearchBounds(4, 1, 2), FLAG_SETS[flag_set])
-    slots, den, _, _ = _choices(template, ctx, _Counter(10**9, template))
+    slots, den, *_ = _choices(template, ctx, _Counter(10**9, template))
     want = [combo for combo in product(*slots)
             if _passes_discrete_checks(template, ctx.flags.lemma64,
                                        [c.comp for c in combo])]
     assert want
     got: dict[tuple, list] = {}
-    for combo, lift in _combinations(template, slots, den, (), False, ctx,
+    for combo, lift in _combinations(template, slots, den, (), False, (), ctx,
                                      _Counter(10**9, template)):
         got.setdefault(combo, []).append(lift)
     assert list(got) == want
@@ -696,7 +785,7 @@ def test_combination_join_matches_the_filtered_product(template, flag_set):
 def test_join_matches_the_filtered_product_of_choices_and_lifts(
         template, flag_set):
     bounds, flags = SearchBounds(3, 2, 2), FLAG_SETS[flag_set]
-    slots, den, joined, t_only = _choices(
+    slots, den, joined, t_only, head_rows = _choices(
         template, _Ctx(1, 6, -6, 6, bounds, flags), _Counter(10**9, template))
     # The rows that take no unknown at any lift of the box: those with
     # k >= 1 are lift-only, and row l^0 holds t alone if it is one of them.
@@ -706,6 +795,30 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
     lift_only = tuple(k for k in rows if k)
     assert joined == lift_only
     assert t_only == (0 in rows)
+    # The head rows: an unknown of some head (choice, lift) enters them, and
+    # no column of any tail (choice, lift) does.
+    *heads, tail = slots
+    want_head_rows = tuple(
+        k for k in range(4)
+        if any(any(c.at(a)[0][k]) for slot in heads for c in slot
+               for a in c.lifts)
+        and not any(any(c.at(a)[0][k]) or c.at(a)[1][k]
+                    for c in tail for a in c.lifts))
+    assert head_rows == want_head_rows
+    assert head_rows == ((0, 1) if template == "two_surfaces" else ())
+
+    @functools.cache
+    def head_feasible(pairs, t_lo, t_hi):
+        # Some evaluations of the head in the box and some t in range put
+        # the head on its rows, found by trying every one of them.
+        n = sum(len(c.unknowns) for c, _ in pairs)
+        values = product(*[range(-2, 3)] * n, range(t_lo, t_hi + 1))
+        return any(all(sum(e * v for e, v in zip(
+                           [e for c, a in pairs for e in c.at(a)[0][k]], x))
+                       - den * x[-1] * (k == 0)
+                       + sum(c.at(a)[1][k] for c, a in pairs) == 0
+                       for k in head_rows)
+                   for x in values)
 
     # The pairs that the checks on discrete data alone and the lift-only
     # rows keep, found by filtering every (choice, lift) of every component
@@ -728,9 +841,11 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
         # is clamped at 1, so (-3, 0) keeps nothing where that row is joined.
         t_lo, t_hi = max(1, t_range[0]), t_range[1]
         want = sorted(label(*zip(*pairs)) for pairs in base
-                      if not t_only or _t_from_row0(pairs, den) in range(
+                      if (not t_only or _t_from_row0(pairs, den) in range(
                           t_lo, t_hi + 1))
-        got = _combinations(template, slots, den, joined, t_only,
+                      and (not head_rows
+                           or head_feasible(pairs[:-1], t_lo, t_hi)))
+        got = _combinations(template, slots, den, joined, t_only, head_rows,
                             _Ctx(*t_range, -6, 6, bounds, flags),
                             _Counter(10**9, template))
         assert sorted(label(*pair) for pair in got) == want
