@@ -10,8 +10,9 @@ The three kernels share one canonical-form core, `_Exact`: immutable
 integer parts `num` over `den`, made by one constructor, with one negation
 and one structural equality and hash (which CharacterFunction overrides).
 Series and lift polynomials share one common-denominator sum, lift
-polynomials and characters one term printer.  A series' truncation order
-is not stored; it is its numerator count minus one.
+polynomials and characters one term printer and one zero rule for sums (a
+zero operand gives the other one back, already canonical).  A series'
+truncation order is not stored; it is its numerator count minus one.
 """
 
 from __future__ import annotations
@@ -586,6 +587,10 @@ class CharacterFunction(_Exact):
     def __add__(self, other: "CharacterFunction") -> "CharacterFunction":
         if not isinstance(other, CharacterFunction):
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return _character_lowest(num, _pmul(self.den, other.den))
 

@@ -306,7 +306,7 @@ def _cmd_search(parser: _Parser, args) -> int:
     except BudgetExceededError as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, ConfigurationError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     if args.as_json:
         print(json_text({

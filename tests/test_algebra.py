@@ -549,6 +549,20 @@ laurent = st.lists(st.integers(-6, 6), max_size=5)
 nonzero_laurent = laurent.filter(any)
 
 
+@given(nonzero_laurent, nonzero_laurent)
+def test_a_zero_character_gives_the_other_one_back(n, d):
+    f, zero = CharacterFunction(n, d), CharacterFunction.zero()
+    assert f + zero is f and zero + f is f
+    for z in (zero + zero, f - f):
+        assert (z.num, z.den) == ((), (1,))
+
+
+@given(st.integers(-50, 50), nonzero_laurent)
+def test_a_constant_character_tends_to_its_constant(c, den):
+    f = CharacterFunction([c * d for d in den], den)
+    assert f.is_constant() == f.limit_at_infinity() == c
+
+
 def schoolbook(a, b):
     out = [0] * (len(a) + len(b))
     for i, x in enumerate(a):

@@ -4,16 +4,17 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cisym.algebra import CharacterFunction, LiftPolynomial
 from cisym.configio import load_config
+from cisym.invariants import CompleteIntersection, invariants
 from cisym.localization import (
     _TEMPLATE_B2,
     CITATIONS,
@@ -28,7 +29,6 @@ from cisym.localization import (
     SurfaceComponent,
     UnsupportedComponentError,
     check_lemma41,
-    check_signature_rigidity,
     p1x_local_datum,
     p1x_sum,
     shift_lift,
@@ -38,7 +38,10 @@ from cisym.localization import (
     x3_local_datum,
     x3_sum,
 )
+from linear_actions import (four_point_checks, projective_space_points,
+                            quadric_points)
 from test_acceptance import _random_configuration
+from test_invariants import multidegrees
 
 
 def zero_four(weight=1, a=0, b2=0, sign=0, chi=None):
@@ -159,7 +162,8 @@ def test_x3_sum_is_componentwise():
 
 def test_the_sums_add_through_the_lift_polynomial_operator(monkeypatch):
     # LiftPolynomial.__add__ is a boundary of the benchmark's tracer: x3_sum
-    # goes through it for every datum after the first, a zero one included.
+    # runs from zero and goes through it for every datum, a zero one
+    # included.
     added = []
     add = LiftPolynomial.__add__
 
@@ -172,7 +176,7 @@ def test_the_sums_add_through_the_lift_polynomial_operator(monkeypatch):
              PointComponent(-1, (1, 2, 3), 2))
     assert x3_sum(comps) == add(x3_local_datum(comps[0]),
                                 x3_local_datum(comps[2]))
-    assert added == [True, False]
+    assert added == [False, True, False]
 
 
 def _shifted_power(a: int, k: int) -> list[Fraction]:
@@ -278,9 +282,9 @@ def _parts(x):
 @given(st.lists(st.one_of(points, surfaces, fours()), max_size=3),
        st.lists(character_components, max_size=3))
 def test_sums_fold_to_the_parts_of_a_fold_from_zero(comps, characters):
-    # The sums start from their first datum; their parts must be those of
-    # the fold from zero, which verify --json prints, for a list and for a
-    # generator of 0 to 3 components.
+    # The sums run from zero; their parts must be those of this fold from
+    # zero, which verify --json prints, for a list and for a generator of 0
+    # to 3 components.
     for sum_, datum in ((x3_sum, x3_local_datum), (p1x_sum, p1x_local_datum)):
         want = LiftPolynomial()
         for c in comps:
@@ -485,6 +489,38 @@ def test_the_betti_budget_is_the_template_b2(template):
             assert not fits and "requires b2" in str(exc)
         else:
             assert fits
+
+
+def test_the_betti_budget_admits_the_templates_and_four_points():
+    # Every multiset of components whose even Betti numbers sum to 4, each
+    # 4-dimensional component with its b2 <= 2: the seven templates, with
+    # their b2, and four isolated points.
+    parts = [("point", None), ("surface", None)] + [("four", b2)
+                                                    for b2 in (0, 1, 2)]
+    fitting = {tuple(sorted(combo))
+               for r in range(1, 5)
+               for combo in combinations_with_replacement(parts, r)
+               if sum(_BETTI[k] + (b2 or 0) for k, b2 in combo) == 4}
+    templates = {tuple(sorted((k, _TEMPLATE_B2[name] if k == "four" else None)
+                              for k in kinds))
+                 for name, kinds in TEMPLATES.items()}
+    assert len(templates) == len(TEMPLATES) == 7
+    assert fitting == templates | {(("point", None),) * 4}
+
+
+def test_four_points_fit_no_threefold_with_rho_at_most_zero():
+    # Why four isolated points are no template: the fixed set of a circle
+    # action on M has chi(M) = 4 - b3, four points have chi = 4, and among
+    # CP^3 and the threefolds with every degree >= 2 (degree sum <= 20) b3
+    # vanishes only for CP^3 and the quadric.
+    reports = [invariants(CompleteIntersection(3, d))
+               for d in [(1,), *multidegrees(20, 2)]]
+    assert len(reports) == 627
+    assert sorted((r.t, r.rho) for r in reports if r.b3 == 0) == [(1, 4),
+                                                                  (2, 1)]
+    low = [r for r in reports if r.rho <= 0]
+    assert len(low) == 625
+    assert all(r.euler <= 0 and r.b3 >= 4 for r in low)
 
 
 def test_convention_flag_requires_positive_point():
@@ -777,6 +813,24 @@ def test_fours_reduce_to_limit_identity():
     assert results[0].residual == -1
 
 
+@settings(max_examples=200)
+@given(st.lists(character_components, max_size=4))
+@example([PointComponent(1, (2, 3, 4), 1), PointComponent(-1, (2, 3, 4), -2)])
+@example(list(quadric_configuration().components))
+@example(projective_space_points((0, 1, 3, 7)))
+def test_the_character_total_tends_to_the_sum_of_eps(comps):
+    # So a rigid total's constant is its limit, and the rigid branch of
+    # signature_checks reads the limit off the constant: its signature-limit
+    # residual, constant - contributions, is always 0.
+    total = sum(map(signature_local_datum, comps), CharacterFunction.zero())
+    contributions = sum(c.signature_contribution for c in comps)
+    assert total.limit_at_infinity() == contributions
+    const = total.is_constant()
+    if const is not None:
+        assert const == contributions
+        assert signature_checks(comps)[-1].residual == 0
+
+
 def test_lemma41_direct_api():
     ambient = AmbientData(1, 4, 4)
     four = FourComponent(1, 0, -1, 1, -1, -3, 1, -1, 3)
@@ -827,3 +881,38 @@ def test_shift_commutes_with_x3_sum(delta, a1, a2, weights):
     moved = x3_sum(shifted)
     for z in (Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3)):
         assert moved(z) == original(z + delta)
+
+
+# ---------------------------------------------------------------------------
+# Generic linear actions: four isolated fixed points
+
+
+_ALL_SIGNATURE_CHECKS_PASS = [("signature-rigidity", True),
+                              ("signature-vanishing", True),
+                              ("signature-limit", True)]
+
+
+@pytest.mark.parametrize("degrees, points", [
+    ((1,), projective_space_points((0, 1, 2, 3))),
+    ((1,), projective_space_points((0, 1, 3, 7))),
+    ((2,), quadric_points(1, 2)),
+    ((2,), quadric_points(1, 3)),
+], ids=["cp3-0123", "cp3-0137", "quadric-12", "quadric-13"])
+def test_generic_linear_actions_give_their_manifolds_numbers(degrees, points):
+    m = invariants(CompleteIntersection(3, degrees))
+    x3, p1x, checks, chi = four_point_checks(points)
+    assert (x3, p1x, chi) == (m.t, m.rho * m.t, m.euler)
+    assert [(c.name, c.passed) for c in checks] == _ALL_SIGNATURE_CHECKS_PASS
+
+
+def test_the_formal_four_points_at_rho_zero_pass_the_same_checks():
+    # Four points at t = 6, rho = 0 that pass every check on point data.
+    # What excludes them is the Euler characteristic: every threefold with
+    # rho <= 0 has chi <= 0, not 4
+    # (test_four_points_fit_no_threefold_with_rho_at_most_zero).  A later
+    # check that rejects them must show here.
+    points = [PointComponent(1, (1, 2, 5), 0), PointComponent(-1, (3, 4, 5), -5),
+              PointComponent(-1, (1, 1, 4), 3), PointComponent(1, (1, 2, 3), 4)]
+    x3, p1x, checks, chi = four_point_checks(points)
+    assert (x3, p1x, chi) == (6, 0, 4)
+    assert [(c.name, c.passed) for c in checks] == _ALL_SIGNATURE_CHECKS_PASS

@@ -103,8 +103,8 @@ def test_search_workloads_reach_the_boundaries_the_benchmark_expects(
 def test_the_queries_stream_reaches_the_boundaries_the_benchmark_expects(
         monkeypatch, tmp_path):
     # One traced pass of the full stream, as a traced benchmark pass runs
-    # it; the sums fold from their first datum, so the kernels' additions
-    # fire only where a sum has a second term.
+    # it; the sums run from zero, so the kernels' additions fire for every
+    # datum summed.
     run, workloads = load_runner(monkeypatch)
     workload = run.make_workload("queries", 7, False,
                                  workloads.load_expected(), tmp_path)
