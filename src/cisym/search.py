@@ -53,6 +53,26 @@ the bounds its hit list is exhaustive.
    by exact floor and ceiling division, in which the pivot lies inside its
    bound; a pivot is then kept only if it is an integer.  So the solver
    yields exactly the integer points of the box at which check_x3 passes.
+   Swap orbits: in two_surfaces, swapping the surfaces and shifting every
+   lift by -a maps X at lift a and Y at 0 to Y at -a and X at 0, the swap
+   image.  The first surface takes only the lifts a >= 0, so the join
+   yields one member of each orbit with a != 0, and both members at a = 0,
+   where they have the same lifts.  The cut is exact because verify_case
+   gives a configuration and its image, which lies in the box when the
+   configuration does, the same verdict.  The shift replaces l by l - a in
+   both sums, so each stays constant or not; euler-characteristic, the
+   signature checks, surface-structure and semifree-closure read the two
+   surfaces symmetrically or through (a_X - a_Y)^2.  Only
+   surface-restriction-product and pontrjagin-slope read the first
+   surface's ev_x, and under surface-structure, at a != 0, both follow from
+   the x^3 rows and the p1*x rows l^1 and l^0 with either surface first.
+   For weights (n, m) of the first surface, row l^1 of x^3 gives its
+   ev_y1 = 2 n ev_x / a, and row l^0 then t = a^2 ev_x / (n m).  Rows l^3
+   and l^2 with the p1*x row l^1 make both first weights equal or every
+   unknown 0, and the p1*x row l^0 then gives rho t = 4 n ev_x / m.  A
+   test checks these combinations with sympy for every weight up to 5,
+   and that at a = 0 the restriction product fails in both orders, with
+   residual t.
 3. The leaf.  The p1*x identity says that the localized p1*x sum is the
    constant rho * t.  The l^1 coefficient of each p1*x datum does not
    depend on the lift and is affine in the unknown evaluations, so each
@@ -67,11 +87,15 @@ the bounds its hit list is exhaustive.
    running the components' validation again.  The candidate goes to _leaf,
    which recomputes the x^3 and p1*x sums, derives rho, and keeps the
    candidate only if Configuration accepts it and verify_case passes.
-   Every hit is thus checked independently of the solver, and the drop
-   only skips candidates that _leaf would reject.  Within one search_case
-   call the leaves' local data are computed once per distinct key (see
-   localization), so verify_case reuses the data of the leaf that calls
-   it; the choices compute their own directly, once each.
+   In two_surfaces each hit at a > 0 then gives its swap image, made by
+   _copy: the surfaces swapped, every lift shifted by -a, and the hit's
+   own ambient data and flags.  The image is a hit only if Configuration
+   accepts it and verify_case passes on it.  Every hit is thus checked
+   independently of the solver, and the drop only skips candidates that
+   _leaf would reject.  Within one search_case call the leaves' local
+   data are computed once per distinct key (see localization), so
+   verify_case reuses the data of the leaf that calls it; the choices
+   compute their own directly, once each.
 
 The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
 [max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1 under
@@ -84,7 +108,8 @@ components have b1 = 0 (chi = 2 + b2, with b2 fixed by the template), the
 ambient Euler characteristic is the sum of the component ones, the first
 point has eps = +1 under convention35, and the lift is normalized so that
 the last surface (or else the first component) has a = 0, the other lifts
-lying in [-max_abs_a, max_abs_a].
+lying in [-max_abs_a, max_abs_a] (in two_surfaces those below 0 come from
+the swap images).
 
 The budget counts nodes.  A node is one step of the enumeration, counted
 when it is entered: one weight tuple of a component and one choice of its
@@ -95,12 +120,12 @@ as the join tabulates it, one choice of the other components' lifts as it
 looks its entries up, one combination of data and lifts that the join
 builds, one value of a free unknown in the solver inside the range that
 the bounds of the pivots it completes allow (in a head solve too, which
-stops at its first point), and one candidate handed to _leaf.  A
-combination that the join drops is never built and is no node.  A point
-that the l^1 row drops is a value the solver tried, not a candidate
-handed to _leaf, so it adds no node of its own.  Nothing is enumerated
-before its nodes are counted, so the budget bounds the memory of a call
-too: a range of lifts is walked, never copied.
+stops at its first point), one candidate handed to _leaf, and one swap
+image built from a hit.  A combination that the join drops is never built
+and is no node.  A point that the l^1 row drops is a value the solver
+tried, not a candidate handed to _leaf, so it adds no node of its own.
+Nothing is enumerated before its nodes are counted, so the budget bounds
+the memory of a call too: a range of lifts is walked, never copied.
 A call that visits N nodes succeeds with a budget of N; with a budget of
 N - 1 it raises BudgetExceededError, naming the template and the nodes
 reached, rather than silently truncating the search; the message also
@@ -371,8 +396,9 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
     some choice of the head (the components before the last) enters and
     that no column of any choice of the tail (the last component), unknown
     or constant, enters at any of its lifts.  The lift is fixed at 0 on the
-    last surface, or else on the first component.  Each weight tuple and
-    each choice is a node."""
+    last surface, or else on the first component; the first surface of
+    two_surfaces takes the lifts >= 0 alone.  Each weight tuple and each
+    choice is a node."""
     flags = ctx.flags
     kinds = TEMPLATES[template]
     slots = []
@@ -417,7 +443,12 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
     # tail enters, and that an unknown of the tail enters.
     head, tail, tail_unknown = set(), set(), set()
     for i, slot in enumerate(slots):
-        lifts = (0,) if i == fixed else _sym(ctx.bounds.max_abs_a)
+        if i == fixed:
+            lifts = (0,)
+        elif template == "two_surfaces":
+            lifts = range(ctx.bounds.max_abs_a + 1)  # one per swap orbit
+        else:
+            lifts = _sym(ctx.bounds.max_abs_a)
         # The columns read: the unknown ones, and in the tail the constant
         # one too, until the tail reaches every row.
         end = None if i == last else -1
@@ -657,6 +688,7 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
     slots, den, joined, t_only, head_rows = _choices(template, ctx, counter)
     solved = [k for k in range(_ROWS) if k not in joined]
     lo, hi = _box(slots, ctx)
+    orbit = template == "two_surfaces"
     hits = []
     for combo, lift in _combinations(template, slots, den, joined, t_only,
                                      head_rows, ctx, counter):
@@ -674,7 +706,22 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
             cfg = _leaf(template, cand, ctx, counter)
             if cfg is not None:
                 hits.append(cfg)
+                image = _image(cfg, counter) if orbit and lift[0] else None
+                if image is not None:
+                    hits.append(image)
     return hits
+
+
+def _image(hit: Configuration, counter: _Counter) -> Optional[Configuration]:
+    """The swap image of a two_surfaces hit, kept only if verify_case
+    passes on it: the surfaces swapped and every lift shifted by minus the
+    first surface's, so that the last surface sits at 0 again, with the
+    hit's own ambient data and flags.  One node."""
+    counter.tick()
+    x, y = hit.components
+    image = Configuration(hit.ambient, hit.template,
+                          (_copy(y, -x.a, ()), _copy(x, 0, ())), hit.flags)
+    return image if verify_case(image).consistent else None
 
 
 def search_case(

@@ -564,6 +564,29 @@ def test_failed_gives_exactly_the_failing_checks_in_order():
     assert verdicts == {False, True}
 
 
+@given(st.one_of(st.sampled_from(DEMO_CONFIGS),
+                 st.randoms(use_true_random=False)), st.data())
+def test_genus_and_b1_change_no_check_but_the_euler_characteristic(source,
+                                                                    data):
+    # The search takes fixed surfaces to be spheres and 4-dimensional
+    # components to have b1 = 0.  That loses nothing: a surface of genus g
+    # has chi lower by 2g, a 4-dimensional component with first Betti
+    # number b1 has chi lower by 2 b1, and no check but
+    # euler-characteristic reads chi.  With the ambient Euler
+    # characteristic lowered to match, that one reads the same too.
+    cfg = (load_config(str(source)) if isinstance(source, Path)
+           else _random_configuration(source))
+    comps, drop = [], 0
+    for c in cfg.components:
+        if c.kind != "point":
+            d = 2 * data.draw(st.integers(0, 3))
+            c, drop = replace(c, chi=c.chi - d), drop + d
+        comps.append(c)
+    lowered = replace(cfg, components=tuple(comps), ambient=replace(
+        cfg.ambient, euler=cfg.ambient.euler - drop))
+    assert verify_case(lowered).checks == verify_case(cfg).checks
+
+
 def test_cp3_configuration_is_consistent():
     report = verify_case(cp3_configuration())
     assert report.consistent

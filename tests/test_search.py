@@ -4,21 +4,27 @@ import functools
 import hashlib
 import time
 import tracemalloc
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 from itertools import product
-from math import lcm
+from math import comb, lcm
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from bruteforce import brute_force
 from cisym import localization, search
 from cisym.algebra import LiftPolynomial
-from cisym.configio import dump_config, parse_config
+from cisym.configio import dump_config, load_config, parse_config
 from cisym.localization import (
     MAX_WEIGHT,
     TEMPLATES,
+    AmbientData,
+    Configuration,
     ConfigurationError,
     Flags,
     FourComponent,
@@ -26,6 +32,7 @@ from cisym.localization import (
     SurfaceComponent,
     p1x_local_datum,
     p1x_sum,
+    shift_lift,
     verify_case,
     x3_local_datum,
     x3_sum,
@@ -115,13 +122,13 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_is_exact_node_count():
-    # This call visits exactly 301 nodes (see the search module docstring).
+    # This call visits exactly 192 nodes (see the search module docstring).
     args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
-    assert len(search_case(*args, budget=301)) == 34
+    assert len(search_case(*args, budget=192)) == 34
     with pytest.raises(BudgetExceededError,
-                       match="budget of 300 exhausted in template"
-                             " two_surfaces at node 301;") as info:
-        search_case(*args, budget=300)
+                       match="budget of 191 exhausted in template"
+                             " two_surfaces at node 192;") as info:
+        search_case(*args, budget=191)
     # The message also names the discrete data being solved at that node.
     assert "; solving surface weights (3, 2), surface weights (3, 2);" \
         in str(info.value)
@@ -205,9 +212,10 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
     # the certify box, 5/5/10, t 1..10, rho -10..0.  Joining row l^0 as a t
     # range leaves the leaves as they were and settles the four templates
     # that can have no hit (every solution there has t = 0) in the join.
-    # The l^1 row of the p1*x identity drops 44 + 58 solver points.  The
-    # two_surfaces solves are 209 head solves, which drop 137 (surface,
-    # lift) prefixes, and 284 full ones (825 before the head rows).
+    # The l^1 row of the p1*x identity drops 22 + 58 solver points.  The
+    # two_surfaces solves are 114 head solves, one per (surface, lift >= 0)
+    # prefix, which drop 78 of them, and 142 full ones (825 before the head
+    # rows, 493 before the swap orbits).
     calls = {"leaf": 0, "solve": 0}
 
     def counted(name, func):
@@ -224,9 +232,9 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
         assert search_case(template) == []
         leaves[template], solves[template] = calls["leaf"], calls["solve"]
     assert {t: n for t, n in leaves.items() if n} == {
-        "two_surfaces": 136, "surface_plus_two_points": 135,
+        "two_surfaces": 68, "surface_plus_two_points": 135,
         "cp2like_plus_point": 2}
-    assert solves["two_surfaces"] == 209 + 284
+    assert solves["two_surfaces"] == 114 + 142
     for template in ("two_fours", "four_plus_surface", "four_plus_two_points",
                      "single_four_b2_2"):
         assert solves[template] == 0, template
@@ -254,11 +262,11 @@ def test_the_solver_t_is_the_x3_sum_of_every_leaf(monkeypatch):
     monkeypatch.setattr(search, "_leaf", leaf)
     for flags, template in product(FLAG_SETS.values(), sorted(TEMPLATES)):
         search_case(template, bounds=SearchBounds(2, 2, 2), flags=flags)
-    assert len(leaves) == 407 and all(leaves)
+    assert len(leaves) == 285 and all(leaves)
     leaves.clear()
     for template in sorted(TEMPLATES):
         search_case(template)
-    assert len(leaves) == 273 and all(leaves)
+    assert len(leaves) == 205 and all(leaves)
 
 
 def test_the_l1_row_drops_exactly_the_points_whose_p1x_sum_keeps_l(
@@ -296,13 +304,13 @@ def test_the_l1_row_drops_exactly_the_points_whose_p1x_sum_keeps_l(
     monkeypatch.setattr(search, "_leaf", leaf)
     for flags, template in product(FLAG_SETS.values(), sorted(TEMPLATES)):
         search_case(template, bounds=SearchBounds(2, 2, 2), flags=flags)
-    assert (len(leaves), len(kept), len(dropped)) == (407, 407, 108)
+    assert (len(leaves), len(kept), len(dropped)) == (285, 285, 70)
     assert all(leaves) and all(kept) and not any(dropped)
     for lists in (leaves, kept, dropped):
         lists.clear()
     for template in sorted(TEMPLATES):
         search_case(template)
-    assert (len(leaves), len(kept), len(dropped)) == (273, 273, 102)
+    assert (len(leaves), len(kept), len(dropped)) == (205, 205, 80)
     assert all(leaves) and all(kept) and not any(dropped)
 
 
@@ -374,12 +382,16 @@ HIT_BOXES = (({"lemma64": False}, (3, 3, 6)), ({}, (3, 3, 6)),
 def test_the_head_rows_hand_the_same_candidates_to_the_leaf(monkeypatch):
     # The head solve only drops prefixes whose combinations have no solver
     # point, so without it _leaf sees the same candidates in the same order.
-    # Checked on the certify box and the search_hits boxes.
+    # The swap orbits cut two_surfaces to first-surface lifts a >= 0: with
+    # every lift of the box and no head rows, _leaf sees the same candidates
+    # with those at a < 0 in their places, and those are the swap images of
+    # the ones at a > 0.  Checked on the certify box and the search_hits
+    # boxes.
     leaves = []
     leaf_ = search._leaf
 
     def leaf(template, cand, ctx, counter):
-        leaves.append(cand)
+        leaves.append((template, cand))
         return leaf_(template, cand, ctx, counter)
 
     def candidates():
@@ -397,10 +409,47 @@ def test_the_head_rows_hand_the_same_candidates_to_the_leaf(monkeypatch):
     monkeypatch.setattr(search, "_leaf", leaf)
     with_head = candidates()
     choices_ = search._choices
-    monkeypatch.setattr(search, "_choices",
-                        lambda *args: choices_(*args)[:4] + ((),))
-    assert candidates() == with_head
-    assert [len(cands) for cands in with_head] == [273, 1645]
+
+    def every_lift_and_no_head_rows(template, ctx, counter):
+        slots, den, joined, t_only, _ = choices_(template, ctx, counter)
+        for lifts, slot in zip(_every_lift(template, ctx.bounds), slots):
+            for c in slot:
+                c.lifts = lifts
+        return slots, den, joined, t_only, ()
+
+    monkeypatch.setattr(search, "_choices", every_lift_and_no_head_rows)
+    every = candidates()
+    for kept, full in zip(with_head, every):
+        assert [(template, cand) for template, cand in full
+                if _orbit_kept(template, [c.a for c in cand])] == kept
+        images = Counter((template, _swap(*cand)) for template, cand in kept
+                         if template == "two_surfaces" and cand[0].a > 0)
+        assert Counter(full) == Counter(kept) + images
+    assert [len(cands) for cands in with_head] == [205, 918]
+    assert [len(cands) for cands in every] == [273, 1645]
+
+
+def _every_lift(template, bounds):
+    """The lifts of each component of the template before the swap orbits
+    are cut: 0 on the last surface (else on the first component), every
+    lift in [-max_abs_a, max_abs_a] on the others."""
+    kinds = TEMPLATES[template]
+    fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
+             if "surface" in kinds else 0)
+    every = range(-bounds.max_abs_a, bounds.max_abs_a + 1)
+    return [(0,) if i == fixed else every for i in range(len(kinds))]
+
+
+def _orbit_kept(template, lifts):
+    """The orbit rule: two_surfaces keeps the first surface's lifts a >= 0;
+    a combination at a < 0 is the swap image of one at -a."""
+    return template != "two_surfaces" or lifts[0] >= 0
+
+
+def _swap(x, y):
+    """Two surfaces swapped and their lifts shifted by -x.a, so that the
+    last one sits at 0 again; built with the validating constructor."""
+    return replace(y, a=y.a - x.a), replace(x, a=0)
 
 
 def test_unknown_template_rejected():
@@ -644,8 +693,8 @@ def test_search_matches_pruning_free_enumeration(template, flag_set):
 
 def test_a_pruning_free_box_where_the_head_rows_drop_prefixes(monkeypatch):
     # A lemma64 box wider in lifts and evaluations than those above: the
-    # head solve drops 7 of the 15 (surface, lift) prefixes, and the search
-    # still matches the reference.
+    # head solve drops 5 of the 9 (surface, lift >= 0) prefixes, and the
+    # search still matches the reference.
     heads = []
     solve_ = search._solve
 
@@ -660,7 +709,7 @@ def test_a_pruning_free_box_where_the_head_rows_drop_prefixes(monkeypatch):
     want = brute_force(*args)
     assert [dump_config(c) for c in search_case(*args)] == \
         [dump_config(c) for c in want]
-    assert (len(heads), heads.count(False), len(want)) == (15, 7, 10)
+    assert (len(heads), heads.count(False), len(want)) == (9, 5, 10)
 
 
 def test_a_pruning_free_box_where_the_l1_row_drops_points(monkeypatch):
@@ -762,22 +811,47 @@ def _passes_discrete_checks(template, lemma64, comps):
 @pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_combination_join_matches_the_filtered_product(template, flag_set):
-    # With no lift-only rows the join keeps every lift, so it yields the
-    # combinations that the checks on discrete data alone keep, in the order
-    # of product, each at every lift of its choices, in the order of product.
+    # With no lift-only rows the join keeps every lift that the orbit rule
+    # keeps, so it yields the combinations that the checks on discrete data
+    # alone keep, in the order of product, each at those lifts, in the
+    # order of product; with the swap images of the two_surfaces ones at
+    # a > 0 they give back every lift.
     ctx = _Ctx(1, 6, -6, 6, SearchBounds(4, 1, 2), FLAG_SETS[flag_set])
     slots, den, *_ = _choices(template, ctx, _Counter(10**9, template))
     want = [combo for combo in product(*slots)
             if _passes_discrete_checks(template, ctx.flags.lemma64,
                                        [c.comp for c in combo])]
     assert want
+    every = list(product(*_every_lift(template, ctx.bounds)))
     got: dict[tuple, list] = {}
     for combo, lift in _combinations(template, slots, den, (), False, (), ctx,
                                      _Counter(10**9, template)):
         got.setdefault(combo, []).append(lift)
     assert list(got) == want
     for combo, lifts in got.items():
-        assert lifts == list(product(*(c.lifts for c in combo)))
+        assert lifts == [lift for lift in every if _orbit_kept(template, lift)]
+    if template == "two_surfaces":
+        assert [c.comp for c in slots[0]] == [c.comp for c in slots[1]]
+    kept = Counter(_label(slots, combo, lift)
+                   for combo, lifts in got.items() for lift in lifts)
+    images = Counter(_image_label(label) for label in kept
+                     if template == "two_surfaces" and label[0][1] > 0)
+    assert kept + images == Counter(_label(slots, combo, lift)
+                                    for combo in want for lift in every)
+
+
+def _label(slots, combo, lift):
+    """A combination as the index of each choice in its slot, with its
+    lift."""
+    return tuple((slot.index(c), a) for slot, c, a in zip(slots, combo, lift))
+
+
+def _image_label(label):
+    """The label of a two_surfaces combination's swap image.  Both slots
+    enumerate the same surfaces in the same order, so an index names the
+    same surface in either slot."""
+    (i, a), (j, _) = label
+    return (j, -a), (i, 0)
 
 
 @pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
@@ -787,11 +861,12 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
     bounds, flags = SearchBounds(3, 2, 2), FLAG_SETS[flag_set]
     slots, den, joined, t_only, head_rows = _choices(
         template, _Ctx(1, 6, -6, 6, bounds, flags), _Counter(10**9, template))
+    every = _every_lift(template, bounds)
     # The rows that take no unknown at any lift of the box: those with
     # k >= 1 are lift-only, and row l^0 holds t alone if it is one of them.
     rows = tuple(k for k in range(4)
-                 if not any(any(c.at(a)[0][k])
-                            for slot in slots for c in slot for a in c.lifts))
+                 if not any(any(c.at(a)[0][k]) for slot, lifts in zip(
+                     slots, every) for c in slot for a in lifts))
     lift_only = tuple(k for k in rows if k)
     assert joined == lift_only
     assert t_only == (0 in rows)
@@ -800,10 +875,10 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
     *heads, tail = slots
     want_head_rows = tuple(
         k for k in range(4)
-        if any(any(c.at(a)[0][k]) for slot in heads for c in slot
-               for a in c.lifts)
+        if any(any(c.at(a)[0][k]) for slot, lifts in zip(heads, every)
+               for c in slot for a in lifts)
         and not any(any(c.at(a)[0][k]) or c.at(a)[1][k]
-                    for c in tail for a in c.lifts))
+                    for c in tail for a in every[-1]))
     assert head_rows == want_head_rows
     assert head_rows == ((0, 1) if template == "two_surfaces" else ())
 
@@ -822,25 +897,32 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
 
     # The pairs that the checks on discrete data alone and the lift-only
     # rows keep, found by filtering every (choice, lift) of every component
-    # through the predicates of verify_case and the rows' constants.
-    def kept(pairs):
+    # through the predicates of verify_case and the rows' constants.  The
+    # orbit rule keeps some of them, and with the swap images of the
+    # two_surfaces ones at a > 0 those give back all of them.
+    def passes(pairs):
         return (_passes_discrete_checks(template, flags.lemma64,
                                         [c.comp for c, _ in pairs])
                 and not any(sum(c.at(a)[1][k] for c, a in pairs)
                             for k in lift_only))
 
-    def label(combo, lift):
-        return tuple((slot.index(c), a)
-                     for slot, c, a in zip(slots, combo, lift))
+    def label(pairs):
+        return _label(slots, *zip(*pairs))
 
-    entries = [[(c, a) for c in slot for a in c.lifts] for slot in slots]
-    base = [pairs for pairs in product(*entries) if kept(pairs)]
-    assert base
+    entries = [[(c, a) for c in slot for a in lifts]
+               for slot, lifts in zip(slots, every)]
+    base = [pairs for pairs in product(*entries) if passes(pairs)]
+    kept = [pairs for pairs in base
+            if _orbit_kept(template, [a for _, a in pairs])]
+    assert kept
+    images = Counter(_image_label(label(pairs)) for pairs in kept
+                     if template == "two_surfaces" and pairs[0][1] > 0)
+    assert Counter(map(label, kept)) + images == Counter(map(label, base))
     for t_range in ((1, 6), (2, 2), (-3, 0)):
         # With t alone in row l^0, den * t is the sum of its constants.  t
         # is clamped at 1, so (-3, 0) keeps nothing where that row is joined.
         t_lo, t_hi = max(1, t_range[0]), t_range[1]
-        want = sorted(label(*zip(*pairs)) for pairs in base
+        want = sorted(label(pairs) for pairs in kept
                       if (not t_only or _t_from_row0(pairs, den) in range(
                           t_lo, t_hi + 1))
                       and (not head_rows
@@ -848,7 +930,7 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
         got = _combinations(template, slots, den, joined, t_only, head_rows,
                             _Ctx(*t_range, -6, 6, bounds, flags),
                             _Counter(10**9, template))
-        assert sorted(label(*pair) for pair in got) == want
+        assert sorted(_label(slots, *pair) for pair in got) == want
 
 
 def _t_from_row0(pairs, den):
@@ -856,6 +938,179 @@ def _t_from_row0(pairs, den):
     constants at the lifts sum to den * t (None if den does not divide)."""
     total = sum(c.at(a)[1][0] for c, a in pairs)
     return None if total % den else total // den
+
+
+# ---------------------------------------------------------------------------
+# The swap orbits of two_surfaces
+
+
+def _image(cfg):
+    """A two_surfaces configuration's swap image, built with shift_lift:
+    the surfaces swapped and every lift shifted by -a, so that the last
+    surface sits at 0 again."""
+    x, y = cfg.components
+    return shift_lift(replace(cfg, components=(y, x)), -x.a)
+
+
+_A = sympy.Symbol("a")
+_QA = sympy.QQ.frac_field(_A)
+
+
+def _surface_columns(local, weights, lift):
+    """The l^0..l^3 coefficients of the ev_x and the ev_y1 column of local's
+    datum of a surface with these weights and ev_y2 = 0 at the lift (an
+    integer or a sympy symbol).  The datum is read at lift 0, where it is
+    affine in the evaluations and 0 at zero ones, and moved to the lift by
+    l -> l + lift."""
+    def at(ev_x, ev_y1):
+        datum = local(SurfaceComponent(weights, 0, ev_x, ev_y1, 0, 2))
+        return [sympy.Rational(q.numerator, q.denominator)
+                for q in map(datum.coefficient, range(4))]
+    assert not any(at(0, 0))
+    return [[sum(c[j] * comb(j, k) * lift**(j - k) for j in range(k, 4))
+             for k in range(4)] for c in (at(1, 0), at(0, 1))]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_the_two_surface_relations_follow_from_the_sums_in_either_order(m):
+    # Structured data: X with weights (n_X, m) at lift a, Y with weights
+    # (n_Y, m) at lift 0, both ev_y2 = 0, unknowns (ev_x X, ev_y1 X, ev_x Y,
+    # ev_y1 Y, t, s = rho t).  The four x^3 rows and the p1*x rows l^1 and
+    # l^0 imply surface-restriction-product and pontrjagin-slope with either
+    # surface first: each relation is a combination of the rows whose
+    # coefficients have powers of a alone as denominators, so it holds at
+    # every a != 0.  At a = 0 the restriction product reads t = 0 in both
+    # orders, which t >= 1 fails.
+    for n_x, n_y in product(range(1, 6), repeat=2):
+        rows = []
+        for local, count, column in ((x3_local_datum, 4, 4),
+                                     (p1x_local_datum, 2, 5)):
+            (ex, yx), (ey, yy) = (_surface_columns(local, (n_x, m), _A),
+                                  _surface_columns(local, (n_y, m), 0))
+            for k in range(count):
+                row = [ex[k], yx[k], ey[k], yy[k], 0, 0]
+                row[column] = -1 if k == 0 else 0
+                rows.append(row)
+        # t - a^2 ev_x / (n m) and s - 4 n ev_x / m, X first then Y first.
+        relations = [[-_A**2 / (n_x * m), 0, 0, 0, 1, 0],
+                     [0, 0, -_A**2 / (n_y * m), 0, 1, 0],
+                     [sympy.Rational(-4 * n_x, m), 0, 0, 0, 0, 1],
+                     [0, 0, sympy.Rational(-4 * n_y, m), 0, 0, 1]]
+        rows_m = DomainMatrix.from_list_sympy(6, 6, rows).convert_to(_QA)
+        rels_m = DomainMatrix.from_list_sympy(4, 6, relations).convert_to(_QA)
+        reduced, pivots = rows_m.transpose().hstack(rels_m.transpose()).rref()
+        assert all(p < 6 for p in pivots), (n_x, n_y, m)  # solvable
+        reduced = reduced.to_list()
+        coeffs = [[_QA.zero] * 6 for _ in relations]
+        for i, p in enumerate(pivots):
+            for j, row in enumerate(coeffs):
+                row[p] = reduced[i][6 + j]
+        assert (DomainMatrix(coeffs, (4, 6), _QA) * rows_m
+                - rels_m).is_zero_matrix
+        assert all(sympy.Poly(_QA.denom(c).as_expr(), _A).is_monomial
+                   for row in coeffs for c in row), (n_x, n_y, m)
+        for rel in relations[:2]:
+            assert [sympy.sympify(c).subs(_A, 0) for c in rel] == \
+                [0, 0, 0, 0, 1, 0]
+        # The relations are the residuals that verify_case reports, here
+        # at one point off the sums, at a = 2 and a = 0, in both orders.
+        flags = Flags(effectiveness=False)
+        values = (1, 3, -1, 2, 5, -15)
+        for a in (2, 0):
+            x = SurfaceComponent((n_x, m), a, 1, 3, 0, 2)
+            y = SurfaceComponent((n_y, m), 0, -1, 2, 0, 2)
+            cfg = Configuration(AmbientData(5, -3, 4), "two_surfaces", (x, y),
+                                flags)
+            for ordered, (product_rel, slope_rel) in (
+                    (cfg, relations[::2]), (_image(cfg), relations[1::2])):
+                got = {c.name: c.residual
+                       for c in verify_case(ordered).checks}
+                for name, rel in (("surface-restriction-product",
+                                   product_rel),
+                                  ("pontrjagin-slope", slope_rel)):
+                    want = sum(sympy.sympify(c).subs(_A, a) * v
+                               for c, v in zip(rel, values))
+                    assert sympy.Rational(got[name].numerator,
+                                          got[name].denominator) == want
+
+
+@pytest.mark.parametrize("bounds", [(3, 3, 6), (5, 5, 10)])
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+def test_every_two_surfaces_hit_has_its_swap_image_in_the_list(flag_set,
+                                                               bounds):
+    hits = search_case("two_surfaces", (1, 10), (-10, 10),
+                       SearchBounds(*bounds), FLAG_SETS[flag_set])
+    assert hits
+    keys = {dump_config(cfg) for cfg in hits}
+    assert len(keys) == len(hits)
+    for cfg in hits:
+        # No hit has its surfaces at one lift: there the x^3 sum has no
+        # term in l^0, so t would be 0.
+        assert cfg.components[0].a and cfg.components[1].a == 0
+        assert dump_config(_image(cfg)) in keys
+
+
+SEMIFREE_DEMO = load_config(str(Path(__file__).resolve().parents[1]
+                                / "demos" / "configs"
+                                / "semifree_two_surfaces.json"))
+
+
+def test_the_semifree_demo_is_found_in_both_component_orders():
+    hits = search_case("two_surfaces", (1, 10), (-10, 10),
+                       flags=SearchFlags(semifree=True))
+    image = _image(SEMIFREE_DEMO)
+    assert image != SEMIFREE_DEMO
+    assert SEMIFREE_DEMO in hits and image in hits
+
+
+_SMALL_WEIGHTS = st.integers(1, 5)
+_EVALUATIONS = st.integers(-6, 6)
+
+
+@st.composite
+def two_surface_configurations(draw):
+    """A two_surfaces configuration with any lifts and evaluations; in half
+    of them the surfaces share their second weight and have ev_y2 = 0, so
+    that surface-structure holds and the named relations are checked."""
+    structured = draw(st.booleans())
+    m = draw(_SMALL_WEIGHTS)
+    surfaces = []
+    for _ in range(2):
+        weights = (draw(_SMALL_WEIGHTS), m if structured
+                   else draw(_SMALL_WEIGHTS))
+        surfaces.append(SurfaceComponent(
+            weights, draw(st.integers(-5, 5)), draw(_EVALUATIONS),
+            draw(_EVALUATIONS), 0 if structured else draw(_EVALUATIONS),
+            draw(st.sampled_from((2, 0, -2)))))
+    ambient = AmbientData(draw(st.integers(1, 6)), draw(st.integers(-5, 5)),
+                          draw(st.integers(-4, 8)))
+    flags = Flags(effectiveness=False, lemma64=draw(st.booleans()))
+    return Configuration(ambient, "two_surfaces", tuple(surfaces), flags)
+
+
+# The semifree demo: consistent, with every named relation passing.
+@example(SEMIFREE_DEMO)
+@given(two_surface_configurations())
+def test_a_swap_image_keeps_the_check_list(cfg):
+    image = _image(cfg)
+    before = {c.name: c for c in verify_case(cfg).checks}
+    after = {c.name: c for c in verify_case(image).checks}
+    assert list(after) == list(before)
+    assert verify_case(image).consistent == verify_case(cfg).consistent
+    for name in ("euler-characteristic", "signature-rigidity",
+                 "signature-vanishing", "signature-limit",
+                 "surface-structure", "semifree-closure"):
+        if name in before:
+            assert (after[name].passed, after[name].residual) == \
+                (before[name].passed, before[name].residual)
+    # The sums' residuals move with the lifts: the image's is the
+    # original's with l replaced by l - a, checked at seven points, more
+    # than the degree (3) of either.
+    a = cfg.components[0].a
+    for name in ("x3-localization", "p1x-localization"):
+        assert after[name].passed == before[name].passed
+        for z in range(-3, 4):
+            assert after[name].residual(z) == before[name].residual(z - a)
 
 
 # ---------------------------------------------------------------------------
