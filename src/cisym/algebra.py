@@ -11,8 +11,11 @@ integer parts `num` over `den`, made by one constructor, with one negation
 and one structural equality and hash (which CharacterFunction overrides).
 Series and lift polynomials share one common-denominator sum, lift
 polynomials and characters one term printer and one zero rule for sums (a
-zero operand gives the other one back, already canonical).  A series'
-truncation order is not stored; it is its numerator count minus one.
+zero operand gives the other one back, already canonical).  Two characters
+over one denominator d add their numerators first: a/d + b/d gets the parts
+(a + b) d and d d that cross-multiplication gives, and a sum that cancels
+is the canonical zero at once.  A series' truncation order is not stored;
+it is its numerator count minus one.
 """
 
 from __future__ import annotations
@@ -214,7 +217,8 @@ class TruncatedSeries(_Exact):
         return _reduced(TruncatedSeries, out, self.den * other.den)
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if not isinstance(exponent, int) or exponent < 0:
+        if (not isinstance(exponent, int) or isinstance(exponent, bool)
+                or exponent < 0):
             raise ValueError("series exponent must be a nonnegative integer")
         result = None
         base = self
@@ -434,7 +438,8 @@ class LiftPolynomial(_Exact):
         return self * other
 
     def __pow__(self, exponent: int) -> "LiftPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if (not isinstance(exponent, int) or isinstance(exponent, bool)
+                or exponent < 0):
             raise ValueError("polynomial exponent must be a nonnegative integer")
         # A power of a primitive integer polynomial is primitive (Gauss's
         # lemma), so the result is already in lowest terms.
@@ -591,7 +596,15 @@ class CharacterFunction(_Exact):
             return self
         if not self.num:
             return other
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
+        if self.den == other.den:
+            # a/d + b/d has the parts (a + b) d and d d of the cross-
+            # multiplied sum, by bilinearity, from two products, not three.
+            num = _padd(self.num, other.num)
+            if not num:
+                return _new(CharacterFunction, (), (1,))
+            num = _pmul(num, self.den)
+        else:
+            num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return _character_lowest(num, _pmul(self.den, other.den))
 
     def __sub__(self, other: "CharacterFunction") -> "CharacterFunction":

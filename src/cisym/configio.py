@@ -10,13 +10,18 @@ in field order.  A key repeated within one object is an error too, found
 while the text is parsed, before any of these.
 
 Rendering is canonical: parse(dump(cfg)) reproduces dump(cfg) byte for
-byte.  dump_config writes a fixed layout, each record's keys sorted with
-their line heads computed once, and its text is exactly
+byte.  dump_config writes a fixed layout, and its text is exactly
 json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) plus a newline.
-The search sorts its hits by this text.
+Each record's whole layout is compiled into one %-format when the module
+is imported: its sorted keys and their line heads, a component's "kind",
+and a slot per value, with the weight arrays at the arity of their kind
+(3 for a point, 2 for a surface, 1 for a four).  A record is rendered by
+one % over its flat values: "%d" writes ints, int subclasses too, as
+int.__repr__ does, and the flags' bools go in as "true" and "false".  The
+search sorts its hits by this text.
 
-One renderer, json_text, writes the values of that layout and every
-`--json` answer of the command line, byte for byte the text of
+Another renderer, json_text, writes every `--json` answer of the command
+line, byte for byte the text of
 json.dumps(value, sort_keys=True, indent=2): strings through json's own
 ASCII encoder, ints (int subclasses too) by int.__repr__, bools as
 true/false, tuples and lists as indented arrays, objects with their string
@@ -32,6 +37,7 @@ from json.encoder import encode_basestring_ascii
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import Callable, NamedTuple, Union, get_args, get_type_hints
 
 from .localization import (
@@ -85,38 +91,70 @@ def _weights_at(value, path: str, arity: int) -> list[int]:
 
 class _Record(NamedTuple):
     """The JSON object of one record class, read off its dataclass fields,
-    and its fixed layout at its depth in a document."""
+    and its text at its depth in a document."""
 
     cls: type
     keys: tuple[str, ...]  # every key of the object, in field order
     readers: tuple[tuple[str, Callable], ...]  # (key, reader) per field
-    heads: tuple[tuple[str, str], ...]  # sorted (key, text opening its line)
-    close: str  # the text closing the object
-    depth: int  # the nesting depth of its values
+    render: Callable[[object], str]  # a record's text, by one %-format
+
+
+_JSON_BOOLS = ("false", "true")
 
 
 def _record(cls, depth: int, *leading_keys: str) -> _Record:
+    """The reader of each field and one %-format for the whole object: its
+    sorted keys, their line heads, the constant "kind" of a component and a
+    slot per value, "%d" for an int and for each weight of the fixed arity,
+    "%s" for a bool rendered as true or false."""
     hints = get_type_hints(cls)
     readers = []
+    slots = {}  # key: (attribute, format of its value)
+    inner = "\n" + "  " * (depth + 2)
     for f in fields(cls):
         hint = hints[f.name]
         if f.name == "weight":  # a four's one normal weight: "weights": [w]
-            readers.append(("weights", lambda v, p: _weights_at(v, p, 1)[0]))
+            key, arity = "weights", 1
+            readers.append((key, lambda v, p: _weights_at(v, p, 1)[0]))
         elif hint in (int, bool):
-            readers.append((f.name, _int_at if hint is int else _bool_at))
+            key, arity = f.name, 0
+            readers.append((key, _int_at if hint is int else _bool_at))
         else:  # a tuple of normal weights
-            readers.append((f.name, partial(_weights_at, arity=len(get_args(hint)))))
+            key, arity = f.name, len(get_args(hint))
+            readers.append((key, partial(_weights_at, arity=arity)))
+        if arity:
+            text = ("[" + inner + ("," + inner).join(["%d"] * arity)
+                    + inner[:-2] + "]")
+        else:
+            text = "%s" if hint is bool else "%d"
+        slots[key] = (f.name, text)
     keys = leading_keys + tuple(key for key, _ in readers)
     pad = "\n" + "  " * (depth + 1)
-    heads = tuple((key, f"{pad}{encode_basestring_ascii(key)}: ")
-                  for key in sorted(keys))
-    return _Record(cls, keys, tuple(readers), heads, "\n" + "  " * depth + "}",
-                   depth + 1)
+    # Field names and kinds are identifiers: no "%" in them to escape.
+    layout = "{" + ",".join(
+        pad + encode_basestring_ascii(key) + ": "
+        + (slots[key][1] if key in slots
+           else encode_basestring_ascii(cls.kind))
+        for key in sorted(keys)) + "\n" + "  " * depth + "}"
+    get = attrgetter(*[slots[key][0] for key in sorted(slots)])
+    if bool in hints.values():  # Flags, whose fields are all bools
+        def render(obj):
+            return layout % tuple([_JSON_BOOLS[v] for v in get(obj)])
+    elif "weights" in hints:  # a tuple, and the last key in sorted order
+        def render(obj):
+            values = get(obj)
+            return layout % (values[:-1] + values[-1])
+    else:
+        def render(obj):
+            return layout % get(obj)
+    return _Record(cls, keys, tuple(readers), render)
 
 
 _AMBIENT = _record(AmbientData, 1)
 _FLAGS = _record(Flags, 1)
 _COMPONENTS = {cls.kind: _record(cls, 2, "kind") for cls in _COMPONENT_TYPES}
+_DOCUMENT = ('{\n  "ambient": %s,\n  "components": [\n    %s\n  ],'
+             '\n  "flags": %s,\n  "template": %s\n}\n')
 
 
 def _record_from_obj(obj, path: str, record: _Record):
@@ -212,8 +250,8 @@ def json_text(value, depth: int = 0) -> str:
 
     Strings, bools, ints, arrays (tuples and lists), objects with string
     keys and None are JSON; any other value or key is a TypeError.  The
-    branches a configuration takes come first, since dump_config is the
-    search's sort key."""
+    branches a configuration takes come first, since `verify --json`
+    echoes one."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is True:
@@ -244,22 +282,16 @@ def json_text(value, depth: int = 0) -> str:
     raise TypeError(f"JSON output holds no {type(value).__name__} value")
 
 
-def _record_json(obj, record: _Record) -> str:
-    return ("{" + ",".join([head + json_text(getattr(obj, key), record.depth)
-                            for key, head in record.heads]) + record.close)
-
-
 def dump_config(cfg: Configuration) -> str:
     """Canonical JSON rendering; parsing it back reproduces it byte for byte.
 
     The text is json.dumps(config_to_obj(cfg), sort_keys=True, indent=2)
-    plus a newline, written from the fixed layout of the records."""
-    components = ",".join(["\n    " + _record_json(c, _COMPONENTS[c.kind])
-                           for c in cfg.components])
-    return ('{\n  "ambient": ' + _record_json(cfg.ambient, _AMBIENT)
-            + ',\n  "components": [' + components + "\n  ]"
-            + ',\n  "flags": ' + _record_json(cfg.flags, _FLAGS)
-            + ',\n  "template": ' + json_text(cfg.template, 1) + "\n}\n")
+    plus a newline, each record written by its compiled layout."""
+    return _DOCUMENT % (
+        _AMBIENT.render(cfg.ambient),
+        ",\n    ".join([_COMPONENTS[c.kind].render(c)
+                       for c in cfg.components]),
+        _FLAGS.render(cfg.flags), encode_basestring_ascii(cfg.template))
 
 
 def fraction_str(value: Union[int, Fraction]) -> str:

@@ -55,9 +55,11 @@ the bounds its hit list is exhaustive.
    yields exactly the integer points of the box at which check_x3 passes.
    Swap orbits: in two_surfaces, swapping the surfaces and shifting every
    lift by -a maps X at lift a and Y at 0 to Y at -a and X at 0, the swap
-   image.  The first surface takes only the lifts a >= 0, so the join
-   yields one member of each orbit with a != 0, and both members at a = 0,
-   where they have the same lifts.  The cut is exact because verify_case
+   image.  The first surface takes only the lifts a >= 1, so the join
+   yields one member of each orbit with a != 0.  At a = 0 no configuration
+   passes check_x3: there both surfaces are at lift 0, where a surface's
+   x^3 datum has only l^2 and l^3 terms, so row l^0 reads -den * t = 0,
+   which forces t = 0 < 1.  The cut is exact because verify_case
    gives a configuration and its image, which lies in the box when the
    configuration does, the same verdict.  The shift replaces l by l - a in
    both sums, so each stays constant or not; euler-characteristic, the
@@ -87,7 +89,7 @@ the bounds its hit list is exhaustive.
    running the components' validation again.  The candidate goes to _leaf,
    which recomputes the x^3 and p1*x sums, derives rho, and keeps the
    candidate only if Configuration accepts it and verify_case passes.
-   In two_surfaces each hit at a > 0 then gives its swap image, made by
+   In two_surfaces each hit then gives its swap image, made by
    _copy: the surfaces swapped, every lift shifted by -a, and the hit's
    own ambient data and flags.  The image is a hit only if Configuration
    accepts it and verify_case passes on it.  Every hit is thus checked
@@ -108,8 +110,9 @@ components have b1 = 0 (chi = 2 + b2, with b2 fixed by the template), the
 ambient Euler characteristic is the sum of the component ones, the first
 point has eps = +1 under convention35, and the lift is normalized so that
 the last surface (or else the first component) has a = 0, the other lifts
-lying in [-max_abs_a, max_abs_a] (in two_surfaces those below 0 come from
-the swap images).
+lying in [-max_abs_a, max_abs_a].  In two_surfaces the first surface
+takes the lifts 1..max_abs_a: those below 0 come from the swap images, and
+a = 0 holds no point.
 
 The budget counts nodes.  A node is one step of the enumeration, counted
 when it is entered: one weight tuple of a component and one choice of its
@@ -121,11 +124,12 @@ looks its entries up, one combination of data and lifts that the join
 builds, one value of a free unknown in the solver inside the range that
 the bounds of the pivots it completes allow (in a head solve too, which
 stops at its first point), one candidate handed to _leaf, and one swap
-image built from a hit.  A combination that the join drops is never built
-and is no node.  A point that the l^1 row drops is a value the solver
-tried, not a candidate handed to _leaf, so it adds no node of its own.
-Nothing is enumerated before its nodes are counted, so the budget bounds
-the memory of a call too: a range of lifts is walked, never copied.
+image built from each two_surfaces hit.  A combination that the join
+drops is never built and is no node.  A point that the l^1 row drops is a
+value the solver tried, not a candidate handed to _leaf, so it adds no
+node of its own.  Nothing is enumerated before its nodes are counted, so
+the budget bounds the memory of a call too: a range of lifts is walked,
+never copied.
 A call that visits N nodes succeeds with a budget of N; with a budget of
 N - 1 it raises BudgetExceededError, naming the template and the nodes
 reached, rather than silently truncating the search; the message also
@@ -397,7 +401,7 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
     that no column of any choice of the tail (the last component), unknown
     or constant, enters at any of its lifts.  The lift is fixed at 0 on the
     last surface, or else on the first component; the first surface of
-    two_surfaces takes the lifts >= 0 alone.  Each weight tuple and each
+    two_surfaces takes the lifts >= 1 alone.  Each weight tuple and each
     choice is a node."""
     flags = ctx.flags
     kinds = TEMPLATES[template]
@@ -446,7 +450,8 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
         if i == fixed:
             lifts = (0,)
         elif template == "two_surfaces":
-            lifts = range(ctx.bounds.max_abs_a + 1)  # one per swap orbit
+            # One per swap orbit; at a = 0 row l^0 reads -den * t = 0.
+            lifts = range(1, ctx.bounds.max_abs_a + 1)
         else:
             lifts = _sym(ctx.bounds.max_abs_a)
         # The columns read: the unknown ones, and in the tail the constant
@@ -459,6 +464,10 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
             # A shift by a spreads each coefficient over its row and the
             # rows below, so at three or more lifts a column reaches every
             # row up to its degree; at the fixed lift only its own rows.
+            # A row taken as reached that is not (two_surfaces' first
+            # surface has only max_abs_a lifts, from 1) only joins fewer
+            # rows or solves the head on a row the tail does not enter:
+            # both stay exact.
             for n, col in enumerate(c.columns[:end]):
                 for j in range(_ROWS):
                     if col[j]:
@@ -706,7 +715,7 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
             cfg = _leaf(template, cand, ctx, counter)
             if cfg is not None:
                 hits.append(cfg)
-                image = _image(cfg, counter) if orbit and lift[0] else None
+                image = _image(cfg, counter) if orbit else None
                 if image is not None:
                     hits.append(image)
     return hits

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cisym.algebra import (
@@ -72,6 +72,16 @@ def test_pow_matches_repeated_product():
         p = p * s
     assert s**5 == p
     assert s**0 == TruncatedSeries.one(6)
+
+
+@pytest.mark.parametrize("x", [TruncatedSeries(3, [1, 2]),
+                               LiftPolynomial([1, 2])], ids=repr)
+@pytest.mark.parametrize("exponent", [-1, 1.5, True, False])
+def test_pow_takes_a_nonnegative_int_exponent(x, exponent):
+    # A bool is rejected here as every other kernel entry rejects one.
+    with pytest.raises(ValueError,
+                       match="exponent must be a nonnegative integer"):
+        x ** exponent
 
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -602,6 +612,27 @@ def test_character_operators_give_the_constructor_normal_form(
         want = CharacterFunction(num, den)
         assert (got.num, got.den) == (want.num, want.den)
         assert_character_normal_form(got)
+
+
+@given(laurent, nonzero_laurent, laurent,
+       st.sampled_from(("drawn", "f", "-f")))
+def test_a_sum_over_one_denominator_has_the_cross_multiplied_parts(
+        n1, d1, n2, other):
+    # Over one denominator the sum adds numerators first; its parts must be
+    # those of the schoolbook cross-multiplied sum, (a + b) d over d d, and
+    # a sum that cancels is the canonical zero.
+    f = CharacterFunction(n1, d1)
+    g = {"drawn": CharacterFunction(n2, f.den), "f": f, "-f": -f}[other]
+    assume(g.den == f.den)
+    cross = [x + y for x, y in zip_longest(schoolbook(f.num, g.den),
+                                           schoolbook(g.num, f.den),
+                                           fillvalue=0)]
+    want = CharacterFunction(cross, schoolbook(f.den, g.den))
+    got = f + g
+    assert (got.num, got.den) == (want.num, want.den)
+    assert_character_normal_form(got)
+    if other == "-f" or not any(cross):
+        assert (got.num, got.den) == ((), (1,))
 
 
 @settings(max_examples=200)

@@ -33,6 +33,7 @@ from cisym.localization import (
     p1x_local_datum,
     p1x_sum,
     shift_lift,
+    signature_local_datum,
     verify_case,
     x3_local_datum,
     x3_sum,
@@ -122,13 +123,13 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_is_exact_node_count():
-    # This call visits exactly 192 nodes (see the search module docstring).
+    # This call visits exactly 185 nodes (see the search module docstring).
     args = ("two_surfaces", (1, 6), (-6, 6), SMALL)
-    assert len(search_case(*args, budget=192)) == 34
+    assert len(search_case(*args, budget=185)) == 34
     with pytest.raises(BudgetExceededError,
-                       match="budget of 191 exhausted in template"
-                             " two_surfaces at node 192;") as info:
-        search_case(*args, budget=191)
+                       match="budget of 184 exhausted in template"
+                             " two_surfaces at node 185;") as info:
+        search_case(*args, budget=184)
     # The message also names the discrete data being solved at that node.
     assert "; solving surface weights (3, 2), surface weights (3, 2);" \
         in str(info.value)
@@ -149,8 +150,9 @@ def test_budget_can_run_out_in_a_head_solve(monkeypatch):
 
     monkeypatch.setattr(search, "_solve", solve)
     with pytest.raises(BudgetExceededError,
-                       match="at node 35; solving surface weights \\(1, 1\\);"):
-        search_case("two_surfaces", (1, 6), (-6, 6), SMALL, budget=34)
+                       match="at node 34; solving surface weights"
+                             " \\(1, 1\\);"):
+        search_case("two_surfaces", (1, 6), (-6, 6), SMALL, budget=33)
     assert raised == [2]  # a head solve: rows l^0 and l^1 of the head alone
 
 
@@ -213,8 +215,8 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
     # range leaves the leaves as they were and settles the four templates
     # that can have no hit (every solution there has t = 0) in the join.
     # The l^1 row of the p1*x identity drops 22 + 58 solver points.  The
-    # two_surfaces solves are 114 head solves, one per (surface, lift >= 0)
-    # prefix, which drop 78 of them, and 142 full ones (825 before the head
+    # two_surfaces solves are 95 head solves, one per (surface, lift >= 1)
+    # prefix, which drop 59 of them, and 142 full ones (825 before the head
     # rows, 493 before the swap orbits).
     calls = {"leaf": 0, "solve": 0}
 
@@ -234,7 +236,7 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
     assert {t: n for t, n in leaves.items() if n} == {
         "two_surfaces": 68, "surface_plus_two_points": 135,
         "cp2like_plus_point": 2}
-    assert solves["two_surfaces"] == 114 + 142
+    assert solves["two_surfaces"] == 95 + 142
     for template in ("two_fours", "four_plus_surface", "four_plus_two_points",
                      "single_four_b2_2"):
         assert solves[template] == 0, template
@@ -382,11 +384,11 @@ HIT_BOXES = (({"lemma64": False}, (3, 3, 6)), ({}, (3, 3, 6)),
 def test_the_head_rows_hand_the_same_candidates_to_the_leaf(monkeypatch):
     # The head solve only drops prefixes whose combinations have no solver
     # point, so without it _leaf sees the same candidates in the same order.
-    # The swap orbits cut two_surfaces to first-surface lifts a >= 0: with
+    # The swap orbits cut two_surfaces to first-surface lifts a >= 1: with
     # every lift of the box and no head rows, _leaf sees the same candidates
     # with those at a < 0 in their places, and those are the swap images of
-    # the ones at a > 0.  Checked on the certify box and the search_hits
-    # boxes.
+    # the ones at a > 0; a = 0 gives none.  Checked on the certify box and
+    # the search_hits boxes.
     leaves = []
     leaf_ = search._leaf
 
@@ -423,7 +425,7 @@ def test_the_head_rows_hand_the_same_candidates_to_the_leaf(monkeypatch):
         assert [(template, cand) for template, cand in full
                 if _orbit_kept(template, [c.a for c in cand])] == kept
         images = Counter((template, _swap(*cand)) for template, cand in kept
-                         if template == "two_surfaces" and cand[0].a > 0)
+                         if template == "two_surfaces")
         assert Counter(full) == Counter(kept) + images
     assert [len(cands) for cands in with_head] == [205, 918]
     assert [len(cands) for cands in every] == [273, 1645]
@@ -441,9 +443,17 @@ def _every_lift(template, bounds):
 
 
 def _orbit_kept(template, lifts):
-    """The orbit rule: two_surfaces keeps the first surface's lifts a >= 0;
-    a combination at a < 0 is the swap image of one at -a."""
-    return template != "two_surfaces" or lifts[0] >= 0
+    """The orbit rule: two_surfaces keeps the first surface's lifts a >= 1;
+    a combination at a < 0 is the swap image of one at -a, and one at
+    a = 0 has no point (see _holds_a_point)."""
+    return template != "two_surfaces" or lifts[0] > 0
+
+
+def _holds_a_point(template, lifts):
+    """False for two_surfaces with both surfaces at lift 0, where row l^0
+    of the x^3 identity reads -den * t = 0
+    (test_two_surfaces_at_lift_zero_hold_no_point)."""
+    return template != "two_surfaces" or lifts[0] != 0
 
 
 def _swap(x, y):
@@ -664,6 +674,35 @@ def test_pinned_hit_lists_wide(template, flag_set):
                                   (0, hashlib.sha256(b"").hexdigest()))
 
 
+# The wide two_surfaces hits whose surfaces' signature characters share one
+# denominator, and those whose do not, without lemma64.  Under lemma64 every
+# hit's do.
+SHARED_DENOMINATORS = {"no_lemma64": (852, 364), "all_off": (1660, 700)}
+
+
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+def test_two_surfaces_signature_sums_cancel(flag_set):
+    # verify_case sums the two surfaces' signature characters: on every
+    # pinned two_surfaces hit list the sum is the zero character, and
+    # mostly the two share a denominator, so the sum adds numerators.
+    flags = FLAG_SETS[flag_set]
+    for args in [((1, 6), (-6, 6), SearchBounds(*bounds))
+                 for bounds in ((2, 1, 2), (2, 2, 2))] + [
+                     ((1, 10), (-10, 10), SMALL)]:
+        hits = search_case("two_surfaces", *args, flags)
+        shared = 0
+        for cfg in hits:
+            x, y = map(signature_local_datum, cfg.components)
+            shared += x.den == y.den
+            total = next(c.residual for c in verify_case(cfg).checks
+                         if c.name == "signature-rigidity")
+            assert (total.num, total.den) == ((), (1,))
+        if flags.lemma64:
+            assert shared == len(hits)
+    if not flags.lemma64:  # the wide box, the last above
+        assert (shared, len(hits) - shared) == SHARED_DENOMINATORS[flag_set]
+
+
 # Semifree fixes every weight to 1, so its box is wider in lifts and
 # evaluations: at 2/1/1 it would hold a single hit.
 BRUTE_BOUNDS = {"semifree": SearchBounds(1, 2, 3)}
@@ -693,7 +732,7 @@ def test_search_matches_pruning_free_enumeration(template, flag_set):
 
 def test_a_pruning_free_box_where_the_head_rows_drop_prefixes(monkeypatch):
     # A lemma64 box wider in lifts and evaluations than those above: the
-    # head solve drops 5 of the 9 (surface, lift >= 0) prefixes, and the
+    # head solve drops 2 of the 6 (surface, lift >= 1) prefixes, and the
     # search still matches the reference.
     heads = []
     solve_ = search._solve
@@ -709,7 +748,7 @@ def test_a_pruning_free_box_where_the_head_rows_drop_prefixes(monkeypatch):
     want = brute_force(*args)
     assert [dump_config(c) for c in search_case(*args)] == \
         [dump_config(c) for c in want]
-    assert (len(heads), heads.count(False), len(want)) == (9, 5, 10)
+    assert (len(heads), heads.count(False), len(want)) == (6, 2, 10)
 
 
 def test_a_pruning_free_box_where_the_l1_row_drops_points(monkeypatch):
@@ -772,6 +811,18 @@ def _template_choices(template, flag_set):
     return [c for slot in slots for c in slot], den
 
 
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+def test_two_surfaces_at_lift_zero_hold_no_point(flag_set):
+    # At lift 0 a surface's x^3 datum has only l^2 and l^3 terms, at every
+    # evaluation, so with both surfaces at 0 row l^0 reads -den * t = 0 and
+    # no t >= 1 solves it: the first surface's lifts start at 1.
+    choices, _ = _template_choices("two_surfaces", flag_set)
+    for c in choices:
+        unknown, const = c.at(0)
+        assert not any(unknown[0] + unknown[1]) and const[:2] == (0, 0)
+    assert all(c.lifts == range(1, 3) for c in choices[:len(choices) // 2])
+
+
 @given(st.sampled_from(sorted(TEMPLATES)), st.sampled_from(sorted(FLAG_SETS)),
        st.data(), st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30)))
 def test_shifted_columns_are_the_x3_datum_at_the_lift(template, flag_set,
@@ -814,8 +865,8 @@ def test_combination_join_matches_the_filtered_product(template, flag_set):
     # With no lift-only rows the join keeps every lift that the orbit rule
     # keeps, so it yields the combinations that the checks on discrete data
     # alone keep, in the order of product, each at those lifts, in the
-    # order of product; with the swap images of the two_surfaces ones at
-    # a > 0 they give back every lift.
+    # order of product; with the swap images of the two_surfaces ones they
+    # give back every lift that can hold a point.
     ctx = _Ctx(1, 6, -6, 6, SearchBounds(4, 1, 2), FLAG_SETS[flag_set])
     slots, den, *_ = _choices(template, ctx, _Counter(10**9, template))
     want = [combo for combo in product(*slots)
@@ -835,9 +886,10 @@ def test_combination_join_matches_the_filtered_product(template, flag_set):
     kept = Counter(_label(slots, combo, lift)
                    for combo, lifts in got.items() for lift in lifts)
     images = Counter(_image_label(label) for label in kept
-                     if template == "two_surfaces" and label[0][1] > 0)
+                     if template == "two_surfaces")
     assert kept + images == Counter(_label(slots, combo, lift)
-                                    for combo in want for lift in every)
+                                    for combo in want for lift in every
+                                    if _holds_a_point(template, lift))
 
 
 def _label(slots, combo, lift):
@@ -899,7 +951,7 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
     # rows keep, found by filtering every (choice, lift) of every component
     # through the predicates of verify_case and the rows' constants.  The
     # orbit rule keeps some of them, and with the swap images of the
-    # two_surfaces ones at a > 0 those give back all of them.
+    # two_surfaces ones those give back all that can hold a point.
     def passes(pairs):
         return (_passes_discrete_checks(template, flags.lemma64,
                                         [c.comp for c, _ in pairs])
@@ -916,8 +968,10 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
             if _orbit_kept(template, [a for _, a in pairs])]
     assert kept
     images = Counter(_image_label(label(pairs)) for pairs in kept
-                     if template == "two_surfaces" and pairs[0][1] > 0)
-    assert Counter(map(label, kept)) + images == Counter(map(label, base))
+                     if template == "two_surfaces")
+    assert Counter(map(label, kept)) + images == Counter(
+        label(pairs) for pairs in base
+        if _holds_a_point(template, [a for _, a in pairs]))
     for t_range in ((1, 6), (2, 2), (-3, 0)):
         # With t alone in row l^0, den * t is the sum of its constants.  t
         # is clamped at 1, so (-3, 0) keeps nothing where that row is joined.
