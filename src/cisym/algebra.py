@@ -16,6 +16,12 @@ over one denominator d add their numerators first: a/d + b/d gets the parts
 (a + b) d and d d that cross-multiplication gives, and a sum that cancels
 is the canonical zero at once.  A series' truncation order is not stored;
 it is its numerator count minus one.
+
+One integer Taylor shift, _taylor_shift, gives the coefficients of
+c0 + c1 u + c2 u^2 + c3 u^3 in l for u = l + a, in closed form.  It serves
+both the search solver's columns at each lift and the local data of
+surfaces and 4-dimensional components; a point's datum stays one power of
+u times one scalar.
 """
 
 from __future__ import annotations
@@ -123,6 +129,23 @@ def _sum(p: _Exact, q: _Exact, sign: int) -> tuple[list[int], int]:
     return out, p.den // g * q.den
 
 
+def _index(k) -> int:
+    """k as a coefficient index: an int, never a bool or a float."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise TypeError(f"coefficient index must be an integer, got {k!r}")
+    return k
+
+
+def _taylor_shift(coeffs: Sequence[int], a: int) -> tuple[int, int, int, int]:
+    """The coefficients of sum_k coeffs[k] (l + a)^k in l, low to high, for
+    exactly four integer coeffs (c0, c1, c2, c3), in closed form."""
+    c0, c1, c2, c3 = coeffs
+    return (c0 + a * (c1 + a * (c2 + a * c3)),
+            c1 + a * (2 * c2 + 3 * a * c3),
+            c2 + 3 * a * c3,
+            c3)
+
+
 def _terms(num: Sequence[int], den: int, var: str) -> str:
     """The nonzero terms of sum num[k]/den * var^k, highest power first
     ("0" if there are none)."""
@@ -180,7 +203,7 @@ class TruncatedSeries(_Exact):
         return cls(order, [])
 
     def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
+        if not 0 <= _index(k) <= self.order:
             raise IndexError(f"coefficient x^{k} outside truncation order {self.order}")
         return Fraction(self.num[k], self.den)
 
@@ -362,6 +385,8 @@ class LiftPolynomial(_Exact):
 
     @classmethod
     def constant(cls, c: Scalar) -> "LiftPolynomial":
+        if type(c) is int:
+            return _new(LiftPolynomial, (c,) if c else (), 1)
         v = as_rational(c)
         return _new(LiftPolynomial, (v.numerator,) if v else (), v.denominator)
 
@@ -382,7 +407,7 @@ class LiftPolynomial(_Exact):
         return not self.num
 
     def coefficient(self, k: int) -> Fraction:
-        if k < 0:
+        if _index(k) < 0:
             raise IndexError("negative coefficient index")
         return Fraction(self.num[k], self.den) if k < len(self.num) else Fraction(0)
 
@@ -422,6 +447,9 @@ class LiftPolynomial(_Exact):
             return self
         if not self.num:
             return -other
+        # Equal operands give the canonical zero, as the zero rule does.
+        if self.num == other.num and self.den == other.den:
+            return _new(LiftPolynomial, (), 1)
         return _lowest(*_sum(self, other, -1))
 
     def __mul__(self, other: Union["LiftPolynomial", Scalar]) -> "LiftPolynomial":

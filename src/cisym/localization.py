@@ -14,12 +14,13 @@ Localization turns the global numbers t and rho*t into sums of local data,
 polynomial identities in the lift parameter l; the equivariant signature
 gives a further rigidity constraint in the circle parameter.
 
-Each local datum is formed as integer numerators over one denominator: the
-coefficients of the powers of u = l + a are combined in integers and the
-sum is reduced once (a point's datum is one power of u times one exact
-scalar).  The signature characters are products of per-weight factors;
-_edge(n) and _kernel(n) are built once per weight and reused, a table of at
-most MAX_WEIGHT entries each.  The sums of the local data run from zero; the
+Each local datum is formed as integer numerators over one denominator: its
+integer coefficients in u = l + a, padded to four, go through the one
+integer Taylor shift of the algebra kernel (the one that also shifts the
+search solver's columns), and the result is reduced once (a point's datum
+is one power of u times one exact scalar).  The signature characters are
+products of per-weight factors; _edge(n) and _kernel(n) are built once per
+weight and reused, a table of at most MAX_WEIGHT entries each.  The sums of the local data run from zero; the
 kernels' zero rule makes their first addition return the first datum.
 
 Within one search_case call, each local datum is computed once per distinct
@@ -46,10 +47,9 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 from operator import attrgetter
-from typing import (Callable, Iterable, Optional, Sequence, TypeVar, Union,
-                    get_args)
+from typing import Callable, Iterable, Optional, TypeVar, Union, get_args
 
-from .algebra import CharacterFunction, LiftPolynomial, _lowest
+from .algebra import CharacterFunction, LiftPolynomial, _lowest, _taylor_shift
 
 
 class ConfigurationError(ValueError):
@@ -347,17 +347,11 @@ def shift_lift(cfg: Configuration, delta: int) -> Configuration:
 # Local data
 
 
-def _in_lift(u: LiftPolynomial, coeffs: Sequence[int],
-             den: int) -> LiftPolynomial:
-    """sum_k coeffs[k] * u^k / den for u = l + a, formed as integer
-    numerators and reduced once."""
-    num = [0] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        if c:
-            power = (1,) if k == 0 else u.num if k == 1 else (u**k).num
-            for i, b in enumerate(power):
-                num[i] += c * b
-    return _lowest(num, den)
+def _in_lift(a: int, coeffs: tuple[int, ...], den: int) -> LiftPolynomial:
+    """sum_k coeffs[k] * (l + a)^k / den, for at most four integer coeffs
+    (padded with zeros to four), by the integer Taylor shift and reduced
+    once."""
+    return _lowest(_taylor_shift(coeffs + (0,) * (4 - len(coeffs)), a), den)
 
 
 _Datum = TypeVar("_Datum", LiftPolynomial, CharacterFunction)
@@ -399,27 +393,27 @@ def p1x_local_datum(c: Component) -> LiftPolynomial:
 
 
 def _x3_local_datum(c: Component) -> LiftPolynomial:
-    u = LiftPolynomial.shifted_lift(c.a)
     if c.kind == "point":
         n1, n2, n3 = c.weights
-        return u**3 * Fraction(c.eps, n1 * n2 * n3)
+        return (LiftPolynomial.shifted_lift(c.a)**3
+                * Fraction(c.eps, n1 * n2 * n3))
     if c.kind == "surface":
         # (3 ev_x m u^2 - (ev_y1 n2 + ev_y2 n1) u^3) / m^2, with m = n1 n2
         n1, n2 = c.weights
         m = n1 * n2
-        return _in_lift(u, (0, 0, 3 * c.ev_x * m,
-                            -(c.ev_y1 * n2 + c.ev_y2 * n1)), m * m)
+        return _in_lift(c.a, (0, 0, 3 * c.ev_x * m,
+                              -(c.ev_y1 * n2 + c.ev_y2 * n1)), m * m)
     # (3 ev_x2 n1^2 u - 3 ev_xy n1 u^2 + ev_y2 u^3) / n1^3
     n1 = c.weight
-    return _in_lift(u, (0, 3 * c.ev_x2 * n1 * n1, -3 * c.ev_xy * n1, c.ev_y2),
-                    n1**3)
+    return _in_lift(c.a, (0, 3 * c.ev_x2 * n1 * n1, -3 * c.ev_xy * n1,
+                          c.ev_y2), n1**3)
 
 
 def _p1x_local_datum(c: Component) -> LiftPolynomial:
-    u = LiftPolynomial.shifted_lift(c.a)
     if c.kind == "point":
         n1, n2, n3 = c.weights
-        return u * Fraction(c.eps * (n1**2 + n2**2 + n3**2), n1 * n2 * n3)
+        return (LiftPolynomial.shifted_lift(c.a)
+                * Fraction(c.eps * (n1**2 + n2**2 + n3**2), n1 * n2 * n3))
     if c.kind == "surface":
         # (q ev_x m + (2 (n1 ev_y1 + n2 ev_y2) m - q (ev_y1 n2 + ev_y2 n1)) u)
         # / m^2, with m = n1 n2 and q = n1^2 + n2^2
@@ -428,9 +422,9 @@ def _p1x_local_datum(c: Component) -> LiftPolynomial:
         q = n1**2 + n2**2
         slope = (2 * (n1 * c.ev_y1 + n2 * c.ev_y2) * m
                  - q * (c.ev_y1 * n2 + c.ev_y2 * n1))
-        return _in_lift(u, (q * c.ev_x * m, slope), m * m)
+        return _in_lift(c.a, (q * c.ev_x * m, slope), m * m)
     # (ev_xy n1 + ev_p1 u) / n1
-    return _in_lift(u, (c.ev_xy * c.weight, c.ev_p1), c.weight)
+    return _in_lift(c.a, (c.ev_xy * c.weight, c.ev_p1), c.weight)
 
 
 @cache
@@ -632,9 +626,11 @@ def signature_checks(
     results.append(_result("signature-rigidity", const is not None, total))
     if const is not None:
         # A constant character's limit is that constant.
-        results.append(_result("signature-vanishing", const == sign_m, const - sign_m))
-        results.append(_result("signature-limit", const == contributions == sign_m,
-                               const - contributions))
+        gap = const - sign_m
+        results.append(_result("signature-vanishing", gap == 0, gap))
+        results.append(_result(
+            "signature-limit", const == contributions == sign_m,
+            gap if contributions == sign_m else const - contributions))
     return results
 
 

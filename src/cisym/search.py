@@ -5,7 +5,9 @@ the bounds its hit list is exhaustive.
 
 1. The x^3 identity.  The localized x^3 sum is affine in the unknown
    evaluations.  Its columns are read from x3_local_datum at zero and at
-   unit evaluations, and a lift a enters by the substitution l -> l + a.
+   unit evaluations, and a lift a enters by the substitution l -> l + a,
+   made by the algebra kernel's one integer Taylor shift, which also forms
+   the local data of surfaces and 4-dimensional components.
    For fixed discrete data and lifts, "the sum is the constant t" is a
    linear system in the evaluations and t, one row per coefficient of
    l^0..l^3.  A row k >= 1 is lift-only when no unknown of any choice of
@@ -146,7 +148,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional
 
-from .algebra import LiftPolynomial
+from .algebra import LiftPolynomial, _taylor_shift
 from .configio import dump_config
 from .localization import (
     _TEMPLATE_B2,
@@ -270,16 +272,21 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
           counter: _Counter) -> Optional[Configuration]:
     """Derive (t, rho) from the candidate's data and verify it in full."""
     counter.tick()
-    s3 = x3_sum(components).constant_value()
-    if s3 is None or s3.denominator != 1:
+    # Each sum must be a constant integer: no l term, over den 1.  An x^3
+    # sum of 0 has no numerator, and t = 0 is out of range anyway.
+    s3 = x3_sum(components)
+    if len(s3.num) != 1 or s3.den != 1:
         return None
-    t = int(s3)
+    (t,) = s3.num
     if t < max(1, ctx.t_lo) or t > ctx.t_hi:
         return None
-    sp = p1x_sum(components).constant_value()
-    if sp is None or sp.denominator != 1 or int(sp) % t:
+    sp = p1x_sum(components)
+    if len(sp.num) > 1 or sp.den != 1:
         return None
-    rho = int(sp) // t
+    rho_t = sp.num[0] if sp.num else 0
+    if rho_t % t:
+        return None
+    rho = rho_t // t
     if rho < ctx.rho_lo or rho > ctx.rho_hi:
         return None
     euler = sum(c.chi for c in components)
@@ -341,14 +348,12 @@ class _Choice:
 
     def at(self, a: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """The columns after the substitution l -> l + a: for each k, the
-        l^k coefficients of the unknown columns, and of the constant one."""
+        l^k coefficients of the unknown columns, and of the constant one.
+        The shift is the algebra kernel's integer Taylor shift, the one that
+        also forms the local data, so the package has one lift shift."""
         entry = self.shifted.get(a)
         if entry is None:
-            # The Taylor shift of c0 + c1 l + c2 l^2 + c3 l^3, in closed form.
-            *unknown, const = [(c0 + a * (c1 + a * (c2 + a * c3)),
-                                c1 + a * (2 * c2 + 3 * a * c3),
-                                c2 + 3 * a * c3,
-                                c3) for c0, c1, c2, c3 in self.columns]
+            *unknown, const = [_taylor_shift(col, a) for col in self.columns]
             entry = self.shifted[a] = (
                 tuple(zip(*unknown)) if unknown else ((),) * _ROWS, const)
         return entry

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact arithmetic kernels."""
 
+import re
 from fractions import Fraction as F
 from itertools import zip_longest
 from math import gcd
@@ -16,6 +17,9 @@ from cisym.algebra import (
     OrderMismatchError,
     GENUS_KINDS,
     TruncatedSeries,
+    _lowest,
+    _sum,
+    _taylor_shift,
     _unit_line_factor,
     genus_line_factor,
 )
@@ -476,7 +480,7 @@ def test_lift_polynomial_repr_after_arithmetic():
         "4/3*l^3 + -2*l^2 + 1/2*l + -1/6")
 
 
-@pytest.mark.parametrize("bad", [0.5, True, "1"])
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1"])
 def test_lift_polynomial_rejects_non_exact_scalars(bad):
     p = LiftPolynomial([1, 2])
     with pytest.raises(TypeError):
@@ -485,6 +489,67 @@ def test_lift_polynomial_rejects_non_exact_scalars(bad):
         p(bad)
     with pytest.raises(TypeError):
         LiftPolynomial.constant(bad)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 1.5])
+def test_coefficient_indices_must_be_integers(index):
+    # A bool would read as 0 or 1 and a float would escape as a bare
+    # tuple-index error; both are refused with the index named.
+    for x in (TruncatedSeries(3, [1, 2, 3]), LiftPolynomial([1, 2, 3])):
+        with pytest.raises(TypeError, match=re.escape(f"got {index!r}")):
+            x.coefficient(index)
+
+
+@given(st.integers(-10**6, 10**6))
+def test_an_integer_constant_has_the_parts_of_its_fraction(n):
+    p, q = LiftPolynomial.constant(n), LiftPolynomial.constant(F(n))
+    assert (p.num, p.den) == (q.num, q.den) and p == q
+    assert all(type(x) is int for x in p.num + (p.den,))
+
+
+@given(coeff_lists)
+def test_equal_operands_subtract_to_the_canonical_zero(a):
+    p, q = LiftPolynomial(a), LiftPolynomial(list(a))
+    assert p is not q and p == q
+    d = p - q
+    assert d == LiftPolynomial() and (d.num, d.den) == ((), 1)
+
+
+@given(coeff_lists, coeff_lists)
+def test_unequal_operands_subtract_over_the_common_denominator(a, b):
+    p, q = LiftPolynomial(a), LiftPolynomial(b)
+    assume(p != q and p.num and q.num)
+    d, want = p - q, _lowest(*_sum(p, q, -1))
+    assert (d.num, d.den) == (want.num, want.den)
+
+
+def test_equal_numerators_over_other_denominators_do_not_cancel():
+    p, q = LiftPolynomial([1, 2]), LiftPolynomial([F(1, 2), 1])
+    assert p.num == q.num and p.den != q.den
+    assert p - q == LiftPolynomial([F(1, 2), 1])
+
+
+# The integer Taylor shift that forms the local data and the search columns.
+
+shift_ints = st.integers(-10**4, 10**4)
+four_ints = st.tuples(shift_ints, shift_ints, shift_ints, shift_ints)
+
+
+@given(four_ints, shift_ints)
+def test_taylor_shift_is_the_sum_over_the_powers_of_the_shifted_lift(c, a):
+    u = LiftPolynomial.shifted_lift(a)
+    want = LiftPolynomial()
+    for k, ck in enumerate(c):
+        want = want + u**k * ck
+    got = _taylor_shift(c, a)
+    assert type(got) is tuple and all(type(x) is int for x in got)
+    assert list(got) == [want.coefficient(k) for k in range(4)]
+
+
+@given(four_ints, shift_ints, shift_ints)
+def test_taylor_shift_is_a_group_action_of_the_lifts(c, a, b):
+    assert _taylor_shift(_taylor_shift(c, a), b) == _taylor_shift(c, a + b)
+    assert _taylor_shift(c, 0) == c
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,39 @@ def test_local_data_match_plain_fraction_reference(c):
         assert datum == rebuilt and hash(datum) == hash(rebuilt)
 
 
+def _data_through_powers(c) -> tuple[LiftPolynomial, LiftPolynomial]:
+    """The x^3 and p1*x data of a surface or a 4-dimensional component,
+    summed over the powers of u = l + a from LiftPolynomial.shifted_lift."""
+    u = LiftPolynomial.shifted_lift(c.a)
+    if c.kind == "surface":
+        n1, n2 = c.weights
+        m = n1 * n2
+        s = Fraction(c.ev_y1, n1) + Fraction(c.ev_y2, n2)
+        q = n1**2 + n2**2
+        x3 = u**2 * Fraction(3 * c.ev_x, m) + u**3 * (-s / m)
+        p1x = (LiftPolynomial.constant(Fraction(q * c.ev_x, m))
+               + u * (Fraction(2 * (n1 * c.ev_y1 + n2 * c.ev_y2), m)
+                      - Fraction(q, m) * s))
+        return x3, p1x
+    n = c.weight
+    x3 = (u * Fraction(3 * c.ev_x2, n) + u**2 * Fraction(-3 * c.ev_xy, n**2)
+          + u**3 * Fraction(c.ev_y2, n**3))
+    return x3, LiftPolynomial.constant(c.ev_xy) + u * Fraction(c.ev_p1, n)
+
+
+@settings(max_examples=100)
+@given(st.one_of(surfaces, fours()))
+def test_shifted_data_match_the_powers_of_the_shifted_lift(c):
+    # The data of surfaces and 4-dimensional components go through the
+    # integer Taylor shift; at every lift in -9..9 their canonical parts
+    # must be those of the sum over the powers of l + a.
+    for a in range(-9, 10):
+        moved = replace(c, a=a)
+        want = _data_through_powers(moved)
+        got = (x3_local_datum(moved), p1x_local_datum(moved))
+        assert [_parts(x) for x in got] == [_parts(x) for x in want]
+
+
 small_weight = st.integers(1, 12)
 character_components = st.one_of(
     st.builds(PointComponent, st.sampled_from((-1, 1)),
@@ -313,6 +346,18 @@ def test_sums_of_no_components_are_zero():
         ("signature-rigidity", True), ("signature-vanishing", True),
         ("signature-limit", True)]
     assert _parts(results[0].residual) == ((), (1,))
+
+
+def test_an_x3_sum_with_the_numerator_of_t_over_another_denominator_fails():
+    # The x^3 sum is the constant 1/2 and t = 1: equal numerators over
+    # different denominators must not cancel in the residual.
+    cfg = Configuration(AmbientData(1, 0, 4), "two_surfaces",
+                        (SurfaceComponent((1, 2), 1, 1, 2, 0, 2),
+                         SurfaceComponent((1, 2), 0, 1, -2, 0, 2)))
+    assert _parts(x3_sum(cfg.components)) == ((1,), 2)
+    check = verify_case(cfg).checks[1]
+    assert (check.name, check.passed) == ("x3-localization", False)
+    assert _parts(check.residual) == ((-1,), 2)
 
 
 def _edge_uncached(n):

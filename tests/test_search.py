@@ -830,14 +830,26 @@ def test_shifted_columns_are_the_x3_datum_at_the_lift(template, flag_set,
     # _Choice.at shifts the integer columns to lift a in closed form; they
     # must be den times the l^k coefficients of the x^3 datum at that lift,
     # the unknown columns as differences of the datum at a unit evaluation.
+    # The data of surfaces and 4-dimensional components go through the
+    # same shift, so the columns at lift 0 are also moved to a here through
+    # the powers of l + a.
     choices, den = _template_choices(template, flag_set)
     c = data.draw(st.sampled_from(choices))
     unknown, const = c.at(a)
-    base = x3_local_datum(_copy(c.comp, a, ()))
-    columns = [x3_local_datum(_copy(c.comp, a, ((name, 1),))) - base
-               for name in c.unknowns] + [base]
-    want = [[poly.coefficient(k) * den for poly in columns] for k in range(4)]
-    assert [list(unknown[k]) + [const[k]] for k in range(4)] == want
+    u = LiftPolynomial.shifted_lift(a)
+    for lift in (a, 0):
+        base = x3_local_datum(_copy(c.comp, lift, ()))
+        columns = [x3_local_datum(_copy(c.comp, lift, ((name, 1),))) - base
+                   for name in c.unknowns] + [base]
+        if lift == 0:
+            columns = [sum((u**k * poly.coefficient(k)
+                            for k in range(poly.degree + 1)), LiftPolynomial())
+                       for poly in columns]
+        want = [[poly.coefficient(k) * den for poly in columns]
+                for k in range(4)]
+        assert [list(unknown[k]) + [const[k]] for k in range(4)] == want
+    assert type(unknown) is tuple and type(const) is tuple
+    assert all(type(row) is tuple for row in unknown)
     assert all(type(x) is int for row in unknown for x in row + const)
 
 
