@@ -1,5 +1,5 @@
 """Exact arithmetic kernels: truncated power series, polynomials in the lift
-parameter, and Laurent rational functions of the circle parameter.
+parameter, and quotients of integer polynomials in the circle parameter q.
 
 Every kernel computes in integers; `fractions.Fraction` appears only at the
 boundary, for exact inputs and for coefficients read back, and floats are
@@ -487,8 +487,7 @@ class LiftPolynomial(_Exact):
 
 
 # ---------------------------------------------------------------------------
-# Integer Laurent-polynomial helpers (shared by LiftPolynomial and
-# CharacterFunction)
+# Integer polynomial helpers (shared by LiftPolynomial and CharacterFunction)
 
 
 def _trim(cs: Sequence[int]) -> tuple[int, ...]:
@@ -532,9 +531,8 @@ def _valuation(a: Sequence[int]) -> int:
     return 0
 
 
-def _character_lowest(num: Sequence[int], den: Sequence[int],
-                      num_shift: int = 0,
-                      den_shift: int = 0) -> CharacterFunction:
+def _character_lowest(num: Sequence[int],
+                      den: Sequence[int]) -> CharacterFunction:
     """num/den, for integer coefficient sequences, in canonical form."""
     n = _trim(num)
     d = _trim(den)
@@ -542,12 +540,10 @@ def _character_lowest(num: Sequence[int], den: Sequence[int],
         raise ZeroDivisionError("character function with zero denominator")
     if not n:
         return _new(CharacterFunction, (), (1,))
-    # Shift both parts to a common valuation zero.
-    nv = _valuation(n)
-    dv = _valuation(d)
-    lead = min(nv + num_shift, dv + den_shift)
-    n = (0,) * (nv + num_shift - lead) + n[nv:]
-    d = (0,) * (dv + den_shift - lead) + d[dv:]
+    # Divide both parts by their common power of q.
+    lead = min(_valuation(n), _valuation(d))
+    n = n[lead:]
+    d = d[lead:]
     g = gcd(*n, *d)
     if g > 1:
         n = tuple(c // g for c in n)
@@ -559,31 +555,23 @@ def _character_lowest(num: Sequence[int], den: Sequence[int],
 
 
 class CharacterFunction(_Exact):
-    """A rational function of the circle parameter, num/den with integer
-    Laurent-polynomial numerator and denominator.
+    """A rational function of the circle parameter q, num/den with integer
+    polynomial numerator and denominator in q.
 
-    Canonical form: the common power of the variable is factored out so both
-    parts are ordinary polynomials with at least one nonzero constant term,
-    the joint integer content is divided away, and the sign is fixed by
-    making the denominator's lowest nonzero coefficient positive.  Equality
-    and constancy are decided by exact cross-multiplication, never by
-    sampling.
+    Canonical form: the common power of q is divided out, so at least one
+    part has a nonzero constant term, the joint integer content is divided
+    away, and the sign is fixed by making the denominator's lowest nonzero
+    coefficient positive.  Equality and constancy are decided by exact
+    cross-multiplication, never by sampling.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        num: Sequence[int],
-        den: Sequence[int],
-        *,
-        num_shift: int = 0,
-        den_shift: int = 0,
-    ):
+    def __new__(cls, num: Sequence[int], den: Sequence[int]):
         for c in tuple(num) + tuple(den):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError("character coefficients must be integers")
-        return _character_lowest(num, den, num_shift, den_shift)
+        return _character_lowest(num, den)
 
     @classmethod
     def zero(cls) -> "CharacterFunction":
@@ -593,26 +581,6 @@ class CharacterFunction(_Exact):
     def constant(cls, c: Scalar) -> "CharacterFunction":
         f = as_rational(c)
         return cls((f.numerator,), (f.denominator,))
-
-    @classmethod
-    def from_laurent(
-        cls, num: dict[int, int], den: dict[int, int]
-    ) -> "CharacterFunction":
-        """Build from {power: coefficient} maps, powers possibly negative."""
-
-        def to_poly(m: dict[int, int]) -> tuple[tuple[int, ...], int]:
-            if not m:
-                return (), 0
-            lo = min(m)
-            hi = max(m)
-            cs = [0] * (hi - lo + 1)
-            for p, c in m.items():
-                cs[p - lo] = c
-            return tuple(cs), lo
-
-        n, ns = to_poly(num)
-        d, ds = to_poly(den)
-        return cls(n, d, num_shift=ns, den_shift=ds)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -660,7 +628,7 @@ class CharacterFunction(_Exact):
     __hash__ = None  # type: ignore[assignment]
 
     def is_constant(self) -> Optional[Fraction]:
-        """The constant value if num = c * den as Laurent polynomials, else None."""
+        """The constant value if num = c * den as polynomials, else None."""
         if not self.num:
             return Fraction(0)
         k = _valuation(self.den)

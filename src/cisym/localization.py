@@ -68,7 +68,7 @@ def _int(value, what: str) -> int:
 
 
 # Normal weights above this are rejected.  A component's signature character
-# allocates Laurent polynomials whose degree grows with its weights, so a
+# allocates polynomials in q whose degree grows with its weights, so a
 # single weight of 10^9 in a verify document would exhaust memory.  The cap
 # lies far above the weights of the search box and of the case analysis.
 MAX_WEIGHT = 1000
@@ -602,35 +602,28 @@ def check_p1x(cfg: Configuration) -> CheckResult:
     return _result("p1x-localization", residual.is_zero(), residual)
 
 
-def signature_checks(
-    components: Iterable[Component], sign_m: int = 0
-) -> list[CheckResult]:
-    """Rigidity checks on a component multiset.
+def signature_checks(components: Iterable[Component]) -> list[CheckResult]:
+    """Rigidity checks on a component multiset, against the signature of a
+    6-manifold, which vanishes.
 
     Without 4-dimensional components the full character sum is formed: it
-    must be constant, the constant must equal sign_m, and the limit must
-    match the sum of component signatures.  With 4-dimensional components
-    only the limit identity applies (they carry no character datum).
+    must be constant, the constant must be 0, and the limit must match the
+    sum of component signatures, which must be 0 too.  With 4-dimensional
+    components only the limit identity applies (they carry no character
+    datum).
     """
     components = tuple(components)  # read three times below
-    results: list[CheckResult] = []
     contributions = sum(c.signature_contribution for c in components)
     if any(c.kind == "four" for c in components):
-        results.append(
-            _result("signature-limit", contributions == sign_m,
-                    sign_m - contributions)
-        )
-        return results
+        return [_result("signature-limit", contributions == 0, -contributions)]
     total = sum(map(signature_local_datum, components), _ZERO_CHARACTER)
     const = total.is_constant()
-    results.append(_result("signature-rigidity", const is not None, total))
+    results = [_result("signature-rigidity", const is not None, total)]
     if const is not None:
         # A constant character's limit is that constant.
-        gap = const - sign_m
-        results.append(_result("signature-vanishing", gap == 0, gap))
-        results.append(_result(
-            "signature-limit", const == contributions == sign_m,
-            gap if contributions == sign_m else const - contributions))
+        results.append(_result("signature-vanishing", const == 0, const))
+        results.append(_result("signature-limit", const == contributions == 0,
+                               const - contributions))
     return results
 
 
@@ -767,7 +760,7 @@ def verify_case(cfg: Configuration) -> VerificationReport:
         check_x3(cfg),
         check_p1x(cfg),
     ]
-    checks.extend(signature_checks(cfg.components, cfg.ambient.sign))
+    checks.extend(signature_checks(cfg.components))
     checks.extend(_four_checks(cfg))
     checks.extend(_surface_checks(cfg))
     return VerificationReport(cfg, tuple(checks))

@@ -228,7 +228,7 @@ def test_criterion_8_rigidity_statistics():
             tuple(rng.randint(1, 5) for _ in range(3)),
             rng.randint(-5, 5),
         )
-        results = signature_checks([point], 0)
+        results = signature_checks([point])
         assert [r.name for r in results] == ["signature-rigidity"]
         assert not results[0].passed
     for _ in range(10**4):
@@ -238,7 +238,7 @@ def test_criterion_8_rigidity_statistics():
             PointComponent(eps, weights, rng.randint(-5, 5)),
             PointComponent(-eps, weights, rng.randint(-5, 5)),
         ]
-        results = {r.name: r for r in signature_checks(pair, 0)}
+        results = {r.name: r for r in signature_checks(pair)}
         assert results["signature-rigidity"].passed
         assert results["signature-vanishing"].passed
         assert results["signature-limit"].passed

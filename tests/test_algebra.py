@@ -557,8 +557,10 @@ def test_taylor_shift_is_a_group_action_of_the_lifts(c, a, b):
 
 
 def point_factor(n):
-    """(1 + q^-n) / (1 - q^-n), the one-weight signature factor."""
-    return CharacterFunction.from_laurent({0: 1, -n: 1}, {0: 1, -n: -1})
+    """(1 + q^-n) / (1 - q^-n), the one-weight signature factor, written
+    as (q^n + 1) / (q^n - 1): both parts multiplied through by q^n."""
+    ends = (0,) * (n - 1)
+    return CharacterFunction((1, *ends, 1), (-1, *ends, 1))
 
 
 def test_point_factor_normal_form_and_limit():
@@ -568,19 +570,14 @@ def test_point_factor_normal_form_and_limit():
     assert f.is_constant() is None
 
 
-def test_laurent_translation_invariance():
-    # q^k * num / (q^k * den) is the same function.
-    f = CharacterFunction((1, 2), (3, 4))
-    g = CharacterFunction((0, 0, 1, 2), (0, 0, 3, 4))
-    assert f == g
-    assert f.num == g.num and f.den == g.den
-
-
 def test_surface_kernel_sum_collapses():
     # q/(1-q)^2 + q^-1/(1-q^-1)^2 = 2q/(1-q)^2: the two normal orientations
-    # of a weight-one root give the same kernel.
+    # of a weight-one root give the same kernel.  The second is written
+    # with both parts multiplied through by q^3, over another power of q
+    # than g1, so the constructor must divide it out.
     g1 = CharacterFunction((0, 1), (1, -2, 1))
-    g2 = CharacterFunction.from_laurent({-1: 1}, {0: 1, -1: -2, -2: 1})
+    g2 = CharacterFunction((0, 0, 1), (0, 1, -2, 1))
+    assert (g2.num, g2.den) == (g1.num, g1.den)
     assert g1 + g2 == 2 * g1
 
 
@@ -656,6 +653,39 @@ def assert_character_normal_form(f: CharacterFunction):
     assert f.num[0] or f.den[0]
     assert gcd(*f.num, *f.den) == 1
     assert next(c for c in f.den if c) > 0
+
+
+def padded_lowest(num, den):
+    """The canonical parts of num/den, formed by zero-padding both parts
+    from their own valuations to the smaller one: a reference for the
+    constructor, which slices instead."""
+    n, d = list(num), list(den)
+    while n and not n[-1]:
+        n.pop()
+    while not d[-1]:
+        d.pop()
+    if not n:
+        return (), (1,)
+    nv = next(i for i, c in enumerate(n) if c)
+    dv = next(i for i, c in enumerate(d) if c)
+    lead = min(nv, dv)
+    n = [0] * (nv - lead) + n[nv:]
+    d = [0] * (dv - lead) + d[dv:]
+    g = gcd(*n, *d)
+    sign = 1 if next(c for c in d if c) > 0 else -1
+    return (tuple(sign * c // g for c in n), tuple(sign * c // g for c in d))
+
+
+@given(laurent, nonzero_laurent, st.integers(0, 4), st.integers(0, 4))
+def test_the_common_power_of_q_is_divided_out(num, den, j, k):
+    # q^j num over q^k den, j and k drawn apart: the constructor's parts are
+    # those of the padded alignment, and q^j num over q^j den is num/den.
+    f = CharacterFunction([0] * j + num, [0] * k + den)
+    assert (f.num, f.den) == padded_lowest([0] * j + num, [0] * k + den)
+    assert_character_normal_form(f)
+    g, h = CharacterFunction(num, den), CharacterFunction([0] * j + num,
+                                                          [0] * j + den)
+    assert (h.num, h.den) == (g.num, g.den)
 
 
 @given(laurent, nonzero_laurent, laurent, nonzero_laurent,

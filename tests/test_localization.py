@@ -850,7 +850,7 @@ def test_surface_check_lists_with_lemma64_on_and_off_are_pinned():
 
 
 def test_single_point_never_rigid():
-    results = signature_checks([PointComponent(1, (1, 2, 2), 0)], 0)
+    results = signature_checks([PointComponent(1, (1, 2, 2), 0)])
     assert [r.name for r in results] == ["signature-rigidity"]
     assert not results[0].passed
     assert results[0].citation == CITATIONS["signature-rigidity"]
@@ -859,23 +859,15 @@ def test_single_point_never_rigid():
 def test_cancelling_points_rigid_vanishing_and_limit():
     comps = [PointComponent(1, (2, 3, 4), 1),
              PointComponent(-1, (2, 3, 4), -2)]
-    results = {r.name: r for r in signature_checks(comps, 0)}
+    results = {r.name: r for r in signature_checks(comps)}
     assert results["signature-rigidity"].passed
     assert results["signature-vanishing"].passed
     assert results["signature-limit"].passed
 
 
-def test_constant_must_match_ambient_signature():
-    comps = [SurfaceComponent((1, 1), 0, 0, 0, 0, 2)]
-    results = {r.name: r for r in signature_checks(comps, 5)}
-    assert results["signature-rigidity"].passed
-    assert not results["signature-vanishing"].passed
-    assert results["signature-vanishing"].residual == -5
-
-
 def test_fours_reduce_to_limit_identity():
     comps = [zero_four(b2=2, sign=2), PointComponent(-1, (1, 1, 1), 0)]
-    results = signature_checks(comps, 0)
+    results = signature_checks(comps)
     assert [r.name for r in results] == ["signature-limit"]
     assert not results[0].passed  # 2 - 1 = 1 != 0
     assert results[0].residual == -1
@@ -887,16 +879,26 @@ def test_fours_reduce_to_limit_identity():
 @example(list(quadric_configuration().components))
 @example(projective_space_points((0, 1, 3, 7)))
 def test_the_character_total_tends_to_the_sum_of_eps(comps):
-    # So a rigid total's constant is its limit, and the rigid branch of
-    # signature_checks reads the limit off the constant: its signature-limit
-    # residual, constant - contributions, is always 0.
+    # A point's character tends to -eps as q -> 0 and to eps as q -> oo; a
+    # surface's tends to 0 at both ends.  So a rigid total's constant c
+    # satisfies c = -sum(eps) = sum(eps) = 0: once signature-rigidity
+    # passes, signature-vanishing and signature-limit cannot fail, and both
+    # read the residual 0.
     total = sum(map(signature_local_datum, comps), CharacterFunction.zero())
     contributions = sum(c.signature_contribution for c in comps)
     assert total.limit_at_infinity() == contributions
+    # Every local datum is finite at q = 0, so the canonical den has a
+    # nonzero constant term and the value at 0 is num[0] / den[0].
+    at_zero = Fraction(total.num[0] if total.num else 0, total.den[0])
+    assert at_zero == -contributions
     const = total.is_constant()
     if const is not None:
-        assert const == contributions
-        assert signature_checks(comps)[-1].residual == 0
+        assert type(const) is Fraction and const == 0 == contributions
+        results = signature_checks(comps)
+        assert [(r.name, r.passed, type(r.residual), r.residual)
+                for r in results[1:]] == [
+            ("signature-vanishing", True, Fraction, 0),
+            ("signature-limit", True, Fraction, 0)]
 
 
 def test_lemma41_direct_api():
