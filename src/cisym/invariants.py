@@ -4,7 +4,8 @@ X_n(d_1, ..., d_r) is the transverse intersection of r hypersurfaces of the
 given degrees in complex projective (n+r)-space; its real dimension is 2n.
 All invariants are computed from the multiplicative structure of the stable
 tangent bundle: (n+r+1) hyperplane line factors divided by one factor per
-defining degree.  Everything is exact.
+defining degree.  The Euler characteristic is an integer recurrence; only
+the signature and the A-hat genus build series.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .algebra import TruncatedSeries, _unit_line_factor
 
 MAX_DEGREE = 10**6
 MAX_FACTORS = 64
-# The series arithmetic behind one invariants() call grows faster than n^3,
-# so the library caps n; the CLI answers n <= 6 only.
+# The L and A-hat series behind one even-n invariants() call grow faster
+# than n^3, so the library caps n; the CLI answers n <= 6 only.
 MAX_DIMENSION = 32
 
 
@@ -111,11 +113,6 @@ def _virtual_genus_series(ci: CompleteIntersection, kind: str) -> TruncatedSerie
     return total
 
 
-def chern_series(ci: CompleteIntersection) -> TruncatedSeries:
-    """Total Chern class, as a series in the hyperplane class x."""
-    return _virtual_genus_series(ci, "chern")
-
-
 def pontrjagin_coeff(ci: CompleteIntersection) -> int:
     """rho with p_1 = rho * x^2."""
     return ci.ambient_lines - sum(d * d for d in ci.degrees)
@@ -127,9 +124,13 @@ def c1_coeff(ci: CompleteIntersection) -> int:
 
 
 def euler_characteristic(ci: CompleteIntersection) -> int:
-    chi = evaluate_top(ci, chern_series(ci))
-    assert chi.denominator == 1
-    return int(chi)
+    """t * [x^n] (1 + x)^(n+r+1) / prod(1 + d_i x), in integers: the
+    binomial coefficients, then one ascending division by 1 + d x per degree."""
+    c = [comb(ci.ambient_lines, m) for m in range(ci.n + 1)]
+    for d in ci.degrees:
+        for m in range(1, ci.n + 1):
+            c[m] -= d * c[m - 1]
+    return degree_product(ci) * c[ci.n]
 
 
 def signature(ci: CompleteIntersection) -> int:

@@ -62,14 +62,16 @@ def test_installed_tracer_enters_and_exits_cleanly(capsys):
     assert all(after[name] is before[name] for name in before)
 
 
-def test_every_boundary_fires_on_three_cli_calls(capsys):
-    # One call per kind of work the benchmark runs: genus series and the
-    # classification, a configuration check (lift polynomials, signature
-    # characters, parse and dump), and a search with hits.
+def test_every_boundary_fires_on_four_cli_calls(capsys):
+    # One call per kind of work the benchmark runs: the classification,
+    # genus series (even n only; the Euler characteristic builds none), a
+    # configuration check (lift polynomials, signature characters, parse and
+    # dump), and a search with hits.
     demo = Path(__file__).resolve().parents[1] / "demos" / "configs"
     tr = tracer.Tracer()
     with tr.installed():
         assert cli.main(["classify", "3", "2", "--json"]) == 0
+        assert cli.main(["invariants", "2", "3", "--json"]) == 0
         assert cli.main(["verify", str(demo / "quadric.json"), "--json"]) == 0
         assert cli.main(["search", "two_surfaces", "--semifree",
                          "--rho-min", "-4", "--rho-max", "4", "--t-max", "2",
