@@ -24,15 +24,19 @@ weight and reused, a table of at most MAX_WEIGHT entries each.  The sums of the 
 kernels' zero rule makes their first addition return the first datum.
 
 Within one search_case call, each local datum is computed once per distinct
-key.  The call enters a fresh memo (_LOCAL_DATA), one dict for every datum,
-and resets it when it returns or raises.  A key is a plain tuple, hashed and
-compared in C: the function that computes the datum, the component's kind,
-and the values of the fields the datum reads (every field for the x^3 and
-p1*x data; eps and weights of a point, weights, ev_y1 and ev_y2 of a
-surface for the signature character).  So verify_case in a leaf reuses the
-leaf's data, while outside a search each datum is computed directly, before
-any key is built.  No cache outlives the call: a signature character grows
-with its weights, so a cache for the whole process would have no safe size.
+key, and so are the signature checks of a component multiset.  The call
+enters a fresh memo (_LOCAL_DATA), one dict for every local datum and every
+list of signature checks, and resets it when it returns or raises.  A key
+is a plain tuple, hashed and compared in C: the function that computes the
+value, then, for a local datum, the component's kind and the values of the
+fields the datum reads (every field for the x^3 and p1*x data; eps and
+weights of a point, weights, ev_y1 and ev_y2 of a surface for the signature
+character), and for the signature checks, the sorted multiset of the
+components' kinds and signature reads.  So verify_case in a leaf reuses the
+leaf's data, a two_surfaces hit and its swap image share their signature
+checks, and outside a search each value is computed directly, before any
+key is built.  No cache outlives the call: a signature character grows with
+its weights, so a cache for the whole process would have no safe size.
 
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
@@ -357,7 +361,8 @@ def _in_lift(a: int, coeffs: tuple[int, ...], den: int) -> LiftPolynomial:
 _Datum = TypeVar("_Datum", LiftPolynomial, CharacterFunction)
 
 # The memo of the search_case call in progress, one dict for every local
-# datum; None outside a search.
+# datum and for the signature checks of each component multiset; None
+# outside a search.
 _LOCAL_DATA: ContextVar[Optional[dict[tuple, object]]] = ContextVar(
     "cisym_local_data", default=None)
 
@@ -576,9 +581,17 @@ CITATIONS = {
 
 
 def _result(name: str, passed: bool, residual: object = None) -> CheckResult:
-    """A check cited by its base name, any "[i]" suffix dropped."""
-    return CheckResult(name, passed, CITATIONS[name.partition("[")[0]],
-                       residual)
+    """A check cited by its base name, any "[i]" suffix dropped.  The fields
+    are filled in directly, in field order, which skips the frozen
+    __init__'s object.__setattr__ per field; the record is the one
+    CheckResult(name, passed, citation, residual) builds."""
+    result = object.__new__(CheckResult)
+    fields = result.__dict__
+    fields["name"] = name
+    fields["passed"] = passed
+    fields["citation"] = CITATIONS[name.partition("[")[0]]
+    fields["residual"] = residual
+    return result
 
 
 def check_euler(cfg: Configuration) -> CheckResult:
@@ -610,12 +623,30 @@ def signature_checks(components: Iterable[Component]) -> list[CheckResult]:
     must be constant, the constant must be 0, and the limit must match the
     sum of component signatures, which must be 0 too.  With 4-dimensional
     components only the limit identity applies (they carry no character
-    datum).
+    datum).  Within a search_case call the full checks are formed once per
+    component multiset (see the module docstring).
     """
-    components = tuple(components)  # read three times below
-    contributions = sum(c.signature_contribution for c in components)
+    components = tuple(components)  # read more than once below
     if any(c.kind == "four" for c in components):
+        contributions = sum(c.signature_contribution for c in components)
         return [_result("signature-limit", contributions == 0, -contributions)]
+    memo = _LOCAL_DATA.get()
+    if memo is None:
+        return _character_checks(components)
+    # The checks read only the multiset of the components' signature data.
+    # In another order a sum of three characters may take another form of
+    # the same value; a search reads the verdicts, never that form.
+    key = (_character_checks, *sorted(
+        (c.kind, *_SIGNATURE_READS[c.kind](c)) for c in components))
+    checks = memo.get(key)
+    if checks is None:
+        checks = memo[key] = _character_checks(components)
+    return checks.copy()  # each caller gets a list of its own
+
+
+def _character_checks(components: tuple[Component, ...]) -> list[CheckResult]:
+    """The checks on the full character sum of points and surfaces."""
+    contributions = sum(c.signature_contribution for c in components)
     total = sum(map(signature_local_datum, components), _ZERO_CHARACTER)
     const = total.is_constant()
     results = [_result("signature-rigidity", const is not None, total)]
@@ -710,15 +741,15 @@ def _surface_checks(cfg: Configuration) -> list[CheckResult]:
             results.append(_result("surface-structure", structured))
         delta = x.a - y.a
         if all(w == 1 for w in x.weights + y.weights):
-            residual = t - Fraction(rho * t * delta**2, 4)
+            residual = Fraction(4 * t - rho * t * delta**2, 4)
             results.append(_result("semifree-closure", residual == 0, residual))
         if structured:
             n1, n2 = x.weights
-            res_t = t - Fraction(delta**2 * x.ev_x, n1 * n2)
+            res_t = Fraction(t * n1 * n2 - delta**2 * x.ev_x, n1 * n2)
             results.append(
                 _result("surface-restriction-product", res_t == 0, res_t)
             )
-            res_s = rho * t - Fraction(4 * n1 * x.ev_x, n2)
+            res_s = Fraction(rho * t * n2 - 4 * n1 * x.ev_x, n2)
             results.append(_result("pontrjagin-slope", res_s == 0, res_s))
     elif cfg.template == "surface_plus_two_points":
         (x,) = cfg.surfaces()
@@ -733,7 +764,8 @@ def _surface_checks(cfg: Configuration) -> list[CheckResult]:
             big_q = sum(w * w for w in pt.weights)
             big_r = sum(w * w for w in x.weights)
             prod = pt.weights[0] * pt.weights[1] * pt.weights[2]
-            residual = rho * t - Fraction(2 * a_rel * (big_q - big_r), prod)
+            residual = Fraction(rho * t * prod - 2 * a_rel * (big_q - big_r),
+                                prod)
             results.append(
                 _result("point-pontrjagin-positivity", residual == 0, residual)
             )

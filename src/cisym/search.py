@@ -99,7 +99,9 @@ the bounds its hit list is exhaustive.
    _leaf would reject.  Within one search_case call the leaves' local
    data are computed once per distinct key (see localization), so
    verify_case reuses the data of the leaf that calls it; the choices
-   compute their own directly, once each.
+   compute their own directly, once each.  Its signature checks are
+   formed once per multiset of the components' signature data, so a
+   hit and its swap image share them.
 
 The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
 [max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1 under

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, gcd
@@ -21,6 +21,7 @@ from cisym.localization import (
     MAX_WEIGHT,
     TEMPLATES,
     AmbientData,
+    CheckResult,
     Configuration,
     ConfigurationError,
     Flags,
@@ -28,6 +29,10 @@ from cisym.localization import (
     PointComponent,
     SurfaceComponent,
     UnsupportedComponentError,
+    _LOCAL_DATA,
+    _character_checks,
+    _result,
+    _surface_checks,
     check_lemma41,
     p1x_local_datum,
     p1x_sum,
@@ -846,6 +851,108 @@ def test_surface_check_lists_with_lemma64_on_and_off_are_pinned():
 
 
 # ---------------------------------------------------------------------------
+# Check records and the named relations' residuals
+
+
+def _as_dict(record):
+    """asdict(record), or the type of the error it raises: asdict deep-copies
+    the residual, and the exact polynomial types cannot be deep-copied."""
+    try:
+        return asdict(record)
+    except (TypeError, AttributeError) as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("name, passed, residual", [
+    ("x3-localization", False, LiftPolynomial.constant(2)),
+    ("signature-rigidity", True, CharacterFunction.constant(Fraction(1, 3))),
+    ("intersection-form[1]", True, -3),
+    ("semifree-closure", False, Fraction(-3, 4)),
+    ("surface-structure", True, None),
+])
+def test_a_result_record_is_the_one_the_dataclass_builds(name, passed,
+                                                         residual):
+    record = _result(name, passed, residual)
+    built = CheckResult(name, passed, CITATIONS[name.partition("[")[0]],
+                        residual)
+    assert type(record) is CheckResult
+    assert record == built and repr(record) == repr(built)
+    assert fields(record) == fields(built)
+    assert list(vars(record)) == list(vars(built))
+    assert _as_dict(record) == _as_dict(built)
+    assert replace(record, passed=not passed) == replace(built,
+                                                         passed=not passed)
+    assert replace(record) == record
+    with pytest.raises(FrozenInstanceError):
+        record.passed = not passed
+    with pytest.raises(FrozenInstanceError):
+        del record.residual
+    assert record == built
+
+
+_ANY_INT = st.integers()
+_ANY_WEIGHT = st.integers(1, MAX_WEIGHT)
+
+
+def _residuals(cfg):
+    return {c.name: c.residual for c in _surface_checks(cfg)
+            if c.residual is not None}
+
+
+@given(st.data())
+def test_the_two_surface_residuals_are_their_old_differences(data):
+    draw = data.draw
+    t, rho = draw(st.integers(min_value=1)), draw(_ANY_INT)
+    semifree = draw(st.booleans())
+    weight = st.just(1) if semifree else _ANY_WEIGHT
+    m = draw(weight)
+    x, y = (SurfaceComponent((draw(weight), m), draw(_ANY_INT),
+                             draw(_ANY_INT), draw(_ANY_INT), 0, 2)
+            for _ in range(2))
+    cfg = Configuration(AmbientData(t, rho, 4), "two_surfaces", (x, y),
+                        Flags(effectiveness=False,
+                              lemma64=draw(st.booleans())))
+    delta = x.a - y.a
+    n1, n2 = x.weights
+    old = {
+        "surface-restriction-product":
+            t - Fraction(delta**2 * x.ev_x, n1 * n2),
+        "pontrjagin-slope": rho * t - Fraction(4 * n1 * x.ev_x, n2),
+    }
+    if all(w == 1 for w in x.weights + y.weights):
+        old["semifree-closure"] = t - Fraction(rho * t * delta**2, 4)
+    got = _residuals(cfg)
+    assert got == old
+    assert all(type(r) is Fraction for r in [*got.values(), *old.values()])
+
+
+@given(st.data())
+def test_the_point_relation_residual_is_its_old_difference(data):
+    draw = data.draw
+    t, rho = draw(st.integers(min_value=1)), draw(_ANY_INT)
+    weights = tuple(draw(_ANY_WEIGHT) for _ in range(3))
+    eps = st.sampled_from((1, -1))
+    surface = SurfaceComponent((draw(_ANY_WEIGHT), draw(_ANY_WEIGHT)),
+                               draw(_ANY_INT), draw(_ANY_INT), draw(_ANY_INT),
+                               draw(_ANY_INT), 2)
+    pt = PointComponent(draw(eps), weights, draw(_ANY_INT))
+    q = PointComponent(draw(eps), tuple(draw(st.permutations(weights))),
+                       draw(_ANY_INT))
+    cfg = Configuration(AmbientData(t, rho, 4), "surface_plus_two_points",
+                        (surface, pt, q),
+                        Flags(effectiveness=False, convention35=False,
+                              lemma64=draw(st.booleans())))
+    big_q = sum(w * w for w in weights)
+    big_r = sum(w * w for w in surface.weights)
+    prod = weights[0] * weights[1] * weights[2]
+    old = rho * t - Fraction(2 * (pt.a - surface.a) * (big_q - big_r), prod)
+    got = _residuals(cfg)
+    assert got == {"point-pontrjagin-positivity": old}
+    assert type(got["point-pontrjagin-positivity"]) is Fraction
+    assert type(old) is Fraction
+
+
+# ---------------------------------------------------------------------------
 # Signature rigidity branches
 
 
@@ -871,6 +978,33 @@ def test_fours_reduce_to_limit_identity():
     assert [r.name for r in results] == ["signature-limit"]
     assert not results[0].passed  # 2 - 1 = 1 != 0
     assert results[0].residual == -1
+
+
+def test_a_search_memo_tells_apart_every_signature_read():
+    surface = SurfaceComponent((1, 2), 0, 1, -1, 0, 2)
+    plus = PointComponent(1, (1, 1, 2), 1)
+    minus = PointComponent(-1, (1, 1, 2), 1)
+    # Each multiset differs from the first in one field the checks read.
+    multisets = [
+        (surface, plus, minus),
+        (surface, plus, plus),
+        (surface, plus, replace(minus, weights=(1, 2, 1))),
+        (replace(surface, weights=(2, 1)), plus, minus),
+        (replace(surface, ev_y1=2), plus, minus),
+        (replace(surface, ev_y2=1), plus, minus),
+    ]
+    # The first again, in another order and with other unread fields.
+    same = (replace(surface, a=3, ev_x=5, chi=0), replace(minus, a=-2), plus)
+    memo = {}
+    token = _LOCAL_DATA.set(memo)
+    try:
+        memoized = [signature_checks(c) for c in [*multisets, same]]
+    finally:
+        _LOCAL_DATA.reset(token)
+    assert memoized == [signature_checks(c) for c in [*multisets, same]]
+    assert memoized[-1] is not memoized[0]
+    assert memoized[-1][0].residual is memoized[0][0].residual
+    assert sum(key[0] is _character_checks for key in memo) == len(multisets)
 
 
 @settings(max_examples=200)

@@ -1186,8 +1186,17 @@ def test_a_swap_image_keeps_the_check_list(cfg):
 DATA = ("_x3_local_datum", "_p1x_local_datum", "_signature_local_datum")
 
 
+def _signature_multiset(components):
+    """The component multiset that the signature checks read."""
+    return tuple(sorted((c.kind, *localization._SIGNATURE_READS[c.kind](c))
+                        for c in components))
+
+
 def test_each_local_datum_is_computed_once_per_key_in_a_search(monkeypatch):
+    # The memo holds the local data and, beside them, one list of signature
+    # checks per component multiset.
     computed = {name: [] for name in DATA}
+    check_lists = []
     memos = []
 
     def counted(name, compute):
@@ -1199,18 +1208,90 @@ def test_each_local_datum_is_computed_once_per_key_in_a_search(monkeypatch):
             return compute(c)
         return datum
 
+    def checks(components, compute=localization._character_checks):
+        memos.append(localization._LOCAL_DATA.get())
+        check_lists.append(_signature_multiset(components))
+        return compute(components)
+
     for name in DATA:
         monkeypatch.setattr(localization, name,
                             counted(name, getattr(localization, name)))
+    monkeypatch.setattr(localization, "_character_checks", checks)
     hits = search_case("two_surfaces", rho_range=(-10, 10), bounds=SMALL,
                        flags=SearchFlags(semifree=True))
     assert hits
     (memo,) = {id(m): m for m in memos}.values()
     assert memo is not None
-    for name, keys in computed.items():
+    for name, keys in {**computed, "_character_checks": check_lists}.items():
         assert keys, name
         assert len(set(keys)) == len(keys), name
-    assert len(memo) == sum(map(len, computed.values()))
+    assert len(memo) == sum(map(len, computed.values())) + len(check_lists)
+
+
+# Searches at rho in [-10, 10] whose signature check lists are recorded.
+MULTISET_SEARCHES = {
+    "two_surfaces": (SearchBounds(3, 3, 6), FLAG_SETS["no_lemma64"]),
+    "surface_plus_two_points": (SMALL, FLAG_SETS["all_off"]),
+}
+
+
+def _recorded_search(monkeypatch, template):
+    """The search's hits, every (components, list) that signature_checks
+    returned in it, and the components of every character total formed."""
+    bounds, flags = MULTISET_SEARCHES[template]
+    returned, formed = [], []
+
+    def checks(components, signature_checks=localization.signature_checks):
+        components = tuple(components)
+        result = signature_checks(components)
+        returned.append((components, result))
+        return result
+
+    def character_checks(components, compute=localization._character_checks):
+        formed.append(components)
+        return compute(components)
+
+    monkeypatch.setattr(localization, "signature_checks", checks)
+    monkeypatch.setattr(localization, "_character_checks", character_checks)
+    hits = search_case(template, (1, 10), (-10, 10), bounds, flags)
+    monkeypatch.undo()
+    return hits, returned, formed
+
+
+def test_the_signature_total_is_formed_once_per_multiset_in_a_search(
+        monkeypatch):
+    # The 3/3/6 box without lemma64: 1216 hits, whose signature data form
+    # 485 distinct component multisets.
+    hits, returned, formed = _recorded_search(monkeypatch, "two_surfaces")
+    assert len(hits) == 1216
+    multisets = [_signature_multiset(c) for c in formed]
+    assert len(multisets) == len(set(multisets)) == 485
+    assert {_signature_multiset(c) for c, _ in returned} == set(multisets)
+    # A hit and its swap image share their total, in lists of their own.
+    lists = dict(returned)
+    for cfg in hits:
+        mine, theirs = lists[cfg.components], lists[_image(cfg).components]
+        assert mine is not theirs
+        assert mine[0].name == "signature-rigidity"
+        assert mine[0].residual is theirs[0].residual
+
+
+def test_signature_checks_outside_a_search_form_their_total_each_time():
+    first, second = (localization.signature_checks(SEMIFREE_DEMO.components)
+                     for _ in range(2))
+    assert first == second
+    assert first[0].residual is not second[0].residual
+
+
+@pytest.mark.parametrize("template", sorted(MULTISET_SEARCHES))
+def test_every_memoized_check_list_is_the_fresh_one(monkeypatch, template):
+    hits, returned, formed = _recorded_search(monkeypatch, template)
+    assert hits and len(formed) < len(returned)
+    assert localization._LOCAL_DATA.get() is None
+    for components, checks in returned:
+        fresh = localization.signature_checks(components)
+        assert [(c.name, c.passed, c.citation, c.residual) for c in checks] \
+            == [(c.name, c.passed, c.citation, c.residual) for c in fresh]
 
 
 def test_a_copied_component_has_the_key_of_an_equal_constructed_one():
