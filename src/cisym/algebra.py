@@ -8,10 +8,12 @@ and output is deterministic.
 
 The three kernels share one canonical-form core, `_Exact`: immutable
 integer parts `num` over `den`, made by one constructor, with one negation
-and one structural equality and hash (which CharacterFunction overrides).
-Series and lift polynomials share one common-denominator sum, lift
-polynomials and characters one term printer and one zero rule for sums (a
-zero operand gives the other one back, already canonical).  Two characters
+and one structural equality and hash (which CharacterFunction overrides),
+and copies and pickles rebuild an instance from its parts.  Lift
+polynomials add over one common denominator (_sum); series are only
+multiplied, raised to powers, inverted and rescaled.  Lift polynomials and
+characters share one term printer and one zero rule for sums (a zero
+operand gives the other one back, already canonical).  Two characters
 over one denominator d add their numerators first: a/d + b/d gets the parts
 (a + b) d and d d that cross-multiplication gives, and a sum that cancels
 is the canonical zero at once.  A series' truncation order is not stored;
@@ -88,6 +90,12 @@ class _Exact:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
+    def __reduce__(self):
+        # copy, deepcopy (and so dataclasses.asdict) and pickle rebuild the
+        # instance from its parts through _new: the public constructors
+        # take coefficients, not parts.
+        return _new, (type(self), self.num, self.den)
+
 
 def _new(cls: type, num: tuple, den):
     """A `cls` from parts already in its normal form.  Every kernel
@@ -115,7 +123,8 @@ def _parts(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _sum(p: _Exact, q: _Exact, sign: int) -> tuple[list[int], int]:
+def _sum(p: LiftPolynomial, q: LiftPolynomial,
+         sign: int) -> tuple[list[int], int]:
     """p + sign * q over the least common denominator, not yet reduced; the
     shorter numerator list counts as padded with zeros."""
     a, b = p.num, q.num
@@ -198,10 +207,6 @@ class TruncatedSeries(_Exact):
     def one(cls, order: int) -> "TruncatedSeries":
         return cls(order, [1])
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order, [])
-
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= _index(k) <= self.order:
             raise IndexError(f"coefficient x^{k} outside truncation order {self.order}")
@@ -212,18 +217,6 @@ class TruncatedSeries(_Exact):
             raise OrderMismatchError(
                 f"order mismatch: {self.order} vs {other.order}"
             )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return _reduced(TruncatedSeries, *_sum(self, other, 1))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return _reduced(TruncatedSeries, *_sum(self, other, -1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -308,20 +301,11 @@ class TruncatedSeries(_Exact):
         return f"{body} + O(x^{self.order + 1})"
 
 
-GENUS_KINDS = ("chern", "pontrjagin", "a_hat", "l_genus")
-
-
 def _unit_line_factor(kind: str, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """A genus's line factor at weight 1 and its inverse, with at most one
-    inversion each."""
-    if kind == "chern":
-        factor = TruncatedSeries(order, [1, 1][:order + 1])
-        return factor, factor.inverse()
-    if kind == "pontrjagin":
-        factor = TruncatedSeries(order, [1, 0, 1][:order + 1])
-        return factor, factor.inverse()
-    if kind not in ("a_hat", "l_genus"):
-        raise ValueError(f"unknown genus kind {kind!r}; expected one of {GENUS_KINDS}")
+    """The line factor of a genus at weight 1, and its inverse, with at most
+    one inversion each: (x/2)/sinh(x/2) for kind "a_hat", x/tanh(x) for
+    kind "l_genus".  Both are even series with exact rational coefficients;
+    the factor at line weight d is the weight-1 factor rescaled by d."""
     # The Taylor coefficients through x^(2m), m = order // 2, as integer
     # numerators over their common denominator: (2m+1)! at u = x,
     # 4^m * (2m+1)! at u = x/2.
@@ -343,20 +327,6 @@ def _unit_line_factor(kind: str, order: int) -> tuple[TruncatedSeries, Truncated
     factor = (_reduced(TruncatedSeries, cosh, 1)
               * _reduced(TruncatedSeries, sinh_over, 1).inverse())
     return factor, factor.inverse()
-
-
-def genus_line_factor(kind: str, scale: int, order: int) -> TruncatedSeries:
-    """The multiplicative one-line factor of a genus, at line weight `scale`.
-
-    chern       1 + d*x
-    pontrjagin  1 + d^2*x^2
-    a_hat       (d*x/2) / sinh(d*x/2)
-    l_genus     d*x / tanh(d*x)
-
-    Each is the weight-1 factor at d*x.  The last two are even series with
-    exact rational coefficients; at d = 0 every factor degenerates to 1.
-    """
-    return _unit_line_factor(kind, order)[0].rescaled(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -398,36 +368,8 @@ class LiftPolynomial(_Exact):
         v = as_rational(a)
         return _new(LiftPolynomial, (v.numerator, v.denominator), v.denominator)
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.num) - 1
-
     def is_zero(self) -> bool:
         return not self.num
-
-    def coefficient(self, k: int) -> Fraction:
-        if _index(k) < 0:
-            raise IndexError("negative coefficient index")
-        return Fraction(self.num[k], self.den) if k < len(self.num) else Fraction(0)
-
-    def constant_value(self) -> Optional[Fraction]:
-        """The value of a constant polynomial, None if degree > 0."""
-        if len(self.num) > 1:
-            return None
-        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
-
-    def __call__(self, value: Scalar) -> Fraction:
-        v = as_rational(value)
-        if not self.num:
-            return Fraction(0)
-        p, q = v.numerator, v.denominator
-        # Horner's scheme on num(p/q) * q^degree, all in integers.
-        acc, scale = 0, 1
-        for c in reversed(self.num):
-            acc = acc * p + c * scale
-            scale *= q
-        return Fraction(acc, self.den * (scale // q))
 
     def __add__(self, other: "LiftPolynomial") -> "LiftPolynomial":
         if not isinstance(other, LiftPolynomial):
@@ -582,9 +524,6 @@ class CharacterFunction(_Exact):
         f = as_rational(c)
         return cls((f.numerator,), (f.denominator,))
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def __add__(self, other: "CharacterFunction") -> "CharacterFunction":
         if not isinstance(other, CharacterFunction):
             return NotImplemented
@@ -602,11 +541,6 @@ class CharacterFunction(_Exact):
         else:
             num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return _character_lowest(num, _pmul(self.den, other.den))
-
-    def __sub__(self, other: "CharacterFunction") -> "CharacterFunction":
-        if not isinstance(other, CharacterFunction):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: Union["CharacterFunction", int]) -> "CharacterFunction":
         if isinstance(other, CharacterFunction):
@@ -641,23 +575,6 @@ class CharacterFunction(_Exact):
             if a * q != b * p:
                 return None
         return Fraction(p, q)
-
-    def limit_at_infinity(self) -> Optional[Fraction]:
-        """The limit as the circle parameter grows without bound.
-
-        Degree comparison of numerator and denominator: smaller degree gives
-        0, equal degrees give the leading-coefficient ratio, larger degree
-        diverges (None).
-        """
-        if not self.num:
-            return Fraction(0)
-        dn = len(self.num) - 1
-        dd = len(self.den) - 1
-        if dn < dd:
-            return Fraction(0)
-        if dn == dd:
-            return Fraction(self.num[-1], self.den[-1])
-        return None
 
     def __repr__(self) -> str:
         return f"({_terms(self.num, 1, 'q')})/({_terms(self.den, 1, 'q')})"

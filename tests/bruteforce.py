@@ -36,6 +36,14 @@ from cisym.localization import (
 )
 
 
+def _integer(poly):
+    """The value of a lift polynomial that is an integer constant, read off
+    its parts; None otherwise."""
+    if len(poly.num) > 1 or poly.den != 1:
+        return None
+    return poly.num[0] if poly.num else 0
+
+
 def _coprime(ws, flags):
     return not flags.effectiveness or gcd(*ws) == 1
 
@@ -84,14 +92,13 @@ def brute_force(template, t_range, rho_range, bounds, flags):
     for comps in product(*slots):
         for lift in product(*lifts):
             cand = tuple(replace(c, a=a) for c, a in zip(comps, lift))
-            t = x3_sum(cand).constant_value()
-            if t is None or t.denominator != 1 or not t_lo <= t <= t_hi:
+            t = _integer(x3_sum(cand))
+            if t is None or not t_lo <= t <= t_hi:
                 continue
-            t = int(t)
-            rt = p1x_sum(cand).constant_value()
-            if rt is None or rt.denominator != 1 or rt.numerator % t:
+            rt = _integer(p1x_sum(cand))
+            if rt is None or rt % t:
                 continue
-            rho = rt.numerator // t
+            rho = rt // t
             if not rho_range[0] <= rho <= rho_range[1]:
                 continue
             try:

@@ -7,6 +7,7 @@ sums and the signature checks directly.  The only names taken from cisym
 are the point type, the two localization sums and the signature checks.
 """
 
+from fractions import Fraction
 from math import prod
 
 from cisym.localization import PointComponent, p1x_sum, signature_checks, x3_sum
@@ -43,9 +44,17 @@ def quadric_points(alpha, beta):
             for i in range(1, 5)]
 
 
+def _constant(poly):
+    """The value of a constant lift polynomial, read off its parts; None
+    if it depends on the lift."""
+    if len(poly.num) > 1:
+        return None
+    return Fraction(poly.num[0] if poly.num else 0, poly.den)
+
+
 def four_point_checks(points):
     """(x3_sum, p1x_sum, the signature checks, chi) of isolated fixed
     points: x^3 and p1*x as constants (None when a sum is not constant),
     and chi the number of points."""
-    return (x3_sum(points).constant_value(), p1x_sum(points).constant_value(),
+    return (_constant(x3_sum(points)), _constant(p1x_sum(points)),
             signature_checks(points), len(points))

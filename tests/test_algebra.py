@@ -1,5 +1,7 @@
 """Unit and property tests for the exact arithmetic kernels."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction as F
 from itertools import zip_longest
@@ -7,7 +9,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cisym.algebra import (
@@ -15,14 +17,13 @@ from cisym.algebra import (
     LiftPolynomial,
     NonUnitError,
     OrderMismatchError,
-    GENUS_KINDS,
     TruncatedSeries,
     _lowest,
     _sum,
     _taylor_shift,
     _unit_line_factor,
-    genus_line_factor,
 )
+from lift_reads import value_at
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +48,6 @@ def test_inverse_requires_unit_constant_term():
 def test_order_mismatch_is_an_error():
     with pytest.raises(OrderMismatchError):
         TruncatedSeries(3, [1]) * TruncatedSeries(4, [1])
-    with pytest.raises(OrderMismatchError):
-        TruncatedSeries(3, [1]) + TruncatedSeries(2, [1])
 
 
 def test_floats_rejected():
@@ -113,7 +112,6 @@ def test_series_ring_axioms(a, b, c):
     sa, sb, sc = (TruncatedSeries(order, v) for v in (a, b, c))
     assert sa * sb == sb * sa
     assert (sa * sb) * sc == sa * (sb * sc)
-    assert sa * (sb + sc) == sa * sb + sa * sc
 
 
 # Differential tests: every TruncatedSeries operation against plain lists of
@@ -167,7 +165,7 @@ def test_series_construction_matches_reference(args):
     order, a = args
     assert_series(TruncatedSeries(order, a), ref_coeffs(order, a))
     assert_series(TruncatedSeries.one(order), ref_coeffs(order, [1]))
-    assert_series(TruncatedSeries.zero(order), ref_coeffs(order, []))
+    assert_series(TruncatedSeries(order), ref_coeffs(order, []))
     with pytest.raises(IndexError):
         TruncatedSeries(order, a).coefficient(order + 1)
 
@@ -177,8 +175,6 @@ def test_series_ring_operations_match_reference(args):
     order, a, b = args
     sa, sb = TruncatedSeries(order, a), TruncatedSeries(order, b)
     ra, rb = ref_coeffs(order, a), ref_coeffs(order, b)
-    assert_series(sa + sb, [x + y for x, y in zip(ra, rb)])
-    assert_series(sa - sb, [x - y for x, y in zip(ra, rb)])
     assert_series(-sa, [-x for x in ra])
     assert_series(sa * sb, ref_mul(ra, rb))
     assert (sa == sb) == (ra == rb)
@@ -238,9 +234,9 @@ def test_series_repr_is_pinned(order, coeffs, text):
 
 
 def test_series_repr_after_arithmetic():
-    assert repr(genus_line_factor("a_hat", 1, 6)) == (
+    assert repr(line_factor("a_hat", 1, 6)) == (
         "1 + -1/24*x^2 + 7/5760*x^4 + -31/967680*x^6 + O(x^7)")
-    assert repr(genus_line_factor("l_genus", 2, 4)) == (
+    assert repr(line_factor("l_genus", 2, 4)) == (
         "1 + 4/3*x^2 + -16/45*x^4 + O(x^5)")
     assert repr(TruncatedSeries(3, [1, 1]) ** 4) == (
         "1 + 4*x + 6*x^2 + 4*x^3 + O(x^4)")
@@ -257,33 +253,36 @@ def test_series_rejects_non_exact_coefficients(bad):
 # ---------------------------------------------------------------------------
 # Genus line factors
 
+GENUS_KINDS = ("a_hat", "l_genus")
+
+
+def line_factor(kind, d, order):
+    """The line factor of a genus at line weight d: the weight-1 factor at
+    d*x, as invariants rescales it."""
+    return _unit_line_factor(kind, order)[0].rescaled(d)
+
 
 def test_l_genus_factor_weight_one():
-    assert genus_line_factor("l_genus", 1, 5) == TruncatedSeries(
+    assert line_factor("l_genus", 1, 5) == TruncatedSeries(
         5, [1, 0, F(1, 3), 0, F(-1, 45), 0]
     )
 
 
 def test_a_hat_factor_weight_one():
-    assert genus_line_factor("a_hat", 1, 5) == TruncatedSeries(
+    assert line_factor("a_hat", 1, 5) == TruncatedSeries(
         5, [1, 0, F(-1, 24), 0, F(7, 5760), 0]
     )
 
 
-def test_chern_and_pontrjagin_factors():
-    assert genus_line_factor("chern", 3, 4) == TruncatedSeries(4, [1, 3])
-    assert genus_line_factor("pontrjagin", 3, 4) == TruncatedSeries(4, [1, 0, 9])
-
-
 @pytest.mark.parametrize("kind", ["a_hat", "l_genus"])
 def test_even_kinds_degenerate_at_weight_zero(kind):
-    assert genus_line_factor(kind, 0, 6) == TruncatedSeries.one(6)
+    assert line_factor(kind, 0, 6) == TruncatedSeries.one(6)
 
 
 @pytest.mark.parametrize("kind", ["a_hat", "l_genus"])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_even_kinds_are_even_series(kind, d):
-    s = genus_line_factor(kind, d, 7)
+    s = line_factor(kind, d, 7)
     assert all(s.coefficient(k) == 0 for k in range(1, 8, 2))
 
 
@@ -298,8 +297,8 @@ def test_hyperbolic_factors_against_sympy(d):
     ah = sympy.series(
         (d * x / 2) / sympy.sinh(d * x / 2), x, 0, order + 1
     ).removeO()
-    lg_ours = genus_line_factor("l_genus", d, order)
-    ah_ours = genus_line_factor("a_hat", d, order)
+    lg_ours = line_factor("l_genus", d, order)
+    ah_ours = line_factor("a_hat", d, order)
     for k in range(order + 1):
         assert F(str(lg.coeff(x, k))) == lg_ours.coefficient(k)
         assert F(str(ah.coeff(x, k))) == ah_ours.coefficient(k)
@@ -308,27 +307,23 @@ def test_hyperbolic_factors_against_sympy(d):
 @given(st.sampled_from(GENUS_KINDS), st.integers(-30, 30), st.integers(0, 9))
 def test_line_factor_at_weight_d_is_the_weight_one_factor_rescaled(
         kind, d, order):
-    assert (genus_line_factor(kind, d, order)
-            == genus_line_factor(kind, 1, order).rescaled(d))
+    # invariants inverts once, at weight 1, and rescales the inverse to
+    # each degree: that is the inverse of the factor at weight d.
+    factor, inverse = _unit_line_factor(kind, order)
+    assert inverse.rescaled(d) == factor.rescaled(d).inverse()
 
 
 @given(st.sampled_from(GENUS_KINDS), st.integers(0, 12))
 def test_unit_line_factor_times_its_inverse_is_one(kind, order):
     factor, inverse = _unit_line_factor(kind, order)
-    assert factor == genus_line_factor(kind, 1, order)
     assert factor * inverse == TruncatedSeries.one(order)
-
-
-def test_unknown_genus_kind_rejected():
-    with pytest.raises(ValueError):
-        genus_line_factor("todd", 1, 3)
 
 
 @pytest.mark.parametrize("kind", GENUS_KINDS)
 @pytest.mark.parametrize("scale", [2.5, True])
 def test_line_weight_must_be_an_integer(kind, scale):
     with pytest.raises(TypeError, match="scale must be an integer"):
-        genus_line_factor(kind, scale, 3)
+        line_factor(kind, scale, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +333,15 @@ def test_line_weight_must_be_an_integer(kind, scale):
 def test_shifted_lift_cube():
     p = LiftPolynomial.shifted_lift(2) ** 3
     assert p == LiftPolynomial([8, 12, 6, 1])
-    assert p(-2) == 0
-    assert p(0) == 8
+    assert (p.num, p.den) == ((8, 12, 6, 1), 1)
 
 
 def test_lift_polynomial_trim_and_zero():
     assert LiftPolynomial([0, 0]).is_zero()
-    assert LiftPolynomial([1, 0]).degree == 0
-    assert LiftPolynomial().constant_value() == 0
-    assert LiftPolynomial([5]).constant_value() == 5
-    assert LiftPolynomial([5, 1]).constant_value() is None
+    assert LiftPolynomial([0, 0]) == LiftPolynomial.constant(0)
+    assert (LiftPolynomial([1, 0]).num, LiftPolynomial([1, 0]).den) == ((1,), 1)
+    assert LiftPolynomial([5]) == LiftPolynomial.constant(5)
+    assert LiftPolynomial([5, 1]).num == (5, 1)
 
 
 @given(
@@ -357,9 +351,9 @@ def test_lift_polynomial_trim_and_zero():
 )
 def test_lift_polynomial_evaluation_is_a_homomorphism(a, b, v):
     pa, pb = LiftPolynomial(a), LiftPolynomial(b)
-    assert (pa + pb)(v) == pa(v) + pb(v)
-    assert (pa * pb)(v) == pa(v) * pb(v)
-    assert (pa - pb)(v) == pa(v) - pb(v)
+    assert value_at(pa + pb, v) == value_at(pa, v) + value_at(pb, v)
+    assert value_at(pa * pb, v) == value_at(pa, v) * value_at(pb, v)
+    assert value_at(pa - pb, v) == value_at(pa, v) - value_at(pb, v)
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6), small_ints)
@@ -389,9 +383,7 @@ def assert_matches(p: LiftPolynomial, ref: sympy.Poly):
     cs = [from_sympy(c) for c in reversed(ref.all_coeffs())]
     while cs and cs[-1] == 0:
         cs.pop()
-    assert p.degree == len(cs) - 1
-    assert [p.coefficient(k) for k in range(len(cs) + 2)] == cs + [0, 0]
-    assert p.constant_value() == (None if len(cs) > 1 else (cs or [0])[0])
+    assert [F(c, p.den) for c in p.num] == cs
     assert p.is_zero() == (not cs)
     assert p.den > 0 and gcd(p.den, *p.num) == 1
     assert not p.num or p.num[-1] != 0
@@ -448,14 +440,6 @@ def test_linear_powers_match_sympy(c0, c1, e):
                    reference([c0, 1]) ** e)
 
 
-@given(coeff_lists, rationals)
-def test_lift_polynomial_evaluation_matches_sympy(a, v):
-    value = LiftPolynomial(a)(v)
-    assert isinstance(value, F)
-    assert value == from_sympy(reference(a).eval(
-        sympy.Rational(F(v).numerator, F(v).denominator)))
-
-
 @pytest.mark.parametrize("coeffs, text", [
     ((), "0"),
     ((-3,), "-3"),
@@ -486,8 +470,6 @@ def test_lift_polynomial_rejects_non_exact_scalars(bad):
     with pytest.raises(TypeError):
         p * bad
     with pytest.raises(TypeError):
-        p(bad)
-    with pytest.raises(TypeError):
         LiftPolynomial.constant(bad)
 
 
@@ -495,9 +477,8 @@ def test_lift_polynomial_rejects_non_exact_scalars(bad):
 def test_coefficient_indices_must_be_integers(index):
     # A bool would read as 0 or 1 and a float would escape as a bare
     # tuple-index error; both are refused with the index named.
-    for x in (TruncatedSeries(3, [1, 2, 3]), LiftPolynomial([1, 2, 3])):
-        with pytest.raises(TypeError, match=re.escape(f"got {index!r}")):
-            x.coefficient(index)
+    with pytest.raises(TypeError, match=re.escape(f"got {index!r}")):
+        TruncatedSeries(3, [1, 2, 3]).coefficient(index)
 
 
 @given(st.integers(-10**6, 10**6))
@@ -543,7 +524,7 @@ def test_taylor_shift_is_the_sum_over_the_powers_of_the_shifted_lift(c, a):
         want = want + u**k * ck
     got = _taylor_shift(c, a)
     assert type(got) is tuple and all(type(x) is int for x in got)
-    assert list(got) == [want.coefficient(k) for k in range(4)]
+    assert LiftPolynomial(got) == want
 
 
 @given(four_ints, shift_ints, shift_ints)
@@ -563,10 +544,9 @@ def point_factor(n):
     return CharacterFunction((1, *ends, 1), (-1, *ends, 1))
 
 
-def test_point_factor_normal_form_and_limit():
+def test_point_factor_normal_form():
     f = point_factor(2)
     assert f == CharacterFunction((1, 0, 1), (-1, 0, 1))
-    assert f.limit_at_infinity() == 1
     assert f.is_constant() is None
 
 
@@ -591,13 +571,7 @@ def test_constant_detection_by_cross_multiplication():
 
 def test_difference_with_itself_is_constant_zero():
     f = point_factor(3) * point_factor(1)
-    assert (f - f).is_constant() == 0
-
-
-def test_limit_cases():
-    assert CharacterFunction((1,), (1, -1)).limit_at_infinity() == 0
-    assert CharacterFunction((1, -1), (1,)).limit_at_infinity() is None
-    assert CharacterFunction.constant(F(5, 3)).limit_at_infinity() == F(5, 3)
+    assert (f + -f).is_constant() == 0
 
 
 def test_zero_denominator_rejected():
@@ -609,12 +583,10 @@ weight = st.integers(min_value=1, max_value=6)
 
 
 @given(st.lists(weight, min_size=1, max_size=3), st.lists(weight, min_size=1, max_size=3))
-def test_character_sum_commutes_and_globalizes_limits(ws1, ws2):
+def test_character_sum_commutes(ws1, ws2):
     f = sum((point_factor(n) for n in ws1), CharacterFunction.zero())
     g = sum((point_factor(n) for n in ws2), CharacterFunction.zero())
     assert f + g == g + f
-    lf, lg = f.limit_at_infinity(), g.limit_at_infinity()
-    assert (f + g).limit_at_infinity() == lf + lg
 
 
 laurent = st.lists(st.integers(-6, 6), max_size=5)
@@ -625,14 +597,14 @@ nonzero_laurent = laurent.filter(any)
 def test_a_zero_character_gives_the_other_one_back(n, d):
     f, zero = CharacterFunction(n, d), CharacterFunction.zero()
     assert f + zero is f and zero + f is f
-    for z in (zero + zero, f - f):
+    for z in (zero + zero, f + -f):
         assert (z.num, z.den) == ((), (1,))
 
 
 @given(st.integers(-50, 50), nonzero_laurent)
-def test_a_constant_character_tends_to_its_constant(c, den):
+def test_a_multiple_of_the_denominator_is_constant(c, den):
     f = CharacterFunction([c * d for d in den], den)
-    assert f.is_constant() == f.limit_at_infinity() == c
+    assert f.is_constant() == c
 
 
 def schoolbook(a, b):
@@ -730,15 +702,6 @@ def test_a_sum_over_one_denominator_has_the_cross_multiplied_parts(
         assert (got.num, got.den) == ((), (1,))
 
 
-@settings(max_examples=200)
-@given(st.lists(weight, min_size=1, max_size=3))
-def test_point_product_limit_is_one(ws):
-    f = CharacterFunction.constant(1)
-    for n in ws:
-        f = f * point_factor(n)
-    assert f.limit_at_infinity() == 1
-
-
 # ---------------------------------------------------------------------------
 # Behaviour the three kernels share
 
@@ -746,7 +709,7 @@ def test_point_product_limit_is_one(ws):
 def kernel_samples():
     return [
         TruncatedSeries(0, [1]), TruncatedSeries(3, [F(1, 2), 0, -2]),
-        TruncatedSeries.zero(2), genus_line_factor("a_hat", 3, 4),
+        TruncatedSeries(2), line_factor("a_hat", 3, 4),
         LiftPolynomial([1]), LiftPolynomial([F(-1, 3), 0, 2]), LiftPolynomial(),
         LiftPolynomial.shifted_lift(F(3, 2)) ** 3,
         CharacterFunction.constant(1), CharacterFunction.zero(),
@@ -766,6 +729,15 @@ def test_kernels_are_immutable(x, name):
             change()
         assert (x.num, x.den) == before
     assert repr(x)
+
+
+@pytest.mark.parametrize("x", kernel_samples(), ids=repr)
+def test_copies_and_pickles_rebuild_the_same_kernel(x):
+    # dataclasses.asdict deep-copies a check's residual, so every kernel
+    # must survive copy, deepcopy and a pickle round trip.
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x
+        assert (y.num, y.den) == (x.num, x.den)
 
 
 def test_equality_never_crosses_kernels():
@@ -798,11 +770,9 @@ def test_negation_keeps_the_normal_form(x):
         rebuilt = CharacterFunction([-c for c in x.num], x.den)
         assert_character_normal_form(neg)
     elif isinstance(x, TruncatedSeries):
-        rebuilt = TruncatedSeries(x.order, [-x.coefficient(k)
-                                            for k in range(x.order + 1)])
+        rebuilt = TruncatedSeries(x.order, [F(-c, x.den) for c in x.num])
     else:
-        rebuilt = LiftPolynomial([-x.coefficient(k)
-                                  for k in range(x.degree + 1)])
+        rebuilt = LiftPolynomial([F(-c, x.den) for c in x.num])
     assert (neg.num, neg.den) == (rebuilt.num, rebuilt.den)
     assert -neg == x
     assert (-neg).num == x.num and (-neg).den == x.den
@@ -811,7 +781,7 @@ def test_negation_keeps_the_normal_form(x):
 @pytest.mark.parametrize("order", range(7))
 def test_series_order_is_the_numerator_count_minus_one(order):
     s = TruncatedSeries(order, [1, F(-1, 3), 2][:order + 1])
-    for x in (s, TruncatedSeries.zero(order), -s, s + s, s * s, s**3,
-              s.inverse(), genus_line_factor("l_genus", 2, order)):
+    for x in (s, TruncatedSeries(order), -s, s * s, s**3,
+              s.inverse(), line_factor("l_genus", 2, order)):
         assert x.order == order and type(x.order) is int
         assert len(x.num) == order + 1

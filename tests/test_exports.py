@@ -5,8 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import FunctionType
+
+import pytest
 
 import cisym
+from cisym.algebra import CharacterFunction, LiftPolynomial, TruncatedSeries
 
 
 def test_all_lists_exactly_the_public_names_the_package_binds():
@@ -24,6 +28,34 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
     assert set(cisym.__all__) == public
     for name in cisym.__all__:
         assert hasattr(cisym, name)
+
+
+# Each kernel's own surface: its public names, and the operators it defines
+# (those of the shared core, _Exact, are inherited).  A method comes back
+# only by an edit here.
+_KERNEL_SURFACES = {
+    TruncatedSeries: (
+        ["coefficient", "inverse", "one", "order", "rescaled"],
+        ["__mul__", "__new__", "__pow__", "__repr__"]),
+    LiftPolynomial: (
+        ["constant", "is_zero", "shifted_lift"],
+        ["__add__", "__mul__", "__new__", "__pow__", "__repr__", "__rmul__",
+         "__sub__"]),
+    CharacterFunction: (
+        ["constant", "is_constant", "zero"],
+        ["__add__", "__eq__", "__mul__", "__new__", "__repr__", "__rmul__"]),
+}
+
+
+@pytest.mark.parametrize("kernel", list(_KERNEL_SURFACES),
+                         ids=lambda k: k.__name__)
+def test_each_kernel_defines_exactly_its_pinned_surface(kernel):
+    public, operators = _KERNEL_SURFACES[kernel]
+    own = vars(kernel)
+    assert sorted(n for n in own if not n.startswith("_")) == public
+    assert sorted(n for n in own if n.startswith("__")
+                  and isinstance(own[n], (FunctionType, staticmethod))) \
+        == operators
 
 
 _IMPORT_PROBE = """

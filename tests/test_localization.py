@@ -43,6 +43,7 @@ from cisym.localization import (
     x3_local_datum,
     x3_sum,
 )
+from lift_reads import at_shifted_lift, value_at
 from linear_actions import (four_point_checks, projective_space_points,
                             quadric_points)
 from test_acceptance import _random_configuration
@@ -83,9 +84,9 @@ def semifree_surfaces(rho, t, a_x, ev_x, ev_y1):
 def test_point_x3_datum():
     p = PointComponent(-1, (1, 2, 3), 1)
     datum = x3_local_datum(p)
-    assert [datum.coefficient(k) for k in range(4)] == [
+    assert datum == LiftPolynomial([
         Fraction(-1, 6), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 6)
-    ]
+    ])
 
 
 def test_point_p1x_datum():
@@ -98,18 +99,15 @@ def test_point_p1x_datum():
 def test_surface_x3_datum():
     s = SurfaceComponent((1, 2), 0, 1, 2, 3, 2)
     datum = x3_local_datum(s)
-    assert datum.coefficient(3) == Fraction(-7, 4)
-    assert datum.coefficient(2) == Fraction(3, 2)
-    assert datum.coefficient(1) == 0
-    assert datum.coefficient(0) == 0
+    assert datum == LiftPolynomial([0, 0, Fraction(3, 2), Fraction(-7, 4)])
 
 
 def test_four_x3_datum():
     f = FourComponent(2, 1, 4, -2, 6, 0, 2, 0, 4)
     datum = x3_local_datum(f)
-    assert [datum.coefficient(k) for k in range(4)] == [
+    assert datum == LiftPolynomial([
         Fraction(33, 4), Fraction(45, 4), Fraction(15, 4), Fraction(3, 4)
-    ]
+    ])
 
 
 def test_four_p1x_datum():
@@ -125,7 +123,7 @@ def test_four_p1x_datum():
 )
 def test_point_x3_vanishes_at_minus_a(eps, weights, a):
     datum = x3_local_datum(PointComponent(eps, weights, a))
-    assert datum(Fraction(-a)) == 0
+    assert value_at(datum, -a) == 0
 
 
 @given(
@@ -135,15 +133,15 @@ def test_point_x3_vanishes_at_minus_a(eps, weights, a):
 )
 def test_surface_x3_vanishes_at_minus_a(weights, a, evs):
     s = SurfaceComponent(weights, a, evs[0], evs[1], evs[2], 2)
-    assert x3_local_datum(s)(Fraction(-a)) == 0
+    assert value_at(x3_local_datum(s), -a) == 0
 
 
 def test_signature_datum_point_is_product_of_edge_factors():
     p = PointComponent(1, (1, 1, 1), 0)
     char = signature_local_datum(p)
-    # ((q + 1)/(q - 1))^3: not constant, tends to 1
+    # ((q + 1)/(q - 1))^3, not constant
+    assert char == CharacterFunction((1, 3, 3, 1), (-1, 3, -3, 1))
     assert char.is_constant() is None
-    assert char.limit_at_infinity() == 1
 
 
 def test_signature_datum_opposite_points_cancel():
@@ -235,9 +233,7 @@ def test_sums_match_plain_fraction_reference():
             x3_ref, p1x_ref = _reference_sums(comps)
             for total, ref in ((x3_sum(comps), x3_ref),
                                (p1x_sum(comps), p1x_ref)):
-                assert [total.coefficient(k) for k in range(6)] == ref + [0, 0]
-                assert total.degree == max(
-                    (k for k, c in enumerate(ref) if c), default=-1)
+                assert total == LiftPolynomial(ref)
 
 
 big = st.integers(-10**6, 10**6)
@@ -264,7 +260,6 @@ def test_local_data_match_plain_fraction_reference(c):
     # and lifts and evaluations up to 10^6, against the Fraction formulas.
     for datum, ref in zip((x3_local_datum(c), p1x_local_datum(c)),
                           _reference_sums((c,))):
-        assert [datum.coefficient(k) for k in range(6)] == ref + [0, 0]
         assert datum.den > 0 and gcd(datum.den, *datum.num) == 1
         assert not datum.num or datum.num[-1] != 0
         rebuilt = LiftPolynomial(ref)
@@ -854,15 +849,6 @@ def test_surface_check_lists_with_lemma64_on_and_off_are_pinned():
 # Check records and the named relations' residuals
 
 
-def _as_dict(record):
-    """asdict(record), or the type of the error it raises: asdict deep-copies
-    the residual, and the exact polynomial types cannot be deep-copied."""
-    try:
-        return asdict(record)
-    except (TypeError, AttributeError) as error:
-        return type(error)
-
-
 @pytest.mark.parametrize("name, passed, residual", [
     ("x3-localization", False, LiftPolynomial.constant(2)),
     ("signature-rigidity", True, CharacterFunction.constant(Fraction(1, 3))),
@@ -879,7 +865,7 @@ def test_a_result_record_is_the_one_the_dataclass_builds(name, passed,
     assert record == built and repr(record) == repr(built)
     assert fields(record) == fields(built)
     assert list(vars(record)) == list(vars(built))
-    assert _as_dict(record) == _as_dict(built)
+    assert asdict(record) == asdict(built)
     assert replace(record, passed=not passed) == replace(built,
                                                          passed=not passed)
     assert replace(record) == record
@@ -888,6 +874,19 @@ def test_a_result_record_is_the_one_the_dataclass_builds(name, passed,
     with pytest.raises(FrozenInstanceError):
         del record.residual
     assert record == built
+
+
+def test_a_report_turns_into_plain_data():
+    # asdict deep-copies every residual, the exact kernels among them.
+    report = verify_case(quadric_configuration())
+    data = asdict(report)
+    residuals = [c.residual for c in report.checks]
+    assert {LiftPolynomial, CharacterFunction} <= set(map(type, residuals))
+    assert data["cfg"] == asdict(report.cfg)
+    assert data["checks"] == tuple(asdict(c) for c in report.checks)
+    for copied, residual in zip(data["checks"], residuals):
+        assert type(copied["residual"]) is type(residual)
+        assert copied["residual"] == residual
 
 
 _ANY_INT = st.integers()
@@ -1020,7 +1019,13 @@ def test_the_character_total_tends_to_the_sum_of_eps(comps):
     # read the residual 0.
     total = sum(map(signature_local_datum, comps), CharacterFunction.zero())
     contributions = sum(c.signature_contribution for c in comps)
-    assert total.limit_at_infinity() == contributions
+    # Every local datum is finite as q -> oo, so num's degree is at most
+    # den's, and the limit is the ratio of the leading coefficients when
+    # the degrees agree, else 0.
+    assert len(total.num) <= len(total.den)
+    at_infinity = (Fraction(total.num[-1], total.den[-1])
+                   if len(total.num) == len(total.den) else 0)
+    assert at_infinity == contributions
     # Every local datum is finite at q = 0, so the canonical den has a
     # nonzero constant term and the value at 0 is num[0] / den[0].
     at_zero = Fraction(total.num[0] if total.num else 0, total.den[0])
@@ -1081,10 +1086,7 @@ def test_shift_commutes_with_x3_sum(delta, a1, a2, weights):
     comps = (PointComponent(1, weights, a1), PointComponent(-1, weights, a2))
     shifted = tuple(PointComponent(c.eps, c.weights, c.a + delta)
                     for c in comps)
-    original = x3_sum(comps)
-    moved = x3_sum(shifted)
-    for z in (Fraction(0), Fraction(1), Fraction(-2), Fraction(5, 3)):
-        assert moved(z) == original(z + delta)
+    assert x3_sum(shifted) == at_shifted_lift(x3_sum(comps), delta)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from bruteforce import brute_force
+from lift_reads import at_shifted_lift, coefficients
 from cisym import localization, search
 from cisym.algebra import LiftPolynomial
 from cisym.configio import dump_config, load_config, parse_config
@@ -293,12 +294,12 @@ def test_the_l1_row_drops_exactly_the_points_whose_p1x_sum_keeps_l(
         values = iter(x)
         cand = tuple(_copy(c.comp, a, zip(c.unknowns, values))
                      for c, a in zip(combo, current[1]))
-        constant = p1x_sum(cand).constant_value() is not None
+        constant = len(p1x_sum(cand).num) <= 1
         (dropped if residual else kept).append(constant)
         return residual
 
     def leaf(template, cand, ctx, counter):
-        leaves.append(p1x_sum(cand).constant_value() is not None)
+        leaves.append(len(p1x_sum(cand).num) <= 1)
         return leaf_(template, cand, ctx, counter)
 
     monkeypatch.setattr(search, "_combinations", combinations)
@@ -356,7 +357,7 @@ def test_the_l1_entries_are_the_p1x_datum_at_every_lift(choice, data, a):
                                 min_size=len(unknowns),
                                 max_size=len(unknowns)))
     datum = p1x_local_datum(_copy(comp, a, zip(unknowns, values)))
-    assert datum.coefficient(1) * den == const + sum(
+    assert coefficients(datum)[1] * den == const + sum(
         e * v for e, v in zip(unknown, values))
 
 
@@ -836,16 +837,13 @@ def test_shifted_columns_are_the_x3_datum_at_the_lift(template, flag_set,
     choices, den = _template_choices(template, flag_set)
     c = data.draw(st.sampled_from(choices))
     unknown, const = c.at(a)
-    u = LiftPolynomial.shifted_lift(a)
     for lift in (a, 0):
         base = x3_local_datum(_copy(c.comp, lift, ()))
         columns = [x3_local_datum(_copy(c.comp, lift, ((name, 1),))) - base
                    for name in c.unknowns] + [base]
         if lift == 0:
-            columns = [sum((u**k * poly.coefficient(k)
-                            for k in range(poly.degree + 1)), LiftPolynomial())
-                       for poly in columns]
-        want = [[poly.coefficient(k) * den for poly in columns]
+            columns = [at_shifted_lift(poly, a) for poly in columns]
+        want = [[coefficients(poly)[k] * den for poly in columns]
                 for k in range(4)]
         assert [list(unknown[k]) + [const[k]] for k in range(4)] == want
     assert type(unknown) is tuple and type(const) is tuple
@@ -1031,7 +1029,7 @@ def _surface_columns(local, weights, lift):
     def at(ev_x, ev_y1):
         datum = local(SurfaceComponent(weights, 0, ev_x, ev_y1, 0, 2))
         return [sympy.Rational(q.numerator, q.denominator)
-                for q in map(datum.coefficient, range(4))]
+                for q in coefficients(datum)]
     assert not any(at(0, 0))
     return [[sum(c[j] * comb(j, k) * lift**(j - k) for j in range(k, 4))
              for k in range(4)] for c in (at(1, 0), at(0, 1))]
@@ -1170,13 +1168,12 @@ def test_a_swap_image_keeps_the_check_list(cfg):
             assert (after[name].passed, after[name].residual) == \
                 (before[name].passed, before[name].residual)
     # The sums' residuals move with the lifts: the image's is the
-    # original's with l replaced by l - a, checked at seven points, more
-    # than the degree (3) of either.
+    # original's with l replaced by l - a.
     a = cfg.components[0].a
     for name in ("x3-localization", "p1x-localization"):
         assert after[name].passed == before[name].passed
-        for z in range(-3, 4):
-            assert after[name].residual(z) == before[name].residual(z - a)
+        assert after[name].residual == at_shifted_lift(before[name].residual,
+                                                       -a)
 
 
 # ---------------------------------------------------------------------------
