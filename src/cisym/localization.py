@@ -28,15 +28,15 @@ key, and so are the signature checks of a component multiset.  The call
 enters a fresh memo (_LOCAL_DATA), one dict for every local datum and every
 list of signature checks, and resets it when it returns or raises.  A key
 is a plain tuple, hashed and compared in C: the function that computes the
-value, then, for a local datum, the component's kind and the values of the
-fields the datum reads (every field for the x^3 and p1*x data; eps and
-weights of a point, weights, ev_y1 and ev_y2 of a surface for the signature
-character), and for the signature checks, the sorted multiset of the
-components' kinds and signature reads.  So verify_case in a leaf reuses the
-leaf's data, a two_surfaces hit and its swap image share their signature
-checks, and outside a search each value is computed directly, before any
-key is built.  No cache outlives the call: a signature character grows with
-its weights, so a cache for the whole process would have no safe size.
+value, then, for a local datum, the component's kind and the values of all
+its fields, and for the signature checks, the sorted multiset of the
+components' kinds and the fields their signature characters read (eps and
+weights of a point; weights, ev_y1 and ev_y2 of a surface).  So verify_case
+in a leaf reuses the leaf's data, a two_surfaces hit and its swap image
+share their signature checks, and outside a search each value is computed
+directly, before any key is built.  No cache outlives the call: a signature
+character grows with its weights, so a cache for the whole process would
+have no safe size.
 
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
@@ -269,13 +269,10 @@ TEMPLATES: dict[str, tuple[str, ...]] = {
 # b2 of every 4-dimensional component.  The even Betti numbers of the fixed
 # set sum to 4, a point counting 1, a surface 2 and a 4-dimensional component
 # 2 + b2, so the template's other components fix it.
+_BETTI = {"point": 1, "surface": 2, "four": 2}
 _TEMPLATE_B2 = {
-    "two_fours": 0,
-    "four_plus_surface": 0,
-    "four_plus_two_points": 0,
-    "cp2like_plus_point": 1,
-    "single_four_b2_2": 2,
-}
+    name: (4 - sum(map(_BETTI.get, kinds))) // kinds.count("four")
+    for name, kinds in TEMPLATES.items() if "four" in kinds}
 
 
 @dataclass(frozen=True)
@@ -367,19 +364,15 @@ _LOCAL_DATA: ContextVar[Optional[dict[tuple, object]]] = ContextVar(
     "cisym_local_data", default=None)
 
 
-def _local(compute: Callable[[Component], _Datum], c: Component,
-           reads: Optional[Callable[[Component], tuple]] = None) -> _Datum:
+def _local(compute: Callable[[Component], _Datum], c: Component) -> _Datum:
     """compute(c), memoized within a search_case call under the key
-    (compute, c.kind, the values of the fields it reads).  reads gives those
-    values; by default they are every field, c.__dict__.values() in field
-    order: the dataclass __init__ sets the fields in that order, and
-    __post_init__ and search._copy only reassign existing ones, which keeps
-    their place."""
+    (compute, c.kind, every field of c): c.__dict__.values() in field order.
+    The dataclass __init__ sets the fields in that order, and __post_init__
+    and search._copy only reassign existing ones, which keeps their place."""
     memo = _LOCAL_DATA.get()
     if memo is None:
         return compute(c)
-    key = (compute, c.kind,
-           *(c.__dict__.values() if reads is None else reads(c)))
+    key = (compute, c.kind, *c.__dict__.values())
     datum = memo.get(key)
     if datum is None:
         datum = memo[key] = compute(c)
@@ -452,21 +445,15 @@ def _kernel(n: int) -> CharacterFunction:
     return CharacterFunction(num, den)
 
 
-# The fields a signature character reads, by component kind.
-_SIGNATURE_READS = {"point": attrgetter("eps", "weights"),
-                    "surface": attrgetter("weights", "ev_y1", "ev_y2")}
-
-
 def signature_local_datum(c: Component) -> CharacterFunction:
     """Local contribution to the equivariant signature, a rational function
     of the circle parameter.  4-dimensional components carry none; only the
     limit identity constrains them."""
-    reads = _SIGNATURE_READS.get(c.kind)
-    if reads is None:
+    if c.kind == "four":
         raise UnsupportedComponentError(
             "4-dimensional components have no signature character datum"
         )
-    return _local(_signature_local_datum, c, reads)
+    return _local(_signature_local_datum, c)
 
 
 def _signature_local_datum(c: Component) -> CharacterFunction:
@@ -615,6 +602,12 @@ def check_p1x(cfg: Configuration) -> CheckResult:
     return _result("p1x-localization", residual.is_zero(), residual)
 
 
+# The fields a signature character reads, by component kind: the multiset
+# key of the signature checks.
+_SIGNATURE_READS = {"point": attrgetter("eps", "weights"),
+                    "surface": attrgetter("weights", "ev_y1", "ev_y2")}
+
+
 def signature_checks(components: Iterable[Component]) -> list[CheckResult]:
     """Rigidity checks on a component multiset, against the signature of a
     6-manifold, which vanishes.
@@ -633,7 +626,8 @@ def signature_checks(components: Iterable[Component]) -> list[CheckResult]:
     memo = _LOCAL_DATA.get()
     if memo is None:
         return _character_checks(components)
-    # The checks read only the multiset of the components' signature data.
+    # The checks read only the multiset of the components' signature data,
+    # which a two_surfaces hit and its swap image share.
     # In another order a sum of three characters may take another form of
     # the same value; a search reads the verdicts, never that form.
     key = (_character_checks, *sorted(

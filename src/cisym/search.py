@@ -89,19 +89,22 @@ the bounds its hit list is exhaustive.
    into a candidate from the validated components of its choices: the
    copy takes the lifts and the solver's evaluations, Python ints, without
    running the components' validation again.  The candidate goes to _leaf,
-   which recomputes the x^3 and p1*x sums, derives rho, and keeps the
-   candidate only if Configuration accepts it and verify_case passes.
-   In two_surfaces each hit then gives its swap image, made by
-   _copy: the surfaces swapped, every lift shifted by -a, and the hit's
-   own ambient data and flags.  The image is a hit only if Configuration
-   accepts it and verify_case passes on it.  Every hit is thus checked
-   independently of the solver, and the drop only skips candidates that
-   _leaf would reject.  Within one search_case call the leaves' local
-   data are computed once per distinct key (see localization), so
-   verify_case reuses the data of the leaf that calls it; the choices
-   compute their own directly, once each.  Its signature checks are
-   formed once per multiset of the components' signature data, so a
-   hit and its swap image share them.
+   which recomputes the x^3 and p1*x sums, derives rho, builds the
+   Configuration and keeps the candidate only if verify_case passes.  The
+   enumeration makes every structural rule of Configuration hold (the first
+   point has eps = +1 under convention35, weights are coprime under
+   effectiveness, b2 comes from the template, the box keeps t >= 1), so a
+   candidate that Configuration rejects is a fault and raises.
+   In two_surfaces each hit then gives its swap image, made by _copy: the
+   surfaces swapped, every lift shifted by -a, and the hit's own ambient
+   data and flags.  The image is a hit only if verify_case passes on it.
+   Every hit is thus checked independently of the solver, and the drop
+   only skips candidates that _leaf would reject.  Within one search_case
+   call the leaves' local data are computed once per distinct key (see
+   localization), so verify_case reuses the data of the leaf that calls
+   it; the choices compute their own directly, once each.  Its signature
+   checks are formed once per multiset of the components' signature data,
+   so a hit and its swap image share them.
 
 The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
 [max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1 under
@@ -292,13 +295,8 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
     if rho < ctx.rho_lo or rho > ctx.rho_hi:
         return None
     euler = sum(c.chi for c in components)
-    try:
-        cfg = Configuration(
-            AmbientData(t, rho, euler, 0), template, components,
-            ctx.config_flags,
-        )
-    except ConfigurationError:
-        return None
+    cfg = Configuration(AmbientData(t, rho, euler, 0), template, components,
+                        ctx.config_flags)
     return cfg if verify_case(cfg).consistent else None
 
 
@@ -400,20 +398,28 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
              ) -> tuple[list[list[_Choice]], int, tuple[int, ...], bool,
                         tuple[int, ...]]:
     """The choices for every component of the template, in TEMPLATES order,
-    the common denominator of their columns, the lift-only rows (the rows
-    k >= 1 that no unknown of any choice enters at any of its lifts),
-    whether t is the only unknown of row l^0, which holds when no unknown
-    enters that row either, and the head rows: the rows that an unknown of
-    some choice of the head (the components before the last) enters and
-    that no column of any choice of the tail (the last component), unknown
-    or constant, enters at any of its lifts.  The lift is fixed at 0 on the
-    last surface, or else on the first component; the first surface of
-    two_surfaces takes the lifts >= 1 alone.  Each weight tuple and each
-    choice is a node."""
+    each with its lifts, the common denominator of their columns, the
+    lift-only rows (the rows k >= 1 that no unknown column of any slot
+    reaches), whether t is the only unknown of row l^0, which holds when no
+    unknown column reaches that row either, and the head rows: the rows that
+    an unknown column of the head (the components before the last) reaches
+    and that no column of the tail (the last component), unknown or
+    constant, reaches.  The lift is fixed at 0 on the last surface, or else
+    on the first component; the first surface of two_surfaces takes the
+    lifts >= 1 alone.  Each weight tuple and each choice is a node."""
     flags = ctx.flags
     kinds = TEMPLATES[template]
+    fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
+             if "surface" in kinds else 0)
     slots = []
     for i, kind in enumerate(kinds):
+        if i == fixed:
+            lifts = (0,)
+        elif template == "two_surfaces":
+            # One per swap orbit; at a = 0 row l^0 reads -den * t = 0.
+            lifts = range(1, ctx.bounds.max_abs_a + 1)
+        else:
+            lifts = _sym(ctx.bounds.max_abs_a)
         # data: each weight tuple with the components that it gives.
         if kind == "point":
             first = "point" not in kinds[:i]
@@ -443,54 +449,38 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
             counter.tick()
             for comp in comps:
                 counter.tick()
-                slot.append(_Choice(comp, unknowns))
+                choice = _Choice(comp, unknowns)
+                choice.lifts = lifts
+                slot.append(choice)
         slots.append(slot)
     counter.building = None
-    fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
-             if "surface" in kinds else 0)
     den = lcm(*(p.den for slot in slots for c in slot for p in c.polys))
-    last = len(slots) - 1
-    # The rows that an unknown of the head enters, that any column of the
-    # tail enters, and that an unknown of the tail enters.
-    head, tail, tail_unknown = set(), set(), set()
-    for i, slot in enumerate(slots):
-        if i == fixed:
-            lifts = (0,)
-        elif template == "two_surfaces":
-            # One per swap orbit; at a = 0 row l^0 reads -den * t = 0.
-            lifts = range(1, ctx.bounds.max_abs_a + 1)
-        else:
-            lifts = _sym(ctx.bounds.max_abs_a)
-        # The columns read: the unknown ones, and in the tail the constant
-        # one too, until the tail reaches every row.
-        end = None if i == last else -1
+    for slot in slots:
         for c in slot:
             c.columns = [[x * (den // p.den) for x in p.num]
                          + [0] * (_ROWS - len(p.num)) for p in c.polys]
-            c.lifts = lifts
-            # A shift by a spreads each coefficient over its row and the
-            # rows below, so at three or more lifts a column reaches every
-            # row up to its degree; at the fixed lift only its own rows.
-            # A row taken as reached that is not (two_surfaces' first
-            # surface has only max_abs_a lifts, from 1) only joins fewer
-            # rows or solves the head on a row the tail does not enter:
-            # both stay exact.
-            for n, col in enumerate(c.columns[:end]):
-                for j in range(_ROWS):
-                    if col[j]:
-                        rows = (j,) if i == fixed else range(j + 1)
-                        if i < last:
-                            head.update(rows)
-                            continue
-                        tail.update(rows)
-                        if n < len(c.unknowns):
-                            tail_unknown.update(rows)
-                        elif len(tail) == _ROWS:
-                            end = -1
-    unknown = head | tail_unknown
-    joined = tuple(k for k in range(1, _ROWS) if k not in unknown)
-    head_rows = tuple(sorted(head - tail))
-    return slots, den, joined, 0 not in unknown, head_rows
+
+    def reach(i: int, columns: Iterable[list[int]]) -> set[int]:
+        # The one reach rule.  A shift by a spreads each coefficient over its
+        # row and the rows below, so a lifted column reaches every row up to
+        # its degree; a column of the fixed slot, at lift 0, reaches its own
+        # nonzero rows.  At a single lift (two_surfaces' first surface at
+        # max_abs_a = 1) such a row may cancel: taking it as reached only
+        # joins fewer rows or solves the head on a row the tail does not
+        # enter, and both stay exact.
+        return {k for col in columns for j, x in enumerate(col) if x
+                for k in ((j,) if i == fixed else range(j + 1))}
+
+    # The rows that the unknown columns of each slot reach, and those that
+    # any column of the tail reaches.
+    unknown = [reach(i, (col for c in slot for col in c.columns[:-1]))
+               for i, slot in enumerate(slots)]
+    tail = unknown[-1] | reach(len(slots) - 1,
+                               (c.columns[-1] for c in slots[-1]))
+    entered = set().union(*unknown)
+    joined = tuple(k for k in range(1, _ROWS) if k not in entered)
+    head_rows = tuple(sorted(set().union(*unknown[:-1]) - tail))
+    return slots, den, joined, 0 not in entered, head_rows
 
 
 def _box(slots: list[list[_Choice]], ctx: _Ctx
@@ -516,6 +506,16 @@ def _rows(parts, ks: Iterable[int], den: int) -> list[tuple[int, ...]]:
     return rows
 
 
+# The lemma64 rules that the join applies, by template: the key that the
+# tail's entries are indexed by and that the component before it must match
+# (surface-structure's shared second weight, weight-matching's multiset), and
+# the rule on the head's (surface, point) pair (weight-divisibility).
+_JOIN_RULES = {
+    "two_surfaces": (_second_weight, None),
+    "surface_plus_two_points": (_weight_multiset, _divides_exactly_two),
+}
+
+
 def _combinations(template: str, slots: list[list[_Choice]], den: int,
                   joined: tuple[int, ...], t_only: bool,
                   head_rows: tuple[int, ...], ctx: _Ctx, counter: _Counter
@@ -535,11 +535,8 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
     signature and key are tabulated when a lookup first needs them.  Each
     head tuple, tabulated entry and lookup is a node, and so is each value
     that a head solve tries."""
-    key = None
-    if ctx.flags.lemma64 and template == "two_surfaces":
-        key = _second_weight  # surface-structure
-    elif ctx.flags.lemma64 and template == "surface_plus_two_points":
-        key = _weight_multiset  # weight-matching
+    key, pair_rule = (_JOIN_RULES.get(template, (None, None))
+                      if ctx.flags.lemma64 else (None, None))
     # With t alone in row l^0, den * t is the sum of the row's constants, so
     # the last constant lies in a window set by the others' sum, and den
     # divides the total.  Otherwise every entry's l^0 key is 0 and the
@@ -556,9 +553,9 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
     for head in product(*heads):
         counter.combo = head
         counter.tick()
-        if key is _weight_multiset and not _divides_exactly_two(
-                head[0].comp.weights, head[1].comp.weights):
-            continue  # weight-divisibility, on the (surface, point) pair
+        if pair_rule and not pair_rule(head[0].comp.weights,
+                                       head[1].comp.weights):
+            continue
         # signature-limit: the contributions sum to 0.
         group = (-sum(c.comp.signature_contribution for c in head),
                  key and key(head[-1].comp.weights))

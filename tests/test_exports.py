@@ -58,6 +58,41 @@ def test_each_kernel_defines_exactly_its_pinned_surface(kernel):
         == operators
 
 
+# The private names one module of the package imports from another, as
+# (importer, module, name).  A decision shared across modules comes back
+# only by an edit here.
+_PRIVATE_IMPORTS = {
+    ("cli", "classify", "_ADMISSIBLE"),
+    ("configio", "localization", "_COMPONENT_TYPES"),
+    ("invariants", "algebra", "_unit_line_factor"),
+    ("localization", "algebra", "_lowest"),
+    ("localization", "algebra", "_taylor_shift"),
+    ("search", "algebra", "_taylor_shift"),
+    ("search", "localization", "_LOCAL_DATA"),
+    ("search", "localization", "_TEMPLATE_B2"),
+    ("search", "localization", "_divides_exactly_two"),
+    ("search", "localization", "_int"),
+    ("search", "localization", "_p1x_local_datum"),
+    ("search", "localization", "_second_weight"),
+    ("search", "localization", "_weight_multiset"),
+    ("search", "localization", "_x3_local_datum"),
+}
+
+
+def test_modules_import_exactly_the_pinned_private_names_of_each_other():
+    found = set()
+    for path in Path(cisym.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("cisym"):
+                continue
+            found.update((path.stem, module.rpartition(".")[2], a.name)
+                         for a in node.names if a.name.startswith("_"))
+    assert found == _PRIVATE_IMPORTS
+
+
 _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)

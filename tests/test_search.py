@@ -997,6 +997,31 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
         assert sorted(_label(slots, *pair) for pair in got) == want
 
 
+# The row roles of each template: the lift-only rows, whether t is the only
+# unknown of row l^0, and the head rows.  No flag set or lift box moves them.
+ROW_ROLES = {
+    "cp2like_plus_point": ((), True, ()),
+    "four_plus_surface": ((1,), True, ()),
+    "four_plus_two_points": ((1, 2, 3), True, ()),
+    "single_four_b2_2": ((), True, ()),
+    "surface_plus_two_points": ((1,), True, ()),
+    "two_fours": ((1, 2, 3), True, ()),
+    "two_surfaces": ((), False, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("max_abs_a", [1, 2, 5])
+@pytest.mark.parametrize("flag_set", sorted(FLAG_SETS))
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
+def test_row_roles_at_the_edges_of_the_lift_box(template, flag_set,
+                                                max_abs_a):
+    # At max_abs_a = 1 the first surface of two_surfaces has the single lift
+    # 1, and each lifted column still reaches every row up to its degree.
+    ctx = _Ctx(1, 6, -6, 6, SearchBounds(3, max_abs_a, 2), FLAG_SETS[flag_set])
+    _, _, *roles = _choices(template, ctx, _Counter(10**9, template))
+    assert tuple(roles) == ROW_ROLES[template]
+
+
 def _t_from_row0(pairs, den):
     """t from row l^0 of the x^3 identity when t is its only unknown: the
     constants at the lifts sum to den * t (None if den does not divide)."""
