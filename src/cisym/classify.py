@@ -65,24 +65,15 @@ def s1_verdict(ci: CompleteIntersection) -> SymmetryVerdict:
     norm = normalize(ci)
     hypotheses = theorem_hypotheses(ci) if ci.n == 3 else None
     rep = invariants(ci) if hypotheses is None else hypotheses.evidence
-    if ci.n >= 4:
-        return SymmetryVerdict(
-            ci=ci,
-            normalized=norm.degrees,
-            admits=None,
-            reason=REASON_OUT_OF_SCOPE,
-            citation=(
-                "no classification is implemented for complex dimension >= 4"
-            ),
-            evidence=rep,
-        )
-    admits = norm.degrees in _ADMISSIBLE[ci.n]
+    admits = norm.degrees in _ADMISSIBLE[ci.n] if ci.n in _ADMISSIBLE else None
     return SymmetryVerdict(
         ci=ci,
         normalized=norm.degrees,
         admits=admits,
-        reason=REASON_ADMITS if admits else REASON_OBSTRUCTED,
-        citation=_CITATIONS[ci.n],
+        reason=(REASON_OUT_OF_SCOPE if admits is None
+                else REASON_ADMITS if admits else REASON_OBSTRUCTED),
+        citation=_CITATIONS.get(ci.n, "no classification is implemented"
+                                " for complex dimension >= 4"),
         evidence=rep,
         hypotheses=hypotheses,
     )

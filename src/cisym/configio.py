@@ -11,16 +11,17 @@ while the text is parsed, before any of these.
 
 Rendering is canonical: parse(dump(cfg)) reproduces dump(cfg) byte for
 byte.  dump_config writes a fixed layout, and its text is exactly
-json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) plus a newline.
-Each record's whole layout is compiled into one %-format when the module
-is imported: its sorted keys and their line heads, a component's "kind",
-and a slot per value, with the weight arrays at the arity of their kind
-(3 for a point, 2 for a surface, 1 for a four).  A record is rendered by
-one % over its flat values: "%d" writes ints, int subclasses too, as
+json.dumps(config_to_obj(cfg), sort_keys=True, indent=2) plus a newline,
+because each layout is json_text's own rendering.  When the module is
+imported, json_text renders a sample object of each record, and of the
+document, with a slot in place of each value (the weight arrays at the
+arity of their kind: 3 for a point, 2 for a surface, 1 for a four), and
+that text is the record's one %-format.  A record is rendered by one %
+over its flat values: "%d" writes ints, int subclasses too, as
 int.__repr__ does, and the flags' bools go in as "true" and "false".  The
 search sorts its hits by this text.
 
-Another renderer, json_text, writes every `--json` answer of the command
+The renderer json_text writes every `--json` answer of the command
 line, byte for byte the text of
 json.dumps(value, sort_keys=True, indent=2): strings through json's own
 ASCII encoder, ints (int subclasses too) by int.__repr__, bools as
@@ -102,15 +103,22 @@ class _Record(NamedTuple):
 _JSON_BOOLS = ("false", "true")
 
 
+def _layout(sample: dict, depth: int) -> str:
+    """json_text's rendering of sample at depth as a %-format: each "%d" and
+    "%s" string in it becomes a bare slot."""
+    return (json_text(sample, depth).replace('"%d"', "%d")
+            .replace('"%s"', "%s"))
+
+
 def _record(cls, depth: int, *leading_keys: str) -> _Record:
-    """The reader of each field and one %-format for the whole object: its
-    sorted keys, their line heads, the constant "kind" of a component and a
-    slot per value, "%d" for an int and for each weight of the fixed arity,
-    "%s" for a bool rendered as true or false."""
+    """The reader of each field and one %-format for the whole object: the
+    _layout of a sample object at depth, with the constant "kind" of a
+    component and a slot per value, "%d" for an int and for each weight of
+    the fixed arity, "%s" for a bool rendered as true or false."""
     hints = get_type_hints(cls)
     readers = []
-    slots = {}  # key: (attribute, format of its value)
-    inner = "\n" + "  " * (depth + 2)
+    attrs = {}  # key: attribute
+    sample = {key: cls.kind for key in leading_keys}
     for f in fields(cls):
         hint = hints[f.name]
         if f.name == "weight":  # a four's one normal weight: "weights": [w]
@@ -122,21 +130,13 @@ def _record(cls, depth: int, *leading_keys: str) -> _Record:
         else:  # a tuple of normal weights
             key, arity = f.name, len(get_args(hint))
             readers.append((key, partial(_weights_at, arity=arity)))
-        if arity:
-            text = ("[" + inner + ("," + inner).join(["%d"] * arity)
-                    + inner[:-2] + "]")
-        else:
-            text = "%s" if hint is bool else "%d"
-        slots[key] = (f.name, text)
+        attrs[key] = f.name
+        sample[key] = (["%d"] * arity if arity
+                       else "%s" if hint is bool else "%d")
     keys = leading_keys + tuple(key for key, _ in readers)
-    pad = "\n" + "  " * (depth + 1)
     # Field names and kinds are identifiers: no "%" in them to escape.
-    layout = "{" + ",".join(
-        pad + encode_basestring_ascii(key) + ": "
-        + (slots[key][1] if key in slots
-           else encode_basestring_ascii(cls.kind))
-        for key in sorted(keys)) + "\n" + "  " * depth + "}"
-    get = attrgetter(*[slots[key][0] for key in sorted(slots)])
+    layout = _layout(sample, depth)
+    get = attrgetter(*[attrs[key] for key in sorted(attrs)])
     if bool in hints.values():  # Flags, whose fields are all bools
         def render(obj):
             return layout % tuple([_JSON_BOOLS[v] for v in get(obj)])
@@ -148,13 +148,6 @@ def _record(cls, depth: int, *leading_keys: str) -> _Record:
         def render(obj):
             return layout % get(obj)
     return _Record(cls, keys, tuple(readers), render)
-
-
-_AMBIENT = _record(AmbientData, 1)
-_FLAGS = _record(Flags, 1)
-_COMPONENTS = {cls.kind: _record(cls, 2, "kind") for cls in _COMPONENT_TYPES}
-_DOCUMENT = ('{\n  "ambient": %s,\n  "components": [\n    %s\n  ],'
-             '\n  "flags": %s,\n  "template": %s\n}\n')
 
 
 def _record_from_obj(obj, path: str, record: _Record):
@@ -280,6 +273,13 @@ def json_text(value, depth: int = 0) -> str:
     if value is None:
         return "null"
     raise TypeError(f"JSON output holds no {type(value).__name__} value")
+
+
+_AMBIENT = _record(AmbientData, 1)
+_FLAGS = _record(Flags, 1)
+_COMPONENTS = {cls.kind: _record(cls, 2, "kind") for cls in _COMPONENT_TYPES}
+_DOCUMENT = _layout({"ambient": "%s", "components": ["%s"], "flags": "%s",
+                     "template": "%s"}, 0) + "\n"
 
 
 def dump_config(cfg: Configuration) -> str:

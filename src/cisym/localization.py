@@ -41,6 +41,17 @@ have no safe size.
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
 each one with a citation naming the violated constraint.
+
+No template passes check_x3 and check_p1x with rho <= 0, for any weights,
+lifts and evaluations, with the last surface (or else the first component)
+at lift 0.  In two_fours, four_plus_surface, single_four_b2_2 and
+four_plus_two_points row l^0 of x^3 forces t = 0; cp2like_plus_point has
+rho = (n^2 + sum(w^2)) / a^2 > 0.  The two surface templates need lemma64,
+and no other check: under surface-structure two_surfaces forces t = 0
+unless both first weights are equal, and then rho = 4 n^2 / a^2; under
+weight-matching surface_plus_two_points has
+rho = (sum(w^2) - n1^2 - n2^2) / a1^2, which weight-divisibility makes
+positive.  tests/test_case_analysis.py derives these forms symbolically.
 """
 
 from __future__ import annotations

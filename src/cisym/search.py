@@ -253,6 +253,7 @@ class _Ctx:
     config_flags: Flags = field(init=False)  # the flags of every hit
 
     def __post_init__(self):
+        object.__setattr__(self, "t_lo", max(1, self.t_lo))  # the box's t >= 1
         object.__setattr__(self, "config_flags", self.flags.as_config_flags())
 
 
@@ -283,7 +284,7 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
     if len(s3.num) != 1 or s3.den != 1:
         return None
     (t,) = s3.num
-    if t < max(1, ctx.t_lo) or t > ctx.t_hi:
+    if t < ctx.t_lo or t > ctx.t_hi:
         return None
     sp = p1x_sum(components)
     if len(sp.num) > 1 or sp.den != 1:
@@ -489,7 +490,7 @@ def _box(slots: list[list[_Choice]], ctx: _Ctx
     components, then of t."""
     e_max = ctx.bounds.max_abs_eval
     n = sum(len(slot[0].unknowns) for slot in slots)
-    return [-e_max] * n + [max(1, ctx.t_lo)], [e_max] * n + [ctx.t_hi]
+    return [-e_max] * n + [ctx.t_lo], [e_max] * n + [ctx.t_hi]
 
 
 def _rows(parts, ks: Iterable[int], den: int) -> list[tuple[int, ...]]:
@@ -541,7 +542,7 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
     # the last constant lies in a window set by the others' sum, and den
     # divides the total.  Otherwise every entry's l^0 key is 0 and the
     # window [0, 0] keeps the whole bucket in the order it was tabulated.
-    low, high, step = ((den * max(1, ctx.t_lo), den * ctx.t_hi, den)
+    low, high, step = ((den * ctx.t_lo, den * ctx.t_hi, den)
                        if t_only else (0, 0, 1))
     *heads, tail = slots
     lo, hi = _box(heads, ctx) if head_rows else (None, None)

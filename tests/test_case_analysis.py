@@ -3,7 +3,7 @@ each holds for every weight, evaluation and lift, not only on a search box.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import sympy
@@ -18,13 +18,14 @@ from cisym.localization import (
     FourComponent,
     PointComponent,
     SurfaceComponent,
+    _divides_exactly_two,
     check_x3,
     p1x_local_datum,
     shift_lift,
     x3_local_datum,
     x3_sum,
 )
-from cisym.search import search_case
+from cisym.search import SearchBounds, SearchFlags, search_case
 from lift_reads import coefficients
 
 big = st.integers(-10**6, 10**6)
@@ -95,6 +96,17 @@ def four_data(n, a, ev_x2, ev_xy, ev_y2, ev_p1):
             / n**3, (ev_xy * n + ev_p1 * u) / n)
 
 
+def surface_data(n1, n2, a, ev_x, ev_y1, ev_y2):
+    """The x^3 and p1*x data of a fixed surface of weights (n1, n2) at lift
+    a."""
+    u = L + a
+    m, q = n1 * n2, n1**2 + n2**2
+    y = ev_y1 * n2 + ev_y2 * n1
+    return ((3 * ev_x * m * u**2 - y * u**3) / m**2,
+            (q * ev_x * m + (2 * (n1 * ev_y1 + n2 * ev_y2) * m - q * y) * u)
+            / m**2)
+
+
 def rows(expr, count):
     """The l^0 .. l^(count-1) coefficients of expr."""
     coeffs = sympy.Poly(sympy.expand(expr), L).all_coeffs()[::-1]
@@ -112,8 +124,11 @@ small_weights = st.integers(1, 12)
 
 @given(st.sampled_from((1, -1)), st.tuples(*[small_weights] * 3), ints,
        small_weights, ints, st.tuples(ints, ints, ints),
-       st.sampled_from(((1, 1), (1, -1), (2, 2), (2, 0), (2, -2))))
-def test_the_symbolic_data_are_the_package_data(eps, ws, a, n, b, evs, kind):
+       st.sampled_from(((1, 1), (1, -1), (2, 2), (2, 0), (2, -2))),
+       st.tuples(small_weights, small_weights), ints,
+       st.tuples(ints, ints, ints))
+def test_the_symbolic_data_are_the_package_data(eps, ws, a, n, b, evs, kind,
+                                                 sws, c, sevs):
     point = PointComponent(eps, ws, a)
     px, pp = point_data(eps, sympy.Rational(1, prod(ws)),
                         sum(w * w for w in ws), a)
@@ -124,6 +139,10 @@ def test_the_symbolic_data_are_the_package_data(eps, ws, a, n, b, evs, kind):
     fx, fp = four_data(sympy.Integer(n), b, *evs, 3 * sign)
     assert coefficients(x3_local_datum(four)) == fractions(fx)
     assert coefficients(p1x_local_datum(four)) == fractions(fp)
+    surface = SurfaceComponent(sws, c, *sevs, 2)
+    sx, sp = surface_data(*map(sympy.Integer, sws), c, *sevs)
+    assert coefficients(x3_local_datum(surface)) == fractions(sx)
+    assert coefficients(p1x_local_datum(surface)) == fractions(sp)
 
 
 def test_four_plus_two_points_forces_t_to_zero():
@@ -183,3 +202,120 @@ def test_cp2like_plus_point_has_positive_rho():
     assert [v.subs(at) for v in solved[point.eps]] == [
         four.ev_x2, four.ev_xy, four.ev_y2, four.ev_p1, hit.ambient.t,
         hit.ambient.rho]
+
+
+def test_two_surfaces_under_lemma64_has_positive_rho():
+    # Under lemma64 (surface-structure) the surfaces have weights (n1, m)
+    # and (n2, m) and second evaluations 0; the first sits at lift a, the
+    # second at 0.  The x^3 rows and the p1*x rows l^1 and l^0 are
+    # homogeneous in the four other evaluations, t and s = rho * t, with
+    # determinant 18 a (n1 - n2)(n1 + n2) / (m^4 n1^3 n2^3).  So n1 != n2
+    # leaves only t = 0, and n1 = n2 gives rho = 4 n1^2 / a^2 > 0.  At a = 0
+    # neither surface adds to row l^0 of x^3, which reads 0 = t.
+    n1, n2, m = sympy.symbols("n1 n2 m", positive=True)
+    a = sympy.Symbol("a", real=True, nonzero=True)
+    unknowns = sympy.symbols("ev_x1 ev_y1 ev_x2 ev_y2 t s")
+    x1, y1, x2, y2, t, s = unknowns
+
+    def identities(second, lift):
+        fx, fp = surface_data(n1, m, lift, x1, y1, 0)
+        gx, gp = surface_data(second, m, 0, x2, y2, 0)
+        return rows(fx + gx - t, 4) + rows(fp + gp - s, 2)
+
+    matrix, constants = sympy.linear_eq_to_matrix(identities(n2, a), unknowns)
+    assert constants.is_zero_matrix
+    assert sympy.simplify(matrix.det() - 18 * a * (n1 - n2) * (n1 + n2)
+                          / (m**4 * n1**3 * n2**3)) == 0
+    ((*_, t_, s_),) = sympy.linsolve(identities(n1, a), unknowns)
+    rho = sympy.simplify(s_ / t_)
+    assert sympy.simplify(rho - 4 * n1**2 / a**2) == 0
+    assert rho.is_positive
+    assert identities(n2, 0)[0] == -t
+    # The search's hits have n1 = n2 and this rho; the semifree ones, at
+    # n1 = 1, satisfy rho (a_X - a_Y)^2 = 4.
+    for bounds, flags, count in (((5, 5, 10), SearchFlags(semifree=True), 14),
+                                 ((3, 3, 6), SearchFlags(), 44)):
+        hits = search_case("two_surfaces", (1, 10), (-10, 10),
+                           SearchBounds(*bounds), flags)
+        assert len(hits) == count
+        for hit in hits:
+            x, y = hit.surfaces()
+            assert x.weights[0] == y.weights[0] and y.a == 0
+            assert hit.ambient.rho == rho.subs({n1: x.weights[0], a: x.a})
+            if flags.semifree:
+                assert hit.ambient.rho * (x.a - y.a)**2 == 4
+
+
+def test_surface_plus_two_points_under_lemma64_has_positive_rho():
+    # The surface of weights (n1, n2) sits at lift 0, so it adds nothing to
+    # row l^1 of x^3.  Weight-matching gives both points one weight multiset
+    # w, with reciprocal product r and square sum q; the points have signs
+    # e1, e2 and lifts a1, a2.  Row l^1 reads 3 r (e1 a1^2 + e2 a2^2) = 0.
+    # With e2 = e1 that forces a1 = a2 = 0, and with e2 = -e1 it forces
+    # a2 = a1 or a2 = -a1.  At a2 = a1 the points' data cancel, and row l^0
+    # reads 0 = t.  At a2 = -a1 every row is linear in the surface's
+    # evaluations, t and s = rho * t: t = 2 e1 a1^3 r and
+    # rho = (q - n1^2 - n2^2) / a1^2, which is positive by
+    # test_weight_divisibility_bounds_the_point_weights.
+    n1, n2, r, q = sympy.symbols("n1 n2 r q", positive=True)
+    a1, a2 = sympy.symbols("a1 a2", real=True)
+    unknowns = sympy.symbols("ev_x ev_y1 ev_y2 t s")
+    t, s = unknowns[3:]
+    sx, sp = surface_data(n1, n2, 0, *unknowns[:3])
+    solved = {}
+    for e1, e2 in product((1, -1), repeat=2):
+
+        def identities(lift):
+            px1, pp1 = point_data(e1, r, q, a1)
+            px2, pp2 = point_data(e2, r, q, lift)
+            return rows(sx + px1 + px2 - t, 4) + rows(sp + pp1 + pp2 - s, 2)
+
+        l1 = identities(a2)[1]
+        if e2 == e1:
+            assert sympy.expand(l1 - 3 * e1 * r * (a1**2 + a2**2)) == 0
+            assert identities(a2)[0].subs({a1: 0, a2: 0}) == -t
+            continue
+        assert sympy.expand(l1 - 3 * e1 * r * (a1 - a2) * (a1 + a2)) == 0
+        assert sympy.expand(identities(a1)[0]) == -t
+        ((x_, _, _, t_, s_),) = sympy.linsolve(identities(-a1), unknowns)
+        assert sympy.simplify(t_ - 2 * e1 * a1**3 * r) == 0
+        assert sympy.simplify(x_ + 2 * e1 * a1 * n1 * n2 * r) == 0
+        rho = sympy.simplify(s_ / t_)
+        assert sympy.simplify(rho - (q - n1**2 - n2**2) / a1**2) == 0
+        solved[e1] = (x_, t_, rho)
+    # Each of the search's hits is this form at its weights and lifts.
+    hits = search_case("surface_plus_two_points", (1, 10), (-10, 10),
+                       SearchBounds(3, 3, 6))
+    assert len(hits) == 41
+    for hit in hits:
+        (x,) = hit.surfaces()
+        p, p2 = hit.points()
+        assert (p2.eps, p2.a, sorted(p2.weights)) == (-p.eps, -p.a,
+                                                     sorted(p.weights))
+        at = {n1: x.weights[0], n2: x.weights[1], a1: p.a,
+              r: sympy.Rational(1, prod(p.weights)),
+              q: sum(w * w for w in p.weights)}
+        assert [v.subs(at) for v in solved[p.eps]] == [
+            x.ev_x, hit.ambient.t, hit.ambient.rho]
+
+
+def test_weight_divisibility_bounds_the_point_weights():
+    # Under weight-divisibility the point weights w of surface_plus_two_points
+    # have sum(w^2) > n1^2 + n2^2 for the surface weights (n1, n2).  Proof:
+    # let n = max(n1, n2).  If n = 1, sum(w^2) >= 3 > 2.  Otherwise n
+    # divides exactly two of the three weights, each of which is then >= n,
+    # and the third is >= 1, so sum(w^2) >= 2 n^2 + 1 > n1^2 + n2^2.  The
+    # scan checks the bound and the conclusion on every admissible pair of
+    # sorted surface and point weights up to 30.
+    weights = range(1, 31)
+    triples = [(w, sum(v * v for v in w))
+               for w in combinations_with_replacement(weights, 3)]
+    admissible = 0
+    for pair in combinations_with_replacement(weights, 2):
+        n, bound = max(pair), pair[0]**2 + pair[1]**2
+        least = 2 * n * n + 1 if n > 1 else 3
+        for w, square_sum in triples:
+            if _divides_exactly_two(pair, w):
+                admissible += 1
+                assert square_sum >= least > bound
+    assert admissible == 21455

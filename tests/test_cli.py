@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -23,6 +24,7 @@ from cisym.localization import (
     SurfaceComponent,
     shift_lift,
 )
+from cisym.search import SearchBounds, SearchFlags, search_case
 from test_acceptance import _random_configuration
 
 
@@ -178,6 +180,24 @@ def test_every_argument_has_help():
     for name, command in sub.choices.items():
         for action in command._actions:
             assert action.help, (name, action.dest)
+
+
+def test_search_defaults_are_the_library_defaults():
+    # `cisym search T` with no options searches what search_case(T) does.
+    args = build_parser().parse_args(["search", "two_fours"])
+    defaults = {name: p.default for name, p
+                in inspect.signature(search_case).parameters.items()}
+    assert SearchBounds(args.max_weight, args.max_abs_a,
+                        args.max_abs_eval) == SearchBounds() \
+        == defaults["bounds"]
+    assert SearchFlags(effectiveness=not args.no_effectiveness,
+                       convention35=not args.no_convention35,
+                       lemma64=not args.no_lemma64,
+                       semifree=args.semifree) == SearchFlags() \
+        == defaults["flags"]
+    assert (args.t_min, args.t_max) == defaults["t_range"]
+    assert (args.rho_min, args.rho_max) == defaults["rho_range"]
+    assert args.budget == defaults["budget"]
 
 
 def test_classify_json_variants(capsys):
