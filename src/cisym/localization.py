@@ -23,6 +23,12 @@ products of per-weight factors; _edge(n) and _kernel(n) are built once per
 weight and reused, a table of at most MAX_WEIGHT entries each.  The sums of the local data run from zero; the
 kernels' zero rule makes their first addition return the first datum.
 
+A surface with weights (n, n) has one weight-n normal summand, a rank-2
+complex bundle, which c1 classifies over a closed surface.  So its data
+read ev_y1 and ev_y2 only through sigma = ev_y1 + ev_y2 (x^3 has the u^3
+term -n sigma / n^4, p1*x the slope 0, the character is 4 edge(n)
+kernel(n) sigma); surface-structure is the one check that reads a splitting.
+
 Within one search_case call, each local datum is computed once per distinct
 key, and so are the signature checks of a component multiset.  The call
 enters a fresh memo (_LOCAL_DATA), one dict for every local datum and every
@@ -31,12 +37,13 @@ is a plain tuple, hashed and compared in C: the function that computes the
 value, then, for a local datum, the component's kind and the values of all
 its fields, and for the signature checks, the sorted multiset of the
 components' kinds and the fields their signature characters read (eps and
-weights of a point; weights, ev_y1 and ev_y2 of a surface).  So verify_case
-in a leaf reuses the leaf's data, a two_surfaces hit and its swap image
-share their signature checks, and outside a search each value is computed
-directly, before any key is built.  No cache outlives the call: a signature
-character grows with its weights, so a cache for the whole process would
-have no safe size.
+weights of a point; weights, ev_y1 and ev_y2 of a surface), with sigma in
+place of ev_y1 and ev_y2 for equal weights.  So verify_case in a leaf
+reuses the leaf's data, the splittings of a surface share theirs, a
+two_surfaces hit and its swap image share their signature checks, and
+outside a search each value is computed directly, before any key is built.
+No cache outlives the call: a signature character grows with its weights,
+so a cache for the whole process would have no safe size.
 
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
@@ -377,13 +384,17 @@ _LOCAL_DATA: ContextVar[Optional[dict[tuple, object]]] = ContextVar(
 
 def _local(compute: Callable[[Component], _Datum], c: Component) -> _Datum:
     """compute(c), memoized within a search_case call under the key
-    (compute, c.kind, every field of c): c.__dict__.values() in field order.
-    The dataclass __init__ sets the fields in that order, and __post_init__
-    and search._copy only reassign existing ones, which keeps their place."""
+    (compute, c.kind, c.__dict__.values() in field order, sigma standing for
+    ev_y1 and ev_y2 at equal weights).  The dataclass __init__ sets the
+    fields in that order; __post_init__ and search._copy only reassign."""
     memo = _LOCAL_DATA.get()
     if memo is None:
         return compute(c)
-    key = (compute, c.kind, *c.__dict__.values())
+    if c.kind == "surface" and c.weights[0] == c.weights[1]:
+        key = (compute, "surface", c.weights, c.a, c.ev_x, c.ev_y1 + c.ev_y2,
+               c.chi)
+    else:
+        key = (compute, c.kind, *c.__dict__.values())
     datum = memo.get(key)
     if datum is None:
         datum = memo[key] = compute(c)
@@ -615,8 +626,11 @@ def check_p1x(cfg: Configuration) -> CheckResult:
 
 # The fields a signature character reads, by component kind: the multiset
 # key of the signature checks.
-_SIGNATURE_READS = {"point": attrgetter("eps", "weights"),
-                    "surface": attrgetter("weights", "ev_y1", "ev_y2")}
+_SIGNATURE_READS = {
+    "point": attrgetter("eps", "weights"),
+    "surface": lambda c: ((c.weights, c.ev_y1 + c.ev_y2)
+                          if c.weights[0] == c.weights[1]
+                          else (c.weights, c.ev_y1, c.ev_y2))}
 
 
 def signature_checks(components: Iterable[Component]) -> list[CheckResult]:

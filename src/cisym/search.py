@@ -89,37 +89,41 @@ the bounds its hit list is exhaustive.
    into a candidate from the validated components of its choices: the
    copy takes the lifts and the solver's evaluations, Python ints, without
    running the components' validation again.  The candidate goes to _leaf,
-   which recomputes the x^3 and p1*x sums, derives rho, builds the
-   Configuration and keeps the candidate only if verify_case passes.  The
-   enumeration makes every structural rule of Configuration hold (the first
-   point has eps = +1 under convention35, weights are coprime under
-   effectiveness, b2 comes from the template, the box keeps t >= 1), so a
-   candidate that Configuration rejects is a fault and raises.
-   In two_surfaces each hit then gives its swap image, made by _copy: the
-   surfaces swapped, every lift shifted by -a, and the hit's own ambient
-   data and flags.  The image is a hit only if verify_case passes on it.
-   Every hit is thus checked independently of the solver, and the drop
-   only skips candidates that _leaf would reject.  Within one search_case
-   call the leaves' local data are computed once per distinct key (see
-   localization), so verify_case reuses the data of the leaf that calls
-   it; the choices compute their own directly, once each.  Its signature
-   checks are formed once per multiset of the components' signature data,
-   so a hit and its swap image share them.
+   which recomputes the x^3 and p1*x sums, derives rho and builds the
+   Configuration, the representative of its members.  The enumeration makes
+   every structural rule of Configuration hold (the first point has
+   eps = +1 under convention35, weights are coprime under effectiveness, b2
+   comes from the template, the box keeps t >= 1), so a candidate that
+   Configuration rejects is a fault and raises.
+4. Members and images.  The data of a surface with weights (n, n) read
+   ev_y1 and ev_y2 only through sigma = ev_y1 + ev_y2 (see localization),
+   so its choice takes sigma as one unknown, kept in ev_y1 with ev_y2 = 0,
+   unless surface-structure fixes ev_y2 = 0 (two_surfaces under lemma64).
+   _leaf reads sigma alone.  The members of its representative put each
+   sigma surface at every ev_y1 in [max(-E, sigma - E), min(E, sigma + E)]
+   with ev_y2 = sigma - ev_y1; without one it is its own member.  In
+   two_surfaces each hit has a swap image: the surfaces swapped, every lift
+   shifted by -a.  _image builds both by _copy, and each is a hit only if
+   verify_case passes on it: every hit is checked independently of the
+   solver, and the l^1 drop only skips candidates that _leaf would reject.
+   In one search_case call the local data and signature checks are computed
+   once per key, which reads sigma (see localization), so the members and
+   swap images of a class share them, and the data of their leaf.
 
-The box: evaluations lie in [-max_abs_eval, max_abs_eval] and t in
-[max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1 under
-semifree, and for a 4-dimensional component also under effectiveness),
-are coprime per component under effectiveness, and are sorted per
-component, except that under lemma64 the two surfaces have weights
-(n_X, m) and (n_Y, m) and both second evaluations 0.  Search-specific
-conventions: fixed surfaces are spheres (chi = 2), 4-dimensional
-components have b1 = 0 (chi = 2 + b2, with b2 fixed by the template), the
-ambient Euler characteristic is the sum of the component ones, the first
-point has eps = +1 under convention35, and the lift is normalized so that
-the last surface (or else the first component) has a = 0, the other lifts
-lying in [-max_abs_a, max_abs_a].  In two_surfaces the first surface
-takes the lifts 1..max_abs_a: those below 0 come from the swap images, and
-a = 0 holds no point.
+The box: evaluations lie in [-E, E], E = max_abs_eval, sigma in [-2E, 2E]
+and t in [max(1, t_lo), t_hi].  Weights run from 1 to max_weight (only 1
+under semifree, and for a 4-dimensional component also under
+effectiveness), are coprime per component under effectiveness, and are
+sorted per component, except that under lemma64 the two surfaces have
+weights (n_X, m) and (n_Y, m) and both second evaluations 0.
+Search-specific conventions: fixed surfaces are spheres (chi = 2),
+4-dimensional components have b1 = 0 (chi = 2 + b2, with b2 fixed by the
+template), the ambient Euler characteristic is the sum of the component
+ones, the first point has eps = +1 under convention35, and the lift is
+normalized so that the last surface (or else the first component) has
+a = 0, the other lifts lying in [-max_abs_a, max_abs_a].  In two_surfaces
+the first surface takes the lifts 1..max_abs_a: those below 0 come from
+the swap images, and a = 0 holds no point.
 
 The budget counts nodes.  A node is one step of the enumeration, counted
 when it is entered: one weight tuple of a component and one choice of its
@@ -130,13 +134,13 @@ as the join tabulates it, one choice of the other components' lifts as it
 looks its entries up, one combination of data and lifts that the join
 builds, one value of a free unknown in the solver inside the range that
 the bounds of the pivots it completes allow (in a head solve too, which
-stops at its first point), one candidate handed to _leaf, and one swap
-image built from each two_surfaces hit.  A combination that the join
-drops is never built and is no node.  A point that the l^1 row drops is a
-value the solver tried, not a candidate handed to _leaf, so it adds no
-node of its own.  Nothing is enumerated before its nodes are counted, so
-the budget bounds the memory of a call too: a range of lifts is walked,
-never copied.
+stops at its first point), one candidate handed to _leaf, one member of
+a representative with a sigma surface, and one swap image built from each
+two_surfaces hit.  A combination that the join drops is never built and
+is no node.  A point that the l^1 row drops is a value the solver tried,
+not a candidate handed to _leaf, so it adds no node of its own.  Nothing
+is enumerated before its nodes are counted, so the budget bounds the
+memory of a call too: a range of lifts or splittings is walked.
 A call that visits N nodes succeeds with a budget of N; with a budget of
 N - 1 it raises BudgetExceededError, naming the template and the nodes
 reached, rather than silently truncating the search; the message also
@@ -150,7 +154,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import LiftPolynomial, _taylor_shift
@@ -257,10 +261,6 @@ class _Ctx:
         object.__setattr__(self, "config_flags", self.flags.as_config_flags())
 
 
-def _sym(limit: int) -> range:
-    return range(-limit, limit + 1)
-
-
 def _weight_values(ctx: _Ctx) -> list[int]:
     if ctx.flags.semifree:
         return [1]
@@ -276,7 +276,7 @@ def _weight_tuples(ctx: _Ctx, size: int) -> Iterator[tuple[int, ...]]:
 
 def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
           counter: _Counter) -> Optional[Configuration]:
-    """Derive (t, rho) from the candidate's data and verify it in full."""
+    """The candidate's Configuration, unverified, with (t, rho) derived."""
     counter.tick()
     # Each sum must be a constant integer: no l term, over den 1.  An x^3
     # sum of 0 has no numerator, and t = 0 is out of range anyway.
@@ -295,10 +295,37 @@ def _leaf(template: str, components: tuple[Component, ...], ctx: _Ctx,
     rho = rho_t // t
     if rho < ctx.rho_lo or rho > ctx.rho_hi:
         return None
-    euler = sum(c.chi for c in components)
-    cfg = Configuration(AmbientData(t, rho, euler, 0), template, components,
-                        ctx.config_flags)
-    return cfg if verify_case(cfg).consistent else None
+    return Configuration(AmbientData(t, rho, sum(c.chi for c in components)),
+                         template, components, ctx.config_flags)
+
+
+def _members(rep: Configuration, combo: tuple[_Choice, ...], e: int,
+             counter: _Counter) -> Iterator[Configuration]:
+    """The members of the representative that verify_case passes, walked
+    lazily, each an image of it; without a sigma surface, itself."""
+    if not any(c.split for c in combo):
+        yield from (rep,) if verify_case(rep).consistent else ()
+        return
+    comps = rep.components
+    splits = [range(max(-e, x.ev_y1 - e), min(e, x.ev_y1 + e) + 1)
+              if c.split else (None,) for c, x in zip(combo, comps)]
+    for ys in _product(splits):
+        member = _image(rep, [(x, x.a, () if y is None else (
+                                   ("ev_y1", y), ("ev_y2", x.ev_y1 - y)))
+                              for x, y in zip(comps, ys)], counter)
+        if member is not None:
+            yield member
+
+
+def _image(cfg: Configuration, parts: Iterable[tuple[Component, int, tuple]],
+           counter: _Counter) -> Optional[Configuration]:
+    """cfg with the components _copy builds from parts, (component, lift,
+    evaluations) each, if verify_case passes on it: a member or a swap
+    image.  One node, counted before it is built."""
+    counter.tick()
+    image = Configuration(cfg.ambient, cfg.template,
+                          tuple(_copy(*part) for part in parts), cfg.flags)
+    return image if verify_case(image).consistent else None
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +354,20 @@ def _copy(comp: Component, a: int,
 
 class _Choice:
     """The discrete data of one component: the component at lift 0 with
-    zero evaluations, the names of its unknown evaluations, its lifts, and
-    its x^3 datum as columns (one per unknown, then the constant one).  The
-    columns are scaled to integers over the common denominator of the call
-    and shifted to each lift on first use; the l^1 entries of its p1*x
-    datum are built on first use."""
+    zero evaluations, its unknowns' names and bounds (lo = -hi), whether its
+    ev_y1 holds sigma, its lifts, and its x^3 datum as columns (one per
+    unknown, then the constant one).  The columns are scaled to integers
+    over the common denominator of the call and shifted to each lift on
+    first use; the l^1 entries of its p1*x datum are built on first use."""
 
-    __slots__ = ("comp", "unknowns", "polys", "columns", "shifted", "lifts",
-                 "l1")
+    __slots__ = ("comp", "unknowns", "lo", "hi", "split", "polys",
+                 "columns", "shifted", "lifts", "l1")
 
-    def __init__(self, comp: Component, unknowns: tuple[str, ...]):
+    def __init__(self, comp: Component, unknowns: tuple[str, ...],
+                 hi: tuple[int, ...] = (), split: bool = False):
         self.comp = comp
         self.unknowns = unknowns
+        self.lo, self.hi, self.split = tuple(map(neg, hi)), hi, split
         *unit, base = self._read(_x3_local_datum)
         self.polys = [p - base for p in unit]
         self.polys.append(base)
@@ -408,8 +437,9 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
     constant, reaches.  The lift is fixed at 0 on the last surface, or else
     on the first component; the first surface of two_surfaces takes the
     lifts >= 1 alone.  Each weight tuple and each choice is a node."""
-    flags = ctx.flags
+    flags, a_max, e = ctx.flags, ctx.bounds.max_abs_a, ctx.bounds.max_abs_eval
     kinds = TEMPLATES[template]
+    structured = template == "two_surfaces" and flags.lemma64
     fixed = (len(kinds) - 1 - kinds[::-1].index("surface")
              if "surface" in kinds else 0)
     slots = []
@@ -418,9 +448,9 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
             lifts = (0,)
         elif template == "two_surfaces":
             # One per swap orbit; at a = 0 row l^0 reads -den * t = 0.
-            lifts = range(1, ctx.bounds.max_abs_a + 1)
+            lifts = range(1, a_max + 1)
         else:
-            lifts = _sym(ctx.bounds.max_abs_a)
+            lifts = range(-a_max, a_max + 1)
         # data: each weight tuple with the components that it gives.
         if kind == "point":
             first = "point" not in kinds[:i]
@@ -429,7 +459,7 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
                     for w in _weight_tuples(ctx, 3))
             unknowns = ()
         elif kind == "surface":
-            if template == "two_surfaces" and flags.lemma64:
+            if structured:
                 ws = _weight_values(ctx)
                 pairs = ((n, m) for n in ws for m in ws
                          if not flags.effectiveness or gcd(n, m) == 1)
@@ -445,12 +475,16 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
                          for s in range(-b2, b2 + 1, 2)])
                     for w in _weight_tuples(ctx, 1))
         slot = []
+        # surface-structure fixes ev_y2 = 0, else (n, n) takes sigma.
+        plain = (unknowns, (e,) * len(unknowns), False)
+        sigma = (unknowns[:2], (e, 2 * e), kind == "surface" and not structured)
         for w, comps in data:
             counter.building = (kind, w)
             counter.tick()
+            names, hi, split = sigma if sigma[2] and w[0] == w[1] else plain
             for comp in comps:
                 counter.tick()
-                choice = _Choice(comp, unknowns)
+                choice = _Choice(comp, names, hi, split)
                 choice.lifts = lifts
                 slot.append(choice)
         slots.append(slot)
@@ -484,13 +518,14 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
     return slots, den, joined, 0 not in entered, head_rows
 
 
-def _box(slots: list[list[_Choice]], ctx: _Ctx
+def _box(choices: tuple[_Choice, ...], ctx: _Ctx
          ) -> tuple[list[int], list[int]]:
-    """The lower and upper bounds of the unknown evaluations of the slots'
-    components, then of t."""
-    e_max = ctx.bounds.max_abs_eval
-    n = sum(len(slot[0].unknowns) for slot in slots)
-    return [-e_max] * n + [ctx.t_lo], [e_max] * n + [ctx.t_hi]
+    """The lower and upper bounds of each choice's unknowns, then of t."""
+    lo, hi = [], []
+    for c in choices:
+        lo += c.lo
+        hi += c.hi
+    return lo + [ctx.t_lo], hi + [ctx.t_hi]
 
 
 def _rows(parts, ks: Iterable[int], den: int) -> list[tuple[int, ...]]:
@@ -545,7 +580,6 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
     low, high, step = ((den * ctx.t_lo, den * ctx.t_hi, den)
                        if t_only else (0, 0, 1))
     *heads, tail = slots
-    lo, hi = _box(heads, ctx) if head_rows else (None, None)
     groups: dict[tuple, list[_Choice]] = {}
     for c in tail:
         groups.setdefault((c.comp.signature_contribution,
@@ -575,7 +609,8 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
             for bucket in table.values():
                 bucket.sort(key=_first)
         counter.combo = head
-        for prefix in _lift_tuples(head):
+        lo, hi = _box(head, ctx) if head_rows else (None, None)
+        for prefix in _product([c.lifts for c in head]):
             counter.tick()
             # The tail enters no head row, so the head of a combination with
             # a solution has a point on those rows.
@@ -595,15 +630,15 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
                     yield head + (c,), prefix + (a,)
 
 
-def _lift_tuples(choices: tuple[_Choice, ...]) -> Iterator[tuple[int, ...]]:
-    """The lift tuples of the choices in the order of product, enumerated
-    lazily: product would first copy every range of lifts into a tuple."""
-    if not choices:
+def _product(ranges: list[Iterable]) -> Iterator[tuple]:
+    """The tuples of product(*ranges) in its order, enumerated lazily:
+    product would first copy every range into a tuple."""
+    if not ranges:
         yield ()
         return
-    for prefix in _lift_tuples(choices[:-1]):
-        for a in choices[-1].lifts:
-            yield prefix + (a,)
+    for prefix in _product(ranges[:-1]):
+        for v in ranges[-1]:
+            yield prefix + (v,)
 
 
 def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
@@ -701,7 +736,6 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
     """Every consistent configuration of the template inside the box."""
     slots, den, joined, t_only, head_rows = _choices(template, ctx, counter)
     solved = [k for k in range(_ROWS) if k not in joined]
-    lo, hi = _box(slots, ctx)
     orbit = template == "two_surfaces"
     hits = []
     for combo, lift in _combinations(template, slots, den, joined, t_only,
@@ -709,7 +743,7 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
         counter.combo = combo
         counter.tick()
         rows = _rows([c.at(a) for c, a in zip(combo, lift)], solved, den)
-        for x in _solve(rows, lo, hi, counter):
+        for x in _solve(rows, *_box(combo, ctx), counter):
             if _p1x_l1(combo, x, den):
                 continue
             # Each zip stops at the choice's last unknown, so the next
@@ -717,25 +751,17 @@ def _search(template: str, ctx: _Ctx, counter: _Counter) -> list[Configuration]:
             values = iter(x)
             cand = tuple(_copy(c.comp, a, zip(c.unknowns, values))
                          for c, a in zip(combo, lift))
-            cfg = _leaf(template, cand, ctx, counter)
-            if cfg is not None:
-                hits.append(cfg)
-                image = _image(cfg, counter) if orbit else None
-                if image is not None:
-                    hits.append(image)
+            rep = _leaf(template, cand, ctx, counter)
+            if rep is None:
+                continue
+            for hit in _members(rep, combo, ctx.bounds.max_abs_eval, counter):
+                hits.append(hit)
+                if orbit:
+                    sx, sy = hit.components
+                    image = _image(hit, ((sy, -sx.a, ()), (sx, 0, ())), counter)
+                    if image is not None:
+                        hits.append(image)
     return hits
-
-
-def _image(hit: Configuration, counter: _Counter) -> Optional[Configuration]:
-    """The swap image of a two_surfaces hit, kept only if verify_case
-    passes on it: the surfaces swapped and every lift shifted by minus the
-    first surface's, so that the last surface sits at 0 again, with the
-    hit's own ambient data and flags.  One node."""
-    counter.tick()
-    x, y = hit.components
-    image = Configuration(hit.ambient, hit.template,
-                          (_copy(y, -x.a, ()), _copy(x, 0, ())), hit.flags)
-    return image if verify_case(image).consistent else None
 
 
 def search_case(

@@ -2,6 +2,7 @@
 each holds for every weight, evaluation and lift, not only on a search box.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
@@ -22,6 +23,7 @@ from cisym.localization import (
     check_x3,
     p1x_local_datum,
     shift_lift,
+    signature_local_datum,
     x3_local_datum,
     x3_sum,
 )
@@ -143,6 +145,66 @@ def test_the_symbolic_data_are_the_package_data(eps, ws, a, n, b, evs, kind,
     sx, sp = surface_data(*map(sympy.Integer, sws), c, *sevs)
     assert coefficients(x3_local_datum(surface)) == fractions(sx)
     assert coefficients(p1x_local_datum(surface)) == fractions(sp)
+
+
+Q = sympy.Symbol("q")
+
+
+def surface_character(n1, n2, ev_y1, ev_y2):
+    """The signature character of a fixed surface of weights (n1, n2):
+    4 (edge(n2) kernel(n1) ev_y1 + edge(n1) kernel(n2) ev_y2), with
+    edge(n) = (1 + q^n) / (1 - q^n) and kernel(n) = q^n / (1 - q^n)^2."""
+    def edge(n):
+        return (1 + Q**n) / (1 - Q**n)
+
+    def kernel(n):
+        return Q**n / (1 - Q**n)**2
+
+    return 4 * (edge(n2) * kernel(n1) * ev_y1 + edge(n1) * kernel(n2) * ev_y2)
+
+
+def character(c):
+    """A CharacterFunction as a sympy expression in q."""
+    def poly(coeffs):
+        return sum(x * Q**k for k, x in enumerate(coeffs))
+    return poly(c.num) / poly(c.den)
+
+
+def test_the_data_of_an_equal_weight_surface_read_sigma_alone():
+    # The weight-n normal summand of a surface with weights (n, n) is one
+    # rank-2 complex bundle, so its x^3 and p1*x data and its signature
+    # character read ev_y1 and ev_y2 only through sigma = ev_y1 + ev_y2: a
+    # re-split (ev_y1 + k, ev_y2 - k) keeps each of them.  At weights
+    # (1, 2) each one moves, so a sigma key holds for equal weights alone.
+    n, a, ev_x, y1, y2, k = sympy.symbols("n a ev_x ev_y1 ev_y2 k")
+
+    def data(n1, n2, ev_y1, ev_y2):
+        return (*surface_data(n1, n2, a, ev_x, ev_y1, ev_y2),
+                surface_character(n1, n2, ev_y1, ev_y2))
+
+    for weights, keeps in (((n, n), True), ((1, 2), False)):
+        for before, after in zip(data(*weights, y1, y2),
+                                 data(*weights, y1 + k, y2 - k)):
+            assert (sympy.simplify(after - before) == 0) == keeps, weights
+    # The package's data at every n <= 6, against the forms above.
+    for w in range(1, 7):
+        for values in ((0, 0, 0, 0, 1), (3, -2, 5, -1, 4), (-4, 1, -6, 6, -7)):
+            lift, x, e1, e2, shift = values
+            surface = SurfaceComponent((w, w), lift, x, e1, e2, 2)
+            moved = replace(surface, ev_y1=e1 + shift, ev_y2=e2 - shift)
+            for datum in (x3_local_datum, p1x_local_datum,
+                          signature_local_datum):
+                assert datum(moved) == datum(surface), (w, values)
+            sx, sp = surface_data(sympy.Integer(w), sympy.Integer(w), lift, x,
+                                  e1, e2)
+            assert coefficients(x3_local_datum(surface)) == fractions(sx)
+            assert coefficients(p1x_local_datum(surface)) == fractions(sp)
+            assert sympy.cancel(character(signature_local_datum(surface))
+                                - surface_character(w, w, e1, e2)) == 0
+    surface = SurfaceComponent((1, 2), 3, -2, 5, -1, 2)
+    moved = replace(surface, ev_y1=6, ev_y2=-2)
+    for datum in (x3_local_datum, p1x_local_datum, signature_local_datum):
+        assert datum(moved) != datum(surface)
 
 
 def test_four_plus_two_points_forces_t_to_zero():

@@ -235,7 +235,7 @@ def test_certify_box_leaves_and_solves_are_pinned(monkeypatch):
         assert search_case(template) == []
         leaves[template], solves[template] = calls["leaf"], calls["solve"]
     assert {t: n for t, n in leaves.items() if n} == {
-        "two_surfaces": 68, "surface_plus_two_points": 135,
+        "two_surfaces": 68, "surface_plus_two_points": 15,
         "cp2like_plus_point": 2}
     assert solves["two_surfaces"] == 95 + 142
     for template in ("two_fours", "four_plus_surface", "four_plus_two_points",
@@ -265,11 +265,11 @@ def test_the_solver_t_is_the_x3_sum_of_every_leaf(monkeypatch):
     monkeypatch.setattr(search, "_leaf", leaf)
     for flags, template in product(FLAG_SETS.values(), sorted(TEMPLATES)):
         search_case(template, bounds=SearchBounds(2, 2, 2), flags=flags)
-    assert len(leaves) == 285 and all(leaves)
+    assert len(leaves) == 95 and all(leaves)
     leaves.clear()
     for template in sorted(TEMPLATES):
         search_case(template)
-    assert len(leaves) == 205 and all(leaves)
+    assert len(leaves) == 85 and all(leaves)
 
 
 def test_the_l1_row_drops_exactly_the_points_whose_p1x_sum_keeps_l(
@@ -307,13 +307,13 @@ def test_the_l1_row_drops_exactly_the_points_whose_p1x_sum_keeps_l(
     monkeypatch.setattr(search, "_leaf", leaf)
     for flags, template in product(FLAG_SETS.values(), sorted(TEMPLATES)):
         search_case(template, bounds=SearchBounds(2, 2, 2), flags=flags)
-    assert (len(leaves), len(kept), len(dropped)) == (285, 285, 70)
+    assert (len(leaves), len(kept), len(dropped)) == (95, 95, 58)
     assert all(leaves) and all(kept) and not any(dropped)
     for lists in (leaves, kept, dropped):
         lists.clear()
     for template in sorted(TEMPLATES):
         search_case(template)
-    assert (len(leaves), len(kept), len(dropped)) == (205, 205, 80)
+    assert (len(leaves), len(kept), len(dropped)) == (85, 85, 80)
     assert all(leaves) and all(kept) and not any(dropped)
 
 
@@ -428,8 +428,8 @@ def test_the_head_rows_hand_the_same_candidates_to_the_leaf(monkeypatch):
         images = Counter((template, _swap(*cand)) for template, cand in kept
                          if template == "two_surfaces")
         assert Counter(full) == Counter(kept) + images
-    assert [len(cands) for cands in with_head] == [205, 918]
-    assert [len(cands) for cands in every] == [273, 1645]
+    assert [len(cands) for cands in with_head] == [85, 173]
+    assert [len(cands) for cands in every] == [153, 295]
 
 
 def _every_lift(template, bounds):
@@ -948,8 +948,13 @@ def test_join_matches_the_filtered_product_of_choices_and_lifts(
     def head_feasible(pairs, t_lo, t_hi):
         # Some evaluations of the head in the box and some t in range put
         # the head on its rows, found by trying every one of them.
-        n = sum(len(c.unknowns) for c, _ in pairs)
-        values = product(*[range(-2, 3)] * n, range(t_lo, t_hi + 1))
+        # An equal-weight surface without lemma64 takes sigma = ev_y1 +
+        # ev_y2 as its unknown ev_y1, which lies in [-4, 4].
+        values = product(*[
+            range(-4, 5) if name == "ev_y1" and not flags.lemma64
+            and c.comp.weights[0] == c.comp.weights[1] else range(-2, 3)
+            for c, _ in pairs for name in c.unknowns],
+            range(t_lo, t_hi + 1))
         return any(all(sum(e * v for e, v in zip(
                            [e for c, a in pairs for e in c.at(a)[0][k]], x))
                        - den * x[-1] * (k == 0)
@@ -1283,11 +1288,12 @@ def _recorded_search(monkeypatch, template):
 def test_the_signature_total_is_formed_once_per_multiset_in_a_search(
         monkeypatch):
     # The 3/3/6 box without lemma64: 1216 hits, whose signature data form
-    # 485 distinct component multisets.
+    # 42 distinct component multisets, an equal-weight surface read through
+    # sigma = ev_y1 + ev_y2 (485 with ev_y1 and ev_y2 read apart).
     hits, returned, formed = _recorded_search(monkeypatch, "two_surfaces")
     assert len(hits) == 1216
     multisets = [_signature_multiset(c) for c in formed]
-    assert len(multisets) == len(set(multisets)) == 485
+    assert len(multisets) == len(set(multisets)) == 42
     assert {_signature_multiset(c) for c, _ in returned} == set(multisets)
     # A hit and its swap image share their total, in lists of their own.
     lists = dict(returned)
