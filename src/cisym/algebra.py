@@ -21,9 +21,9 @@ it is its numerator count minus one.
 
 One integer Taylor shift, _taylor_shift, gives the coefficients of
 c0 + c1 u + c2 u^2 + c3 u^3 in l for u = l + a, in closed form.  It serves
-both the search solver's columns at each lift and the local data of
-surfaces and 4-dimensional components; a point's datum stays one power of
-u times one scalar.
+both the search solver's columns at each lift and, through _in_lift, the
+local data of surfaces and 4-dimensional components; a point's datum stays
+one power of u times one scalar.
 """
 
 from __future__ import annotations
@@ -153,6 +153,13 @@ def _taylor_shift(coeffs: Sequence[int], a: int) -> tuple[int, int, int, int]:
             c1 + a * (2 * c2 + 3 * a * c3),
             c2 + 3 * a * c3,
             c3)
+
+
+def _in_lift(a: int, coeffs: tuple[int, ...], den: int) -> LiftPolynomial:
+    """sum_k coeffs[k] * (l + a)^k / den, for at most four integer coeffs
+    (padded with zeros to four), by the integer Taylor shift and reduced
+    once."""
+    return _lowest(_taylor_shift(coeffs + (0,) * (4 - len(coeffs)), a), den)
 
 
 def _terms(num: Sequence[int], den: int, var: str) -> str:
@@ -397,12 +404,9 @@ class LiftPolynomial(_Exact):
     def __mul__(self, other: Union["LiftPolynomial", Scalar]) -> "LiftPolynomial":
         if isinstance(other, LiftPolynomial):
             return _lowest(_pmul(self.num, other.num), self.den * other.den)
-        if type(other) is int:
-            p, q = other, 1
-        else:
-            scalar = other if type(other) is Fraction else as_rational(other)
-            p, q = scalar.numerator, scalar.denominator
-        return _lowest([p * c for c in self.num], self.den * q)
+        scalar = as_rational(other)
+        return _lowest([scalar.numerator * c for c in self.num],
+                       self.den * scalar.denominator)
 
     def __rmul__(self, other: Scalar) -> "LiftPolynomial":
         return self * other

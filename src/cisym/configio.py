@@ -42,7 +42,6 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Union, get_args, get_type_hints
 
 from .localization import (
-    _COMPONENT_TYPES,
     AmbientData,
     Component,
     Configuration,
@@ -277,7 +276,8 @@ def json_text(value, depth: int = 0) -> str:
 
 _AMBIENT = _record(AmbientData, 1)
 _FLAGS = _record(Flags, 1)
-_COMPONENTS = {cls.kind: _record(cls, 2, "kind") for cls in _COMPONENT_TYPES}
+_COMPONENTS = {cls.kind: _record(cls, 2, "kind")
+               for cls in get_args(Component)}
 _DOCUMENT = _layout({"ambient": "%s", "components": ["%s"], "flags": "%s",
                      "template": "%s"}, 0) + "\n"
 

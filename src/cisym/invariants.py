@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Optional
 
 from .algebra import TruncatedSeries, _unit_line_factor
@@ -80,13 +80,6 @@ def normalize(ci: CompleteIntersection) -> CompleteIntersection:
     return CompleteIntersection(ci.n, ds)
 
 
-def degree_product(ci: CompleteIntersection) -> int:
-    t = 1
-    for d in ci.degrees:
-        t *= d
-    return t
-
-
 def evaluate_top(ci: CompleteIntersection, f: TruncatedSeries) -> Fraction:
     """Evaluate a degree-2n cohomology expression on the fundamental class:
     the x^n coefficient times the hyperplane self-intersection number
@@ -96,7 +89,7 @@ def evaluate_top(ci: CompleteIntersection, f: TruncatedSeries) -> Fraction:
             f"series truncated at order {f.order} cannot be evaluated in"
             f" dimension n = {ci.n}"
         )
-    return degree_product(ci) * f.coefficient(ci.n)
+    return prod(ci.degrees) * f.coefficient(ci.n)
 
 
 def _virtual_genus_series(ci: CompleteIntersection, kind: str) -> TruncatedSeries:
@@ -130,7 +123,7 @@ def euler_characteristic(ci: CompleteIntersection) -> int:
     for d in ci.degrees:
         for m in range(1, ci.n + 1):
             c[m] -= d * c[m - 1]
-    return degree_product(ci) * c[ci.n]
+    return prod(ci.degrees) * c[ci.n]
 
 
 def signature(ci: CompleteIntersection) -> int:
@@ -178,7 +171,7 @@ def invariants(ci: CompleteIntersection) -> InvariantReport:
     even = ci.n % 2 == 0
     return InvariantReport(
         ci=ci,
-        t=degree_product(ci),
+        t=prod(ci.degrees),
         c1_coeff=c1_coeff(ci),
         rho=pontrjagin_coeff(ci),
         euler=chi,

@@ -20,8 +20,8 @@ integer Taylor shift of the algebra kernel (the one that also shifts the
 search solver's columns), and the result is reduced once (a point's datum
 is one power of u times one exact scalar).  The signature characters are
 products of per-weight factors; _edge(n) and _kernel(n) are built once per
-weight and reused, a table of at most MAX_WEIGHT entries each.  The sums of the local data run from zero; the
-kernels' zero rule makes their first addition return the first datum.
+weight and reused.  The sums of the local data run from zero; the kernels'
+zero rule makes their first addition return the first datum.
 
 A surface with weights (n, n) has one weight-n normal summand, a rank-2
 complex bundle, which c1 classifies over a closed surface.  So its data
@@ -38,12 +38,17 @@ value, then, for a local datum, the component's kind and the values of all
 its fields, and for the signature checks, the sorted multiset of the
 components' kinds and the fields their signature characters read (eps and
 weights of a point; weights, ev_y1 and ev_y2 of a surface), with sigma in
-place of ev_y1 and ev_y2 for equal weights.  So verify_case in a leaf
-reuses the leaf's data, the splittings of a surface share theirs, a
-two_surfaces hit and its swap image share their signature checks, and
-outside a search each value is computed directly, before any key is built.
-No cache outlives the call: a signature character grows with its weights,
-so a cache for the whole process would have no safe size.
+place of ev_y1 and ev_y2 for equal weights (_normal_bundle, which both
+keys read).  So verify_case in a leaf reuses the leaf's data, the
+splittings of a surface share theirs, a two_surfaces hit and its swap image
+share their signature checks, and outside a search each value is computed
+directly, before any key is built.  The memo does not outlive the call.
+The per-weight factors _edge and _kernel are the only tables that live as
+long as the process; MAX_WEIGHT bounds them (see where they are declared).
+
+The lemma64 rules on normal weights alone are stated once, in
+_LEMMA64_WEIGHTS: _surface_checks applies them to a configuration, and the
+search's join applies them to the discrete data it enumerates.
 
 A Configuration bundles ambient numbers, components, a template name, and
 normalization flags.  verify_case runs every applicable check and reports
@@ -68,10 +73,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, TypeVar, Union, get_args
 
-from .algebra import CharacterFunction, LiftPolynomial, _lowest, _taylor_shift
+from .algebra import CharacterFunction, LiftPolynomial, _in_lift
 
 
 class ConfigurationError(ValueError):
@@ -366,13 +371,6 @@ def shift_lift(cfg: Configuration, delta: int) -> Configuration:
 # Local data
 
 
-def _in_lift(a: int, coeffs: tuple[int, ...], den: int) -> LiftPolynomial:
-    """sum_k coeffs[k] * (l + a)^k / den, for at most four integer coeffs
-    (padded with zeros to four), by the integer Taylor shift and reduced
-    once."""
-    return _lowest(_taylor_shift(coeffs + (0,) * (4 - len(coeffs)), a), den)
-
-
 _Datum = TypeVar("_Datum", LiftPolynomial, CharacterFunction)
 
 # The memo of the search_case call in progress, one dict for every local
@@ -382,17 +380,26 @@ _LOCAL_DATA: ContextVar[Optional[dict[tuple, object]]] = ContextVar(
     "cisym_local_data", default=None)
 
 
+def _normal_bundle(c: SurfaceComponent) -> tuple:
+    """What a surface's data read of its normal bundle: the weights, then
+    ev_y1 and ev_y2, or at equal weights sigma = ev_y1 + ev_y2 alone (the
+    weight-n summand is one rank-2 bundle, which c1 classifies)."""
+    if c.weights[0] == c.weights[1]:
+        return c.weights, c.ev_y1 + c.ev_y2
+    return c.weights, c.ev_y1, c.ev_y2
+
+
 def _local(compute: Callable[[Component], _Datum], c: Component) -> _Datum:
     """compute(c), memoized within a search_case call under the key
-    (compute, c.kind, c.__dict__.values() in field order, sigma standing for
-    ev_y1 and ev_y2 at equal weights).  The dataclass __init__ sets the
-    fields in that order; __post_init__ and search._copy only reassign."""
+    (compute, c.kind, the values of c's fields), a surface's normal bundle
+    read by _normal_bundle.  The dataclass __init__ sets a point's or a
+    4-dimensional component's fields in field order; __post_init__ and
+    search._copy only reassign."""
     memo = _LOCAL_DATA.get()
     if memo is None:
         return compute(c)
-    if c.kind == "surface" and c.weights[0] == c.weights[1]:
-        key = (compute, "surface", c.weights, c.a, c.ev_x, c.ev_y1 + c.ev_y2,
-               c.chi)
+    if c.kind == "surface":
+        key = (compute, "surface", c.a, c.ev_x, c.chi, *_normal_bundle(c))
     else:
         key = (compute, c.kind, *c.__dict__.values())
     datum = memo.get(key)
@@ -447,6 +454,10 @@ def _p1x_local_datum(c: Component) -> LiftPolynomial:
     return _in_lift(c.a, (c.ev_xy * c.weight, c.ev_p1), c.weight)
 
 
+# _edge and _kernel live as long as the process, one entry per weight.  Every
+# component's weights are checked against MAX_WEIGHT before a character is
+# built, so each holds at most MAX_WEIGHT entries: both filled for every
+# weight 1..1000 take 19.5 MiB (tracemalloc, CPython 3.11).
 @cache
 def _edge(n: int) -> CharacterFunction:
     """(1 + q^n) / (1 - q^n)."""
@@ -626,11 +637,8 @@ def check_p1x(cfg: Configuration) -> CheckResult:
 
 # The fields a signature character reads, by component kind: the multiset
 # key of the signature checks.
-_SIGNATURE_READS = {
-    "point": attrgetter("eps", "weights"),
-    "surface": lambda c: ((c.weights, c.ev_y1 + c.ev_y2)
-                          if c.weights[0] == c.weights[1]
-                          else (c.weights, c.ev_y1, c.ev_y2))}
+_SIGNATURE_READS = {"point": attrgetter("eps", "weights"),
+                    "surface": _normal_bundle}
 
 
 def signature_checks(components: Iterable[Component]) -> list[CheckResult]:
@@ -725,12 +733,6 @@ def _four_checks(cfg: Configuration) -> list[CheckResult]:
     return results
 
 
-# The lemma64 rules on normal weights alone, shared with the search.
-def _weight_multiset(weights: tuple[int, ...]) -> tuple[int, ...]:
-    """The key that weight-matching compares: the sorted weights."""
-    return tuple(sorted(weights))
-
-
 def _divides_exactly_two(pair: tuple[int, int],
                          triple: tuple[int, int, int]) -> bool:
     """weight-divisibility: each surface weight above 1 divides exactly two
@@ -741,9 +743,17 @@ def _divides_exactly_two(pair: tuple[int, int],
     return True
 
 
-def _second_weight(weights: tuple[int, int]) -> int:
-    """The key that surface-structure compares: a surface's second weight."""
-    return weights[1]
+# The lemma64 rules on normal weights alone, by template, read by
+# _surface_checks and by the search's join: the key of the weights that the
+# template's last two components must share (surface-structure's second
+# weight of the two surfaces, weight-matching's sorted multiset of the two
+# points), and the rule on each (surface, point) pair (weight-divisibility),
+# or None.
+_LEMMA64_WEIGHTS: dict[str, tuple[Callable, Optional[Callable]]] = {
+    "two_surfaces": (itemgetter(1), None),
+    "surface_plus_two_points": (lambda ws: tuple(sorted(ws)),
+                                _divides_exactly_two),
+}
 
 
 def _surface_checks(cfg: Configuration) -> list[CheckResult]:
@@ -752,9 +762,10 @@ def _surface_checks(cfg: Configuration) -> list[CheckResult]:
     display of the case analysis a failing configuration violates."""
     results = []
     t, rho = cfg.ambient.t, cfg.ambient.rho
+    key, pair_rule = _LEMMA64_WEIGHTS.get(cfg.template, (None, None))
     if cfg.template == "two_surfaces":
         x, y = cfg.surfaces()
-        structured = (_second_weight(x.weights) == _second_weight(y.weights)
+        structured = (key(x.weights) == key(y.weights)
                       and x.ev_y2 == 0 and y.ev_y2 == 0)
         if cfg.flags.lemma64:
             results.append(_result("surface-structure", structured))
@@ -773,10 +784,10 @@ def _surface_checks(cfg: Configuration) -> list[CheckResult]:
     elif cfg.template == "surface_plus_two_points":
         (x,) = cfg.surfaces()
         pt, q = cfg.points()
-        matched = _weight_multiset(pt.weights) == _weight_multiset(q.weights)
+        matched = key(pt.weights) == key(q.weights)
         if cfg.flags.lemma64:
             results.append(_result("weight-matching", matched))
-            ok = all(_divides_exactly_two(x.weights, p.weights) for p in (pt, q))
+            ok = all(pair_rule(x.weights, p.weights) for p in (pt, q))
             results.append(_result("weight-divisibility", ok))
         if matched:
             a_rel = pt.a - x.a

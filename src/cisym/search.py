@@ -27,9 +27,10 @@ the bounds its hit list is exhaustive.
    lift-only rows, and on row l^0 when t is its only unknown.  The checks
    are the signature-limit identity (the eps and the signatures sum to 0)
    and, under lemma64, weight-matching and weight-divisibility, or the
-   shared second weight of surface-structure.  The last component's
-   (data, lift) entries are indexed by signature contribution, by the key
-   that the lemma64 predicate compares (a point's weight multiset, a
+   shared second weight of surface-structure, read from the table that
+   verify_case reads too (localization._LEMMA64_WEIGHTS).  The last
+   component's (data, lift) entries are indexed by signature contribution,
+   by the key that the lemma64 rule compares (a point's weight multiset, a
    surface's second weight) and by their constants on the lift-only rows,
    and each bucket is sorted by the entries' l^0 constants.  The other
    components, at each choice of their lifts, look up the entries that
@@ -161,12 +162,10 @@ from .algebra import LiftPolynomial, _taylor_shift
 from .configio import dump_config
 from .localization import (
     _TEMPLATE_B2,
-    _divides_exactly_two,
     _int,
+    _LEMMA64_WEIGHTS,
     _LOCAL_DATA,
     _p1x_local_datum,
-    _second_weight,
-    _weight_multiset,
     _x3_local_datum,
     AmbientData,
     Component,
@@ -255,22 +254,20 @@ class _Ctx:
     bounds: SearchBounds
     flags: SearchFlags
     config_flags: Flags = field(init=False)  # the flags of every hit
+    weights: range = field(init=False)  # the normal weights of the box
 
     def __post_init__(self):
         object.__setattr__(self, "t_lo", max(1, self.t_lo))  # the box's t >= 1
         object.__setattr__(self, "config_flags", self.flags.as_config_flags())
-
-
-def _weight_values(ctx: _Ctx) -> list[int]:
-    if ctx.flags.semifree:
-        return [1]
-    return list(range(1, ctx.bounds.max_weight + 1))
+        # semifree is max_weight = 1.
+        top = 1 if self.flags.semifree else self.bounds.max_weight
+        object.__setattr__(self, "weights", range(1, top + 1))
 
 
 def _weight_tuples(ctx: _Ctx, size: int) -> Iterator[tuple[int, ...]]:
     """The sorted normal weights of a component with size of them, coprime
     under effectiveness (so a single weight is then 1), enumerated lazily."""
-    return (w for w in combinations_with_replacement(_weight_values(ctx), size)
+    return (w for w in combinations_with_replacement(ctx.weights, size)
             if not ctx.flags.effectiveness or gcd(*w) == 1)
 
 
@@ -460,7 +457,7 @@ def _choices(template: str, ctx: _Ctx, counter: _Counter
             unknowns = ()
         elif kind == "surface":
             if structured:
-                ws = _weight_values(ctx)
+                ws = ctx.weights
                 pairs = ((n, m) for n in ws for m in ws
                          if not flags.effectiveness or gcd(n, m) == 1)
                 unknowns = ("ev_x", "ev_y1")
@@ -542,16 +539,6 @@ def _rows(parts, ks: Iterable[int], den: int) -> list[tuple[int, ...]]:
     return rows
 
 
-# The lemma64 rules that the join applies, by template: the key that the
-# tail's entries are indexed by and that the component before it must match
-# (surface-structure's shared second weight, weight-matching's multiset), and
-# the rule on the head's (surface, point) pair (weight-divisibility).
-_JOIN_RULES = {
-    "two_surfaces": (_second_weight, None),
-    "surface_plus_two_points": (_weight_multiset, _divides_exactly_two),
-}
-
-
 def _combinations(template: str, slots: list[list[_Choice]], den: int,
                   joined: tuple[int, ...], t_only: bool,
                   head_rows: tuple[int, ...], ctx: _Ctx, counter: _Counter
@@ -571,7 +558,7 @@ def _combinations(template: str, slots: list[list[_Choice]], den: int,
     signature and key are tabulated when a lookup first needs them.  Each
     head tuple, tabulated entry and lookup is a node, and so is each value
     that a head solve tries."""
-    key, pair_rule = (_JOIN_RULES.get(template, (None, None))
+    key, pair_rule = (_LEMMA64_WEIGHTS.get(template, (None, None))
                       if ctx.flags.lemma64 else (None, None))
     # With t alone in row l^0, den * t is the sum of the row's constants, so
     # the last constant lies in a window set by the others' sum, and den
@@ -645,8 +632,8 @@ def _eliminate(row: list[int], pivot: list[int], col: int) -> list[int]:
     """row with its entry at col cancelled by the pivot row, made primitive."""
     p, q = pivot[col], row[col]
     out = [p * x - q * y for x, y in zip(row, pivot)]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+    g = gcd(*out) or 1  # a row that cancels is all zeros
+    return [x // g for x in out]
 
 
 def _solve(rows, lo: list[int], hi: list[int],

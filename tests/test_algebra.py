@@ -68,6 +68,12 @@ def test_negative_order_rejected():
         TruncatedSeries(-1)
 
 
+def test_more_coefficients_than_the_order_rejected():
+    with pytest.raises(ValueError, match="more coefficients than the"
+                                         " truncation order allows"):
+        TruncatedSeries(1, [1, 2, 3])
+
+
 def test_pow_matches_repeated_product():
     s = TruncatedSeries(6, [1, 2, 3])
     p = TruncatedSeries.one(6)

@@ -63,18 +63,14 @@ def test_each_kernel_defines_exactly_its_pinned_surface(kernel):
 # only by an edit here.
 _PRIVATE_IMPORTS = {
     ("cli", "classify", "_ADMISSIBLE"),
-    ("configio", "localization", "_COMPONENT_TYPES"),
     ("invariants", "algebra", "_unit_line_factor"),
-    ("localization", "algebra", "_lowest"),
-    ("localization", "algebra", "_taylor_shift"),
+    ("localization", "algebra", "_in_lift"),
     ("search", "algebra", "_taylor_shift"),
+    ("search", "localization", "_LEMMA64_WEIGHTS"),
     ("search", "localization", "_LOCAL_DATA"),
     ("search", "localization", "_TEMPLATE_B2"),
-    ("search", "localization", "_divides_exactly_two"),
     ("search", "localization", "_int"),
     ("search", "localization", "_p1x_local_datum"),
-    ("search", "localization", "_second_weight"),
-    ("search", "localization", "_weight_multiset"),
     ("search", "localization", "_x3_local_datum"),
 }
 

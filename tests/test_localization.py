@@ -1,6 +1,7 @@
 """Tests for fixed-point components, local data, and the verifier."""
 
 import hashlib
+import json
 import random
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cisym import localization
 from cisym.algebra import CharacterFunction, LiftPolynomial
-from cisym.configio import load_config
+from cisym.configio import load_config, parse_config
 from cisym.invariants import CompleteIntersection, invariants
 from cisym.localization import (
     _TEMPLATE_B2,
@@ -43,6 +45,7 @@ from cisym.localization import (
     x3_local_datum,
     x3_sum,
 )
+from cisym.search import SearchBounds
 from lift_reads import at_shifted_lift, value_at
 from linear_actions import (four_point_checks, projective_space_points,
                             quadric_points)
@@ -417,6 +420,25 @@ def test_weights_above_the_cap_rejected():
     with pytest.raises(ConfigurationError):
         FourComponent(big, 0, 0, 0, 0, 0, 0, 0, 2)
     assert PointComponent(1, (1, MAX_WEIGHT, 1), 0).weights[1] == MAX_WEIGHT
+
+
+def test_a_weight_above_the_cap_is_rejected_before_the_character_tables_grow():
+    # _edge and _kernel live as long as the process, one entry per weight;
+    # MAX_WEIGHT bounds them only if no route reaches a character above it:
+    # a verify document, or a search box.
+    def sizes():
+        return (localization._edge.cache_info().currsize,
+                localization._kernel.cache_info().currsize)
+
+    before = sizes()
+    doc = json.loads((Path(__file__).resolve().parent.parent / "demos"
+                      / "configs" / "semifree_two_surfaces.json").read_text())
+    doc["components"][0]["weights"][0] = MAX_WEIGHT + 1
+    with pytest.raises(ConfigurationError, match=f"<= {MAX_WEIGHT}"):
+        parse_config(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"<= {MAX_WEIGHT}"):
+        SearchBounds(max_weight=MAX_WEIGHT + 1)
+    assert sizes() == before
 
 
 def test_surface_rejects_odd_or_large_chi():
